@@ -1,26 +1,21 @@
-// MVCC snapshot reads vs. the historical reader-writer lock protocol:
-// a continuous full-table analytic scan stream concurrent with a
-// high-rate two-row UPDATE stream, measured twice — once with
-// EngineOptions::mvcc_snapshot_reads on (readers pin the published
-// TableVersion through an epoch guard and never touch the table lock)
-// and once with it off (readers shared-lock the table, so every commit
-// waits for the scan stream to drain, and glibc's reader-preferring
-// rwlock can starve the writer outright).
+// MVCC snapshot reads under write pressure: a continuous full-table
+// analytic scan stream concurrent with a high-rate two-row UPDATE
+// stream. Readers pin the published TableVersion through an epoch guard
+// and never touch the table lock, so commits proceed at full speed
+// underneath the scans.
 //
 // Consistency is asserted, not assumed: the table carries two marker
 // rows routed to *different partitions*, always updated together in one
 // statement (one commit). Every scan computes MIN(marker)/MAX(marker)
 // over the full table; a scan that observed a commit's partitions torn
-// (one partition's new marker, the other's old) reports MIN != MAX.
-// Both protocols must record zero violations — MVCC because a pinned
-// version is one committed cross-partition snapshot, the lock protocol
-// because readers and writers serialize.
+// (one partition's new marker, the other's old) reports MIN != MAX. A
+// pinned version is one committed cross-partition snapshot, so the run
+// fails (exit 1) on any violation.
 //
-// Results go to BENCH_mvcc.json. The headline number is
-// update_throughput_mvcc_over_lock: the ISSUE acceptance bar is >= 5x.
+// Results go to BENCH_mvcc.json.
 //
-// Usage: bench_mvcc [rows] [seconds_per_mode] [json_path]
-//        (default 400000 rows, 2.5 s per mode, BENCH_mvcc.json)
+// Usage: bench_mvcc [rows] [seconds] [json_path]
+//        (default 400000 rows, 2.5 s, BENCH_mvcc.json)
 
 #include <atomic>
 #include <cstdint>
@@ -68,8 +63,7 @@ std::unique_ptr<PartitionedTable> MakeTable(std::uint64_t rows) {
   return std::make_unique<PartitionedTable>(schema, std::move(parts));
 }
 
-struct ModeResult {
-  std::string mode;
+struct RunResult {
   double seconds = 0;
   std::uint64_t updates = 0;
   std::uint64_t scans = 0;
@@ -78,10 +72,8 @@ struct ModeResult {
   double scans_per_s() const { return seconds > 0 ? scans / seconds : 0; }
 };
 
-ModeResult RunMode(bool mvcc, std::uint64_t rows, double seconds) {
-  EngineOptions options;
-  options.mvcc_snapshot_reads = mvcc;
-  Engine engine(options);
+RunResult Run(std::uint64_t rows, double seconds) {
+  Engine engine;
   Result<PartitionedTable*> added =
       engine.catalog().AddPartitionedTable("t", MakeTable(rows));
   if (!added.ok()) {
@@ -146,8 +138,7 @@ ModeResult RunMode(bool mvcc, std::uint64_t rows, double seconds) {
   for (std::thread& t : threads) t.join();
   if (failed.load()) std::exit(1);
 
-  ModeResult result;
-  result.mode = mvcc ? "mvcc" : "lock";
+  RunResult result;
   result.seconds = timer.ElapsedSeconds();
   result.updates = updates.load();
   result.scans = scans.load();
@@ -155,16 +146,12 @@ ModeResult RunMode(bool mvcc, std::uint64_t rows, double seconds) {
   return result;
 }
 
-void WriteJson(const char* path, std::uint64_t rows, double seconds,
-               const ModeResult& mvcc, const ModeResult& lock) {
+void WriteJson(const char* path, std::uint64_t rows, const RunResult& r) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path);
     std::exit(1);
   }
-  const double speedup =
-      lock.updates_per_s() > 0 ? mvcc.updates_per_s() / lock.updates_per_s()
-                               : 0;
   std::fprintf(f, "{\n");
   WriteMachineJson(f);
   std::fprintf(f, "  \"bench\": \"bench_mvcc scan-vs-update\",\n");
@@ -173,33 +160,23 @@ void WriteJson(const char* path, std::uint64_t rows, double seconds,
   std::fprintf(f, "  \"partitions\": %zu,\n", kPartitions);
   std::fprintf(f, "  \"scan_threads\": %zu,\n", kScanThreads);
   std::fprintf(f, "  \"update_threads\": 1,\n");
-  std::fprintf(f, "  \"seconds_per_mode\": %.1f,\n", seconds);
   std::fprintf(f,
-               "  \"note\": \"mode=lock is mvcc_snapshot_reads=false (the "
-               "historical reader-writer protocol); violations counts scans "
-               "whose cross-partition marker pair was torn — must be 0 in "
-               "both modes\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  const ModeResult* rs[] = {&mvcc, &lock};
-  for (std::size_t i = 0; i < 2; ++i) {
-    const ModeResult& r = *rs[i];
-    std::fprintf(f,
-                 "    {\"mode\": \"%s\", \"seconds\": %.3f, "
-                 "\"updates\": %llu, \"updates_per_s\": %.1f, "
-                 "\"scans\": %llu, \"scans_per_s\": %.1f, "
-                 "\"consistency_violations\": %llu}%s\n",
-                 r.mode.c_str(), r.seconds,
-                 static_cast<unsigned long long>(r.updates),
-                 r.updates_per_s(),
-                 static_cast<unsigned long long>(r.scans), r.scans_per_s(),
-                 static_cast<unsigned long long>(r.violations),
-                 i == 0 ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"update_throughput_mvcc_over_lock\": %.2f\n", speedup);
+               "  \"note\": \"consistency_violations counts scans whose "
+               "cross-partition marker pair was torn — must be 0\",\n");
+  std::fprintf(f,
+               "  \"results\": [\n"
+               "    {\"mode\": \"mvcc\", \"seconds\": %.3f, "
+               "\"updates\": %llu, \"updates_per_s\": %.1f, "
+               "\"scans\": %llu, \"scans_per_s\": %.1f, "
+               "\"consistency_violations\": %llu}\n"
+               "  ]\n",
+               r.seconds, static_cast<unsigned long long>(r.updates),
+               r.updates_per_s(), static_cast<unsigned long long>(r.scans),
+               r.scans_per_s(),
+               static_cast<unsigned long long>(r.violations));
   std::fprintf(f, "}\n");
   std::fclose(f);
-  std::printf("wrote %s (update speedup mvcc/lock: %.2fx)\n", path, speedup);
+  std::printf("wrote %s\n", path);
 }
 
 }  // namespace
@@ -211,17 +188,18 @@ int main(int argc, char** argv) {
   const char* path = argc > 3 ? argv[3] : "BENCH_mvcc.json";
 
   std::printf("bench_mvcc: %llu rows, %zu partitions, %zu scan threads, "
-              "%.1f s per mode\n",
+              "%.1f s\n",
               static_cast<unsigned long long>(rows), kPartitions,
               kScanThreads, seconds);
-  const ModeResult mvcc = RunMode(true, rows, seconds);
+  const RunResult r = Run(rows, seconds);
   std::printf("  mvcc: %.1f updates/s, %.1f scans/s, %llu violations\n",
-              mvcc.updates_per_s(), mvcc.scans_per_s(),
-              static_cast<unsigned long long>(mvcc.violations));
-  const ModeResult lock = RunMode(false, rows, seconds);
-  std::printf("  lock: %.1f updates/s, %.1f scans/s, %llu violations\n",
-              lock.updates_per_s(), lock.scans_per_s(),
-              static_cast<unsigned long long>(lock.violations));
-  WriteJson(path, rows, seconds, mvcc, lock);
+              r.updates_per_s(), r.scans_per_s(),
+              static_cast<unsigned long long>(r.violations));
+  WriteJson(path, rows, r);
+  if (r.violations != 0) {
+    std::fprintf(stderr, "torn cross-partition reads: %llu\n",
+                 static_cast<unsigned long long>(r.violations));
+    return 1;
+  }
   return 0;
 }

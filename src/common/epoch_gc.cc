@@ -1,5 +1,6 @@
 #include "common/epoch_gc.h"
 
+#include <algorithm>
 #include <thread>
 #include <utility>
 
@@ -52,12 +53,20 @@ std::uint64_t EpochGc::MinPinned() const {
   return min;
 }
 
-std::size_t EpochGc::TryReclaim() {
-  // Snapshot the horizon BEFORE splicing: a pin that lands after this
-  // scan cannot have observed any pointer retired before it (see the
-  // ordering contract in the header), so using a possibly-stale horizon
-  // is safe — merely conservative.
-  const std::uint64_t horizon = MinPinned();
+std::uint64_t EpochGc::ReclaimHorizon() const {
+  // Load the epoch BEFORE the slot scan. The scan only vouches for
+  // entries retired before it started: an entry retired while (or after)
+  // it runs may belong to a reader whose pin the scan already passed, so
+  // the scan's minimum alone would free it under that reader. Capping by
+  // the pre-scan epoch admits only entries whose retirement — and hence
+  // whose writer's unlink — precedes the whole scan.
+  const std::uint64_t bound = epoch_.load(std::memory_order_seq_cst);
+  return std::min(bound, MinPinned());
+}
+
+std::size_t EpochGc::TryReclaim() { return ReclaimThrough(ReclaimHorizon()); }
+
+std::size_t EpochGc::ReclaimThrough(std::uint64_t horizon) {
   std::vector<Retired> ready;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -23,15 +23,23 @@ namespace patchindex {
 ///
 /// Ordering contract (all slot and epoch accesses are seq_cst, so a
 /// single total order S over them exists):
-///   - A reader pins FIRST (slot.store), then loads the shared pointer.
+///   - A reader pins FIRST (slot CAS), then loads the shared pointer.
 ///   - A writer unlinks FIRST (atomic swap of the shared pointer), then
-///     calls Retire(), which advances the epoch and scans the slots.
-/// If the reader's pin precedes the writer's slot scan in S, the scan
-/// observes the pin and the retired entry (whose epoch is strictly newer
-/// than the pinned stamp) is withheld. If the scan precedes the pin,
-/// then the reader's later pointer load follows the writer's earlier
-/// unlink in S and observes the replacement — it can never obtain the
-/// retired object. Either way nothing is freed while reachable.
+///     calls Retire(), which advances the epoch; the new value is the
+///     entry's retirement epoch.
+///   - A reclaimer (any thread in TryReclaim) loads the epoch FIRST, then
+///     scans the slots, and frees only entries whose retirement epoch is
+///     <= both the loaded epoch and every pinned stamp it saw.
+/// The first bound means a freed entry was retired — hence unlinked —
+/// before the scan began. A reader whose pin precedes the scan of its
+/// slot is seen by the scan; if it could hold the entry, its pointer load
+/// preceded the unlink, so its stamp is strictly below the retirement
+/// epoch and the entry is withheld. A reader whose pin follows the scan
+/// of its slot pinned after the unlink, so its pointer load observes the
+/// replacement — it can never obtain the retired object. Either way
+/// nothing is freed while reachable. (The scan alone is not enough: an
+/// entry retired after one thread's scan but before its splice would be
+/// freed under a reader that pinned in between.)
 ///
 /// Slots, not thread-locals: a fixed array of kSlots cache-line-padded
 /// atomics, claimed per-Guard by CAS. This keeps the structure safe
@@ -81,9 +89,10 @@ class EpochGc {
   /// not acquire locks held across Retire()/Guard destruction.
   void Retire(std::function<void()> deleter);
 
-  /// Runs every deferred deleter whose retirement epoch is older than
-  /// the oldest currently-pinned guard. Returns the number reclaimed.
-  /// Safe to call concurrently; deleters run outside the internal lock.
+  /// Runs every deferred deleter retired before this call began whose
+  /// retirement epoch is not newer than the oldest pinned guard. Returns
+  /// the number reclaimed. Safe to call concurrently; deleters run
+  /// outside the internal lock.
   std::size_t TryReclaim();
 
   /// Best-effort drain for shutdown paths: repeatedly reclaims while
@@ -108,6 +117,8 @@ class EpochGc {
   static EpochGc& Global();
 
  private:
+  friend class EpochGcTestPeer;
+
   struct alignas(64) Slot {
     std::atomic<std::uint64_t> epoch{kIdle};
   };
@@ -119,6 +130,12 @@ class EpochGc {
 
   /// Oldest epoch stamped into any claimed slot; kIdle when none are.
   std::uint64_t MinPinned() const;
+
+  /// The two halves of TryReclaim. ReclaimHorizon loads the epoch, then
+  /// scans the slots, and returns the smaller of the two; ReclaimThrough
+  /// splices out and runs every deleter retired at or below `horizon`.
+  std::uint64_t ReclaimHorizon() const;
+  std::size_t ReclaimThrough(std::uint64_t horizon);
 
   Slot slots_[kSlots];
   std::atomic<std::uint64_t> epoch_{0};

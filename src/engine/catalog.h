@@ -44,14 +44,12 @@ struct TableVersion {
 };
 
 /// Named tables plus their PatchIndexes (via an owned PatchIndexManager),
-/// with one reader-writer lock per table. Under MVCC (the default), the
-/// exclusive lock is a writer–writer lock only: update queries, DDL and
-/// checkpoints serialize on it, while read queries pin the published
-/// TableVersion through an epoch guard and never take it at all. The
-/// shared mode remains for the legacy read path (mvcc_snapshot_reads
-/// off) and as the fallback when a reader finds the published version
-/// stale against a directly-mutated head (bulk loads that bypass the
-/// commit protocol).
+/// with one reader-writer lock per table. The exclusive lock is a
+/// writer–writer lock: update queries, DDL and checkpoints serialize on
+/// it, while read queries pin the published TableVersion through an
+/// epoch guard and do not take it. The shared mode serves only readers
+/// that find the published version stale against a head mutated outside
+/// the commit protocol (rows or PDT deltas written through a raw Table*).
 ///
 /// Every catalog entry is a PartitionedTable — the engine's storage unit
 /// (paper §3.2: discovery, patch maintenance and query processing are

@@ -43,15 +43,6 @@ struct EngineOptions {
   /// (used for A/B comparison and by the equivalence tests).
   bool enable_parallel_execution = true;
 
-  /// MVCC snapshot reads (default): read queries pin the table's
-  /// published immutable TableVersion through an epoch guard and scan it
-  /// lock-free — readers never block writers, and the per-table exclusive
-  /// lock degenerates to a writer–writer lock. False restores the
-  /// historical reader-writer protocol (every read holds the shared lock
-  /// for its duration); kept for A/B comparison — bench_mvcc measures
-  /// update throughput under continuous scans in both modes.
-  bool mvcc_snapshot_reads = true;
-
   /// Partitions a CREATE TABLE statement without a PARTITIONS clause
   /// gets (the session default of the paper's §3.2 partition-local
   /// processing). 1 keeps the historical single-partition behavior.
@@ -273,9 +264,9 @@ class Engine {
   const Status& recovery_status() const { return recovery_status_; }
 
   /// Checkpoints every durable table (snapshot + WAL truncation), each
-  /// under its exclusive lock — a writer–writer lock under MVCC, so
-  /// readers keep scanning their pinned versions throughout. The snapshot
-  /// data is sourced from the table's pinned published version when it is
+  /// under its exclusive lock — a writer–writer lock, so readers keep
+  /// scanning their pinned versions throughout. The snapshot data is
+  /// sourced from the table's pinned published version when it is
   /// current (it is immutable and byte-identical to the committed head);
   /// the live head is used otherwise. Returns the first failure, after
   /// trying all tables. A no-op without durability.
@@ -331,19 +322,18 @@ class Engine {
 /// threads (each call acquires the table locks it needs; the counters
 /// are atomic).
 ///
-/// Concurrency: under MVCC (EngineOptions::mvcc_snapshot_reads, the
-/// default) a read query pins each scanned table's published immutable
-/// TableVersion through an epoch guard and runs lock-free — see
+/// Concurrency: a read query pins each scanned table's published
+/// immutable TableVersion through an epoch guard and runs lock-free — see
 /// engine/read_pin.h for the full resolution order. Update queries and
-/// DDL still take the table's exclusive lock, which therefore only ever
+/// DDL take the table's exclusive lock, which therefore only ever
 /// serializes writers against writers (and checkpoints).
 ///
-/// Lock ordering: when a read query does fall back to shared locks (MVCC
-/// off, or a directly-mutated head), it acquires them in ascending
-/// lock-address order; update queries and DDL take a single exclusive
-/// table lock. The catalog's own map mutex is never held while a table
-/// lock is acquired. This total order makes deadlock between any mix of
-/// concurrent sessions impossible.
+/// Lock ordering: a read query takes a shared lock only for a head
+/// mutated outside the commit protocol, in ascending lock-address order;
+/// update queries and DDL take a single exclusive table lock. The
+/// catalog's own map mutex is never held while a table lock is acquired.
+/// This total order makes deadlock between any mix of concurrent
+/// sessions impossible.
 class Session {
  public:
   /// Runs a read query: optimizes `plan` against the catalog's indexes,
@@ -351,8 +341,8 @@ class Session {
   /// otherwise — see ParallelPlanSupported in engine/executor.h for the
   /// supported shapes). Every catalog table the plan scans is protected
   /// for the duration of the query — by an epoch-pinned immutable
-  /// version under MVCC (lock-free; the passed plan is never mutated),
-  /// by a shared lock otherwise.
+  /// version (lock-free; the passed plan is never mutated), or by a
+  /// shared lock for a head mutated outside the commit protocol.
   Result<QueryResult> Execute(LogicalPtr plan);
 
   /// Same, with per-query optimizer options overriding the engine's.

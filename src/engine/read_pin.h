@@ -1,10 +1,8 @@
 #ifndef PATCHINDEX_ENGINE_READ_PIN_H_
 #define PATCHINDEX_ENGINE_READ_PIN_H_
 
-#include <cstddef>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -41,17 +39,17 @@ class PinnedIndexLookup : public IndexLookup {
 };
 
 /// Per-statement read protection: resolves every catalog table a plan
-/// scans and protects each one for the statement's duration, preferring
-/// the lock-free MVCC path. Per table, in order:
+/// scans and protects each one for the statement's duration. Per table,
+/// in order:
 ///
 ///   1. The published TableVersion is current (its partition seqs match
 ///      the head): scan the immutable snapshot, no lock at all. The
 ///      epoch guard keeps the version alive against concurrent retirement.
-///   2. Otherwise the head has unpublished mutations (a bulk load through
-///      a raw Table*, or a writer mid-commit). Try the shared lock
-///      without blocking: on success read the live head — the legacy
-///      path, which keeps directly-mutated tables readable at their
-///      freshest state.
+///   2. Otherwise the head was mutated outside the commit protocol (rows
+///      appended or PDT deltas buffered through a raw Table*), or a
+///      writer is mid-commit. Try the shared lock without blocking: on
+///      success read the live head, which keeps directly-mutated tables
+///      readable at their freshest state.
 ///   3. The try-lock failed, so a writer holds the exclusive lock: fall
 ///      back to the pinned version — the last committed state, exactly
 ///      what a statement starting now is entitled to see. Readers
@@ -62,15 +60,13 @@ class PinnedIndexLookup : public IndexLookup {
 /// nodes are retargeted at the snapshot tables (the caller's original
 /// plan is never mutated, so retained plans stay valid); `indexes()`
 /// then resolves those snapshot partitions to the version's index clones.
-/// With `mvcc_snapshot_reads` off every table takes the shared lock, the
-/// historical behavior.
 ///
 /// Lock ordering: refs are processed in ascending lock-address order, and
 /// only step 2's failure path skips a lock — the total order against
 /// exclusive lockers is preserved, so deadlock stays impossible.
 class PinnedReadSet {
  public:
-  PinnedReadSet(Catalog& catalog, bool mvcc_snapshot_reads, LogicalPtr* plan);
+  PinnedReadSet(Catalog& catalog, LogicalPtr* plan);
 
   PinnedReadSet(const PinnedReadSet&) = delete;
   PinnedReadSet& operator=(const PinnedReadSet&) = delete;
@@ -79,18 +75,11 @@ class PinnedReadSet {
   /// for pinned tables, the live manager for everything else.
   const IndexLookup& indexes() const { return lookup_; }
 
-  /// Tables read lock-free from a pinned version.
-  std::size_t pinned_tables() const { return pinned_tables_; }
-  /// Tables read from the live head under a shared lock.
-  std::size_t locked_tables() const { return locked_tables_; }
-
  private:
-  std::optional<EpochGc::Guard> guard_;
+  EpochGc::Guard guard_;
   std::vector<Catalog::TableRef> refs_;
   std::vector<std::shared_lock<std::shared_mutex>> locks_;
   PinnedIndexLookup lookup_;
-  std::size_t pinned_tables_ = 0;
-  std::size_t locked_tables_ = 0;
 };
 
 }  // namespace patchindex

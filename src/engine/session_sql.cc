@@ -436,13 +436,11 @@ Result<std::string> ExplainBound(Engine* engine,
                                  const sql::BoundStatement& bound) {
   switch (bound.kind) {
     case sql::Statement::Kind::kSelect: {
-      // Pin the scanned tables like Execute does (MVCC snapshot or
-      // shared-lock fallback): the rewriter and the row-count
-      // annotations read table state, so the plan is explained against
-      // the same snapshot a real execution would scan.
+      // Pin the scanned tables like Execute does: the rewriter and the
+      // row-count annotations read table state, so the plan is explained
+      // against the same snapshot a real execution would scan.
       LogicalPtr plan = ClonePlan(bound.plan);
-      PinnedReadSet pin(engine->catalog(),
-                        engine->options().mvcc_snapshot_reads, &plan);
+      PinnedReadSet pin(engine->catalog(), &plan);
       LogicalPtr optimized = OptimizePlan(std::move(plan), pin.indexes(),
                                           engine->options().optimizer);
       std::string out = ExplainPlan(optimized);

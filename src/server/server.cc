@@ -42,7 +42,7 @@ struct Task {
   Status error;  // kFatal: the protocol error to report before closing
   std::string reject_reason;
   /// When the reader queued the task — the worker records the queue wait
-  /// (pickup time minus this) into pidx_server_queue_wait_us.
+  /// (pickup time minus this) into pidx_wait_server_queue_us.
   std::chrono::steady_clock::time_point enqueued;
   /// Request bytes charged to the server's memory tracker at admission;
   /// the worker releases them after the task is processed.
@@ -245,9 +245,10 @@ PiServer::PiServer(Engine& engine, ServerOptions options)
 void PiServer::RegisterMetrics() {
   obs::MetricsRegistry& r = engine_.metrics();
   // ServerStats folded into the registry as callbacks: one source of
-  // truth, zero extra per-query work. Stop() freezes them to their final
-  // values so the registry stays valid after the server is destroyed.
-  const ServerStats* stats = &stats_;
+  // truth, zero extra per-query work. Each callback shares ownership of
+  // the stats, so the registry keeps rendering their final values after
+  // the server is stopped and destroyed.
+  std::shared_ptr<const ServerStats> stats = stats_;
   r.SetCallback("pidx_server_connections_accepted_total",
                 "Client connections accepted",
                 [stats] { return stats->connections_accepted.load(); });
@@ -270,9 +271,6 @@ void PiServer::RegisterMetrics() {
     query_latency_us_ = r.GetHistogram(
         "pidx_server_query_latency_us",
         "End-to-end query time in a server worker (execute + respond)");
-    queue_wait_us_ = r.GetHistogram(
-        "pidx_server_queue_wait_us",
-        "Admitted-task wait between enqueue and worker pickup");
     wait_queue_us_ = r.GetHistogram(
         "pidx_wait_server_queue_us",
         "Wait event: admitted request sat in its connection queue before "
@@ -430,35 +428,6 @@ void PiServer::Stop() {
     workers_stop_ = false;
   }
 
-  // Freeze the ServerStats callbacks to their final values: the engine's
-  // registry outlives this server, and a callback reading freed memory
-  // would be a use-after-free on the next render.
-  obs::MetricsRegistry& r = engine_.metrics();
-  const std::uint64_t accepted = stats_.connections_accepted.load();
-  r.SetCallback("pidx_server_connections_accepted_total",
-                "Client connections accepted",
-                [accepted] { return accepted; });
-  const std::uint64_t rejected = stats_.connections_rejected.load();
-  r.SetCallback("pidx_server_connections_rejected_total",
-                "Connections rejected at the connection limit",
-                [rejected] { return rejected; });
-  const std::uint64_t executed = stats_.queries_executed.load();
-  r.SetCallback("pidx_server_queries_executed_total",
-                "Queries executed (kQuery + kExecute frames)",
-                [executed] { return executed; });
-  const std::uint64_t busy = stats_.queries_rejected_busy.load();
-  r.SetCallback("pidx_server_queries_rejected_busy_total",
-                "Queries rejected with SERVER_BUSY",
-                [busy] { return busy; });
-  const std::uint64_t memory = stats_.queries_rejected_memory.load();
-  r.SetCallback("pidx_server_queries_rejected_memory_total",
-                "Queries rejected at the memory admission high-watermark",
-                [memory] { return memory; });
-  const std::uint64_t proto = stats_.protocol_errors.load();
-  r.SetCallback("pidx_server_protocol_errors_total",
-                "Malformed frames / handshake failures",
-                [proto] { return proto; });
-
   started_ = false;
 }
 
@@ -519,7 +488,7 @@ void PiServer::AcceptorLoop() {
                               std::to_string(options_.max_connections) +
                               "); retry later"));
       ::close(cfd);
-      stats_.connections_rejected.fetch_add(1);
+      stats_->connections_rejected.fetch_add(1);
       continue;
     }
 
@@ -540,7 +509,7 @@ void PiServer::AcceptorLoop() {
       connections_.push_back(conn);
     }
     conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
-    stats_.connections_accepted.fetch_add(1);
+    stats_->connections_accepted.fetch_add(1);
   }
 }
 
@@ -589,13 +558,13 @@ void PiServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
           Status::InvalidArgument(
               "unsupported protocol version " + std::to_string(version) +
               " (server speaks " + std::to_string(kProtocolVersion) + ")"));
-      stats_.protocol_errors.fetch_add(1);
+      stats_->protocol_errors.fetch_add(1);
     }
   } else if (st.ok()) {
     (void)SendErrorFrame(conn->fd,
                          Status::InvalidArgument(
                              "protocol error: expected Hello frame"));
-    stats_.protocol_errors.fetch_add(1);
+    stats_->protocol_errors.fetch_add(1);
   }
 
   while (handshook) {
@@ -608,7 +577,7 @@ void PiServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
         Task fatal;
         fatal.kind = Task::Kind::kFatal;
         fatal.error = st;
-        stats_.protocol_errors.fetch_add(1);
+        stats_->protocol_errors.fetch_add(1);
         EnqueueTask(conn, std::move(fatal));
       }
       break;
@@ -661,7 +630,7 @@ void PiServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       Task fatal;
       fatal.kind = Task::Kind::kFatal;
       fatal.error = decode;
-      stats_.protocol_errors.fetch_add(1);
+      stats_->protocol_errors.fetch_add(1);
       EnqueueTask(conn, std::move(fatal));
       break;
     }
@@ -710,7 +679,7 @@ void PiServer::EnqueueTask(const std::shared_ptr<Connection>& conn,
             "SERVER_BUSY: tracked memory at the admission high-watermark "
             "(" + std::to_string(options_.memory_soft_limit) +
             " bytes); retry later";
-        stats_.queries_rejected_memory.fetch_add(1);
+        stats_->queries_rejected_memory.fetch_add(1);
       } else {
         std::size_t cur = inflight_.load();
         bool admitted = false;
@@ -781,13 +750,11 @@ void PiServer::WorkerLoop() {
       task = std::move(conn->queue.front());
       conn->queue.pop_front();
     }
-    if (queue_wait_us_ != nullptr && task.admitted) {
-      const std::int64_t wait_ns =
+    if (wait_queue_us_ != nullptr && task.admitted) {
+      wait_queue_us_->RecordNanos(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - task.enqueued)
-              .count();
-      queue_wait_us_->RecordNanos(wait_ns);
-      if (wait_queue_us_ != nullptr) wait_queue_us_->RecordNanos(wait_ns);
+              .count());
     }
 
     ProcessTask(conn, task);
@@ -855,7 +822,7 @@ void PiServer::ProcessTask(const std::shared_ptr<Connection>& conn,
     if (conn->broken) return;  // client is gone; drop the work
   }
   if (!task.admitted) {
-    stats_.queries_rejected_busy.fetch_add(1);
+    stats_->queries_rejected_busy.fetch_add(1);
     if (!SendErrorFrame(conn->fd, Status::Unavailable(task.reject_reason))
              .ok()) {
       MarkBroken(*conn);
@@ -867,7 +834,7 @@ void PiServer::ProcessTask(const std::shared_ptr<Connection>& conn,
   Status write = Status::OK();
   switch (task.kind) {
     case Task::Kind::kQuery: {
-      stats_.queries_executed.fetch_add(1);
+      stats_->queries_executed.fetch_add(1);
       conn->queries.fetch_add(1);
       WallTimer timer;
       Result<QueryResult> result =
@@ -906,7 +873,7 @@ void PiServer::ProcessTask(const std::shared_ptr<Connection>& conn,
       break;
     }
     case Task::Kind::kExecute: {
-      stats_.queries_executed.fetch_add(1);
+      stats_->queries_executed.fetch_add(1);
       conn->queries.fetch_add(1);
       auto it = conn->stmts.find(task.stmt_id);
       if (it == conn->stmts.end()) {

@@ -145,7 +145,7 @@ class PiServer {
   std::uint16_t port() const { return port_; }
   const std::string& host() const { return options_.host; }
 
-  const ServerStats& stats() const { return stats_; }
+  const ServerStats& stats() const { return *stats_; }
   Engine& engine() { return engine_; }
 
  private:
@@ -164,14 +164,15 @@ class PiServer {
 
   Engine& engine_;
   ServerOptions options_;
-  ServerStats stats_;
+  /// Shared with the registry callbacks that export it, so the engine's
+  /// registry keeps rendering the final values after this server is gone.
+  std::shared_ptr<ServerStats> stats_ = std::make_shared<ServerStats>();
 
   /// Server histograms in the engine's registry; null when the engine
   /// was built with enable_metrics off (the ServerStats callbacks still
   /// register — folding existing atomics costs nothing per query).
   obs::Histogram* query_latency_us_ = nullptr;
-  obs::Histogram* queue_wait_us_ = nullptr;
-  /// Wait-event-class view of the same connection-queue wait
+  /// Admitted-request wait between enqueue and worker pickup
   /// (pidx_wait_server_queue_us, next to the engine's pidx_wait_* family).
   obs::Histogram* wait_queue_us_ = nullptr;
   obs::Counter* slow_queries_ = nullptr;

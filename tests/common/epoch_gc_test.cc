@@ -10,6 +10,19 @@
 #include <vector>
 
 namespace patchindex {
+
+/// Runs TryReclaim's two halves separately, so a test can replay an
+/// interleaving that concurrent reclaimers only hit by chance.
+class EpochGcTestPeer {
+ public:
+  static std::uint64_t ReclaimHorizon(const EpochGc& gc) {
+    return gc.ReclaimHorizon();
+  }
+  static std::size_t ReclaimThrough(EpochGc& gc, std::uint64_t horizon) {
+    return gc.ReclaimThrough(horizon);
+  }
+};
+
 namespace {
 
 TEST(EpochGcTest, RetireWithNoPinsReclaimsImmediately) {
@@ -56,6 +69,27 @@ TEST(EpochGcTest, PinAfterRetireDoesNotBlockReclaim) {
   EXPECT_TRUE(freed2) << "a guard pinned after the retirement epoch cannot "
                          "hold the object";
   late.reset();
+}
+
+// A reclaimer computes its horizon while nothing is pinned, then stalls
+// before splicing. Meanwhile a reader pins and loads the shared object,
+// and a writer unlinks and retires it (the writer's own reclaim sees the
+// pin and withholds the entry). The stalled reclaimer's horizon predates
+// the retirement, so resuming with it must not free what the reader
+// still holds.
+TEST(EpochGcTest, StaleHorizonDoesNotFreeEntryRetiredAfterScan) {
+  EpochGc gc;
+  bool freed = false;
+  const std::uint64_t stale = EpochGcTestPeer::ReclaimHorizon(gc);
+  {
+    EpochGc::Guard reader(gc);
+    gc.Retire([&] { freed = true; });
+    ASSERT_FALSE(freed);
+    EXPECT_EQ(EpochGcTestPeer::ReclaimThrough(gc, stale), 0u);
+    EXPECT_FALSE(freed) << "freed while a reader that pinned before the "
+                           "retirement still holds it";
+  }
+  EXPECT_TRUE(freed);
 }
 
 TEST(EpochGcTest, OldestGuardGatesABatchOfRetirements) {

@@ -110,7 +110,11 @@ TEST(ServerObservabilityTest, StatsMetaIncludesServerMetrics) {
             std::string::npos);
   EXPECT_NE(text.find("pidx_server_query_latency_us count=3"),
             std::string::npos);
-  EXPECT_NE(text.find("pidx_server_queue_wait_us count="), std::string::npos);
+  // The connection-queue wait is recorded once, under its wait-event name.
+  EXPECT_NE(text.find("pidx_wait_server_queue_us count="), std::string::npos);
+  EXPECT_EQ(text.find("pidx_wait_server_queue_us count=0 "), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("pidx_server_queue_wait_us"), std::string::npos);
 }
 
 TEST(ServerObservabilityTest, StoppedServerLeavesFrozenStatsInRegistry) {
