@@ -1,8 +1,40 @@
 #include "engine/catalog.h"
 
+#include <atomic>
+#include <chrono>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace patchindex {
+
+namespace {
+
+/// Hands heap pages freed by reclaimed versions back to the OS, at most
+/// once a second. Every commit copies the columns it changes
+/// (copy-on-write), so a busy writer frees a stream of column-sized
+/// buffers on whichever threads reclaim them. glibc keeps such pages in
+/// its per-thread arenas, and resident memory would otherwise grow with
+/// the commit rate rather than with the data.
+void ReleaseFreedPages() {
+#if defined(__GLIBC__)
+  static std::atomic<std::int64_t> last_ms{0};
+  const std::int64_t now =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+  std::int64_t prev = last_ms.load(std::memory_order_relaxed);
+  if (now - prev < 1000 ||
+      !last_ms.compare_exchange_strong(prev, now, std::memory_order_relaxed)) {
+    return;
+  }
+  malloc_trim(0);
+#endif
+}
+
+}  // namespace
 
 Result<Table*> Catalog::CreateTable(const std::string& name, Schema schema) {
   Result<PartitionedTable*> created =
@@ -215,6 +247,7 @@ void Catalog::RetireVersion(std::shared_ptr<VersionTracker> tracker,
       tracker->live_csns.erase(tracker->live_csns.find(version->csn));
     }
     delete version;
+    ReleaseFreedPages();
   });
 }
 

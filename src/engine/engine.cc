@@ -10,6 +10,7 @@
 #include "common/timer.h"
 #include "engine/read_pin.h"
 #include "exec/operator.h"
+#include "optimizer/scan_pruning.h"
 
 namespace patchindex {
 
@@ -352,22 +353,28 @@ Result<QueryResult> Session::ExecuteProfiled(
     query_mem = &*local_mem;
   }
 
-  // Protect every catalog table the plan scans for the statement's
-  // duration. Each table resolves to its pinned published version
-  // (lock-free; the plan is cloned and its scans retargeted at the
-  // immutable snapshots), with a shared lock only for a head mutated
-  // outside the commit protocol. The refs keep the tables alive even if
-  // a concurrent DropTable de-catalogs them mid-query.
-  PinnedReadSet pin(engine_->catalog_, &plan);
-
   if (active != nullptr) {
     obs::FlightRecorder::SetPhase(active, obs::QueryPhase::kOptimize);
   }
   WallTimer optimize_timer;
   LogicalPtr optimized;
+  // Protect every catalog table the plan scans for the statement's
+  // duration. Each table resolves to its pinned published version
+  // (lock-free; the plan is cloned and its scans retargeted at the
+  // immutable snapshots), with a shared lock only for a head mutated
+  // outside the commit protocol. The refs keep the tables alive even if
+  // a concurrent DropTable de-catalogs them mid-query. Pinning is part of
+  // the optimize phase, so its time is attributed.
+  std::optional<PinnedReadSet> pin;
   {
     obs::TraceSpan span(trace, "optimize", 0);
-    optimized = OptimizePlan(std::move(plan), pin.indexes(), optimizer);
+    pin.emplace(engine_->catalog_, &plan);
+    // Pruning describes this execution's table state and parameters, so
+    // it goes on a private copy: a plan the caller keeps and compiles
+    // later must never carry stale block ranges.
+    optimized = ClonePlan(
+        OptimizePlan(std::move(plan), pin->indexes(), optimizer));
+    AnnotateScanPruning(optimized.get());
   }
   const std::int64_t optimize_ns = optimize_timer.ElapsedNanos();
 

@@ -38,18 +38,20 @@ namespace {
 /// live head under a shared lock. The executor cannot tell the
 /// difference and must not care — both are plain `const Table*`s.
 struct ScanTarget {
+  const LogicalNode* scan = nullptr;
   std::vector<const Table*> parts;
   std::vector<std::uint64_t> bases;
 
-  /// The full-table morsel spec: every partition's base rows plus an
-  /// inserts morsel per partition with pending PDT inserts.
+  /// The scan's morsel spec: every partition's base rows the scan's block
+  /// pruning kept (all of them when unpruned), plus an inserts morsel per
+  /// partition with pending PDT inserts.
   std::vector<MorselPartition> FullWork() const {
     std::vector<MorselPartition> work;
     work.reserve(parts.size());
     for (std::size_t p = 0; p < parts.size(); ++p) {
       MorselPartition m;
       m.partition = p;
-      m.ranges = {{0, parts[p]->num_rows()}};
+      m.ranges = ScanBaseRanges(*scan, p);
       m.with_inserts = !parts[p]->pdt().inserts().empty();
       work.push_back(std::move(m));
     }
@@ -59,12 +61,8 @@ struct ScanTarget {
 
 ScanTarget TargetOf(const LogicalNode& scan) {
   ScanTarget target;
-  if (scan.table != nullptr) {
-    target.parts.push_back(scan.table);
-    target.bases.push_back(0);
-    return target;
-  }
-  PIDX_CHECK(scan.ptable != nullptr);
+  target.scan = &scan;
+  target.parts = ScanPartitions(scan);
   // Offsets accumulate *visible* rows: each partition emits exactly its
   // visible positions [0, visible_p) (deletes compact, inserts append),
   // so visible offsets keep global rowIDs contiguous and unique for any
@@ -72,11 +70,9 @@ ScanTarget TargetOf(const LogicalNode& scan) {
   // rowIDs are fed back into updates, under the exclusive lock —
   // visible == base, matching PartitionedTable::ResolveRow exactly.
   std::uint64_t base = 0;
-  for (std::size_t p = 0; p < scan.ptable->num_partitions(); ++p) {
-    const Table& part = scan.ptable->partition(p);
-    target.parts.push_back(&part);
+  for (const Table* part : target.parts) {
     target.bases.push_back(base);
-    base += part.num_visible_rows();
+    base += part->num_visible_rows();
   }
   return target;
 }
@@ -656,8 +652,6 @@ bool ExecutePatchDistinct(const LogicalNode& node, ThreadPool& pool,
   obs::NodeStats* node_stats =
       profile != nullptr ? profile->Find(&node) : nullptr;
   WallTimer total_timer;
-  const bool has_inserts = !table.pdt().inserts().empty();
-  const std::vector<RowRange> full{{0, table.num_rows()}};
   const std::vector<ColumnType> out_types = LogicalOutputTypes(node);
 
   std::vector<ExprPtr> group_exprs;
@@ -674,7 +668,7 @@ bool ExecutePatchDistinct(const LogicalNode& node, ThreadPool& pool,
   } else {
     // Exclude-patches phase: tuples satisfying the NUC are unique, so the
     // aggregation is dropped and workers stream them straight through.
-    MorselQueue exclude_queue(full, has_inserts, options.morsel_rows);
+    MorselQueue exclude_queue(target.FullWork(), options.morsel_rows);
     ScanOptions exclude_opts;
     exclude_opts.patch_filter = idx;
     exclude_opts.patch_mode = PatchSelectMode::kExcludePatches;
@@ -695,7 +689,7 @@ bool ExecutePatchDistinct(const LogicalNode& node, ThreadPool& pool,
 
   // Use-patches phase: per-worker distinct over the exceptions, merged by
   // a final distinct.
-  MorselQueue use_queue(full, has_inserts, options.morsel_rows);
+  MorselQueue use_queue(target.FullWork(), options.morsel_rows);
   ScanOptions use_opts;
   use_opts.patch_filter = idx;
   use_opts.patch_mode = PatchSelectMode::kUsePatches;

@@ -17,6 +17,7 @@
 #include "engine/system_tables.h"
 #include "optimizer/explain.h"
 #include "optimizer/rewriter.h"
+#include "optimizer/scan_pruning.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
@@ -80,10 +81,13 @@ LogicalPtr MatchingRowsPlan(const PartitionedTable& table,
 /// The rows of `table` matching `bound.where` (all of them when null),
 /// materialized with every schema column — the row-finding phase of SQL
 /// UPDATE/DELETE. Runs serially: the caller holds the table's exclusive
-/// lock, so no patch rewrites or parallelism are worth the setup.
+/// lock, so no patch rewrites or parallelism are worth the setup. Block
+/// pruning still applies: a key-range WHERE visits only its blocks.
 Batch MatchingRows(const PartitionedTable& table,
                    const sql::BoundStatement& bound) {
-  OperatorPtr op = CompilePlan(MatchingRowsPlan(table, bound));
+  LogicalPtr plan = MatchingRowsPlan(table, bound);
+  AnnotateScanPruning(plan.get());
+  OperatorPtr op = CompilePlan(plan);
   return Collect(*op);
 }
 

@@ -127,6 +127,9 @@ class CmpExpr : public Expr {
     return "(" + l_->ToString() + " " + CmpOpName(op_) + " " +
            r_->ToString() + ")";
   }
+  CmpOp op() const { return op_; }
+  const Expr& left() const { return *l_; }
+  const Expr& right() const { return *r_; }
 
  private:
   CmpOp op_;
@@ -185,6 +188,8 @@ class BoolExpr : public Expr {
     }
     return "?";
   }
+  const Expr& left() const { return *l_; }
+  const Expr& right() const { return *r_; }
 
  private:
   BoolOp op_;
@@ -366,6 +371,10 @@ class ParamExpr : public Expr {
   std::string ToString() const override {
     return "?" + std::to_string(ordinal_ + 1);
   }
+  /// The bound slot value, or nullptr when the slot is not bound yet.
+  const Value* bound_value() const {
+    return ordinal_ < slots_->size() ? &(*slots_)[ordinal_] : nullptr;
+  }
 
  private:
   std::shared_ptr<const std::vector<Value>> slots_;
@@ -373,7 +382,61 @@ class ParamExpr : public Expr {
   ColumnType type_;
 };
 
+/// The INT64 value of a literal or bound parameter operand; false for
+/// anything else.
+bool Int64Operand(const Expr& e, std::int64_t* out) {
+  const Value* v = nullptr;
+  if (e.kind() == Expr::Kind::kConst) {
+    v = &static_cast<const ConstExpr&>(e).value();
+  } else if (e.kind() == Expr::Kind::kParam &&
+             e.OutputType({}) == ColumnType::kInt64) {
+    v = static_cast<const ParamExpr&>(e).bound_value();
+  }
+  if (v == nullptr || v->type() != ColumnType::kInt64) return false;
+  *out = v->AsInt64();
+  return true;
+}
+
+/// `a op b` rewritten as `b op' a`.
+Expr::CmpOp Mirror(Expr::CmpOp op) {
+  switch (op) {
+    case Expr::CmpOp::kLt:
+      return Expr::CmpOp::kGt;
+    case Expr::CmpOp::kLe:
+      return Expr::CmpOp::kGe;
+    case Expr::CmpOp::kGt:
+      return Expr::CmpOp::kLt;
+    case Expr::CmpOp::kGe:
+      return Expr::CmpOp::kLe;
+    default:
+      return op;
+  }
+}
+
 }  // namespace
+
+void CollectColumnBounds(const Expr& predicate,
+                         std::vector<ColumnBound>* out) {
+  if (predicate.kind() == Expr::Kind::kAnd) {
+    const auto& conj = static_cast<const BoolExpr&>(predicate);
+    CollectColumnBounds(conj.left(), out);
+    CollectColumnBounds(conj.right(), out);
+    return;
+  }
+  if (predicate.kind() != Expr::Kind::kCmp) return;
+  const auto& cmp = static_cast<const CmpExpr&>(predicate);
+  if (cmp.op() == Expr::CmpOp::kNe) return;
+  std::int64_t value = 0;
+  if (cmp.left().kind() == Expr::Kind::kColumn &&
+      Int64Operand(cmp.right(), &value)) {
+    out->push_back({static_cast<std::size_t>(cmp.left().column_index()),
+                    cmp.op(), value});
+  } else if (cmp.right().kind() == Expr::Kind::kColumn &&
+             Int64Operand(cmp.left(), &value)) {
+    out->push_back({static_cast<std::size_t>(cmp.right().column_index()),
+                    Mirror(cmp.op()), value});
+  }
+}
 
 ExprPtr Col(std::size_t idx) { return std::make_shared<ColumnExpr>(idx); }
 ExprPtr ConstInt(std::int64_t v) {

@@ -86,6 +86,24 @@ ExprPtr Cast(ExprPtr e, ColumnType to);
 ExprPtr ParamRef(std::shared_ptr<const std::vector<Value>> slots,
                  std::size_t ordinal, ColumnType type);
 
+/// One conjunct `#column op value` of a selection predicate, normalized so
+/// the column is on the left; `value` is an INT64 literal or the current
+/// value of an INT64 `?` parameter.
+struct ColumnBound {
+  std::size_t column;
+  Expr::CmpOp op;
+  std::int64_t value;
+};
+
+/// Appends every top-level AND conjunct of `predicate` that compares an
+/// input column with an INT64 literal or bound INT64 parameter using `=`,
+/// `<`, `<=`, `>` or `>=` (either operand order). Every other conjunct —
+/// OR, NOT, `!=`, casts, arithmetic, column against column — is skipped,
+/// so the collected bounds are implied by the predicate but may be
+/// weaker. Parameters are read at call time: call it after binding them.
+void CollectColumnBounds(const Expr& predicate,
+                         std::vector<ColumnBound>* out);
+
 }  // namespace patchindex
 
 #endif  // PATCHINDEX_EXEC_EXPRESSION_H_

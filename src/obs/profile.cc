@@ -39,6 +39,10 @@ void Walk(const LogicalNode& node, const ExecProfile& profile, int depth,
     op.build_ms = NsToMs(s->build_ns.load(std::memory_order_relaxed));
     op.mem_bytes = s->mem_bytes.load(std::memory_order_relaxed);
   }
+  if (node.pruning != nullptr) {
+    op.kept_blocks = node.pruning->kept_blocks;
+    op.total_blocks = node.pruning->total_blocks;
+  }
   out->push_back(std::move(op));
   for (const auto& child : node.children) {
     Walk(*child, profile, depth + 1, out);
@@ -80,6 +84,11 @@ std::vector<std::string> QueryProfile::RenderLines() const {
     if (op.morsels > 0) {
       Appendf(&line, ", morsels=%llu",
               static_cast<unsigned long long>(op.morsels));
+    }
+    if (op.kept_blocks < op.total_blocks) {
+      Appendf(&line, ", blocks=%llu/%llu",
+              static_cast<unsigned long long>(op.kept_blocks),
+              static_cast<unsigned long long>(op.total_blocks));
     }
     Appendf(&line, ", workers=%llu, time=%.3fms",
             static_cast<unsigned long long>(op.workers), op.time_ms);

@@ -79,6 +79,10 @@ struct OpProfile {
   int depth = 0;
   std::uint64_t rows = 0;
   std::uint64_t morsels = 0;
+  /// Scan nodes whose block pruning skipped blocks: blocks visited and
+  /// blocks in the table. Both 0 for every other node.
+  std::uint64_t kept_blocks = 0;
+  std::uint64_t total_blocks = 0;
   std::uint64_t workers = 0;
   double time_ms = 0.0;
   double max_worker_ms = 0.0;
@@ -114,7 +118,8 @@ struct QueryProfile {
   std::vector<OpProfile> ops;
 
   /// The EXPLAIN ANALYZE rendering: one line per operator
-  /// (`label  [rows=.., morsels=.., workers=.., time=..ms]`) followed by
+  /// (`label  [rows=.., morsels=.., workers=.., time=..ms]`, with
+  /// `blocks=<kept>/<total>` after the morsels on a pruned scan) followed by
   /// a `phases:` line and an `execution:` line. Row/morsel/worker counts
   /// are deterministic for a fixed engine configuration; times are not —
   /// golden tests mask `..ms` values.

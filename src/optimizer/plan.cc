@@ -45,6 +45,24 @@ std::uint64_t ScanVisibleRows(const LogicalNode& scan) {
   return scan.table->num_visible_rows();
 }
 
+std::vector<const Table*> ScanPartitions(const LogicalNode& scan) {
+  PIDX_CHECK(scan.kind == LogicalNode::Kind::kScan);
+  if (scan.table != nullptr) return {scan.table};
+  PIDX_CHECK(scan.ptable != nullptr);
+  std::vector<const Table*> parts;
+  for (std::size_t p = 0; p < scan.ptable->num_partitions(); ++p) {
+    parts.push_back(&scan.ptable->partition(p));
+  }
+  return parts;
+}
+
+std::vector<RowRange> ScanBaseRanges(const LogicalNode& scan, std::size_t p) {
+  if (scan.pruning != nullptr) return scan.pruning->ranges[p];
+  const Table& part = scan.table != nullptr ? *scan.table
+                                            : scan.ptable->partition(p);
+  return {{0, part.num_rows()}};
+}
+
 LogicalPtr LSelect(LogicalPtr child, ExprPtr predicate, double selectivity) {
   auto n = std::make_shared<LogicalNode>();
   n->kind = LogicalNode::Kind::kSelect;

@@ -8,9 +8,21 @@
 #include "exec/expression.h"
 #include "exec/sort.h"
 #include "patchindex/patch_index.h"
+#include "storage/minmax.h"
 #include "storage/table.h"
 
 namespace patchindex {
+
+/// Block pruning of one scan (AnnotateScanPruning): per partition, in
+/// ScanPartitions order, the base-row ranges whose min/max blocks can hold
+/// rows satisfying the selections above the scan. A partition's list may
+/// be empty — no base row can qualify. Pending inserts are not covered
+/// by it; scans always read them.
+struct ScanPruning {
+  std::vector<std::vector<RowRange>> ranges;
+  std::uint64_t kept_blocks = 0;
+  std::uint64_t total_blocks = 0;
+};
 
 /// Logical query plan node. Built by query frontends (the TPC-H query
 /// builders, the microbenchmark harness, user code), transformed by the
@@ -51,6 +63,10 @@ struct LogicalNode {
   /// with a per-query materialized table before running the plan.
   /// Survives ClonePlan via the node copy constructor.
   int system_table = -1;
+  /// kScan: the blocks this execution visits; null means every block.
+  /// Recomputed for each execution after optimization, because it
+  /// depends on the table state and the parameter values of that run.
+  std::shared_ptr<const ScanPruning> pruning;
 
   // kSelect
   ExprPtr predicate;
@@ -100,6 +116,12 @@ LogicalPtr LScan(const PartitionedTable& table,
 const Schema& ScanSchema(const LogicalNode& scan);
 /// Visible rows behind a scan node, across partitions.
 std::uint64_t ScanVisibleRows(const LogicalNode& scan);
+/// The tables a scan node reads, in rowID order: the plain table, or
+/// every partition of a multi-partition table.
+std::vector<const Table*> ScanPartitions(const LogicalNode& scan);
+/// Base-row ranges of ScanPartitions(scan)[p] the scan visits: the whole
+/// partition, or only the blocks its pruning kept (possibly none).
+std::vector<RowRange> ScanBaseRanges(const LogicalNode& scan, std::size_t p);
 LogicalPtr LSelect(LogicalPtr child, ExprPtr predicate,
                    double selectivity = 0.5);
 LogicalPtr LProject(LogicalPtr child, std::vector<ExprPtr> exprs);

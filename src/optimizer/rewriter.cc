@@ -12,6 +12,7 @@
 #include "exec/select.h"
 #include "obs/profile.h"
 #include "obs/profiled_operator.h"
+#include "optimizer/scan_pruning.h"
 
 namespace patchindex {
 
@@ -210,6 +211,18 @@ OperatorPtr MaybeProfile(OperatorPtr op, obs::ExecProfile* profile,
                                                  &profile->StatsFor(&node));
 }
 
+/// Scan options for partition `p` of a scan node: restricted to the blocks
+/// its pruning kept. A partition pruned down to nothing gets one empty
+/// range, because an empty `ranges` list means the whole partition.
+ScanOptions PrunedScanOptions(const LogicalNode& scan, std::size_t p) {
+  ScanOptions sopt;
+  if (scan.pruning != nullptr) {
+    sopt.ranges = ScanBaseRanges(scan, p);
+    if (sopt.ranges.empty()) sopt.ranges = {{0, 0}};
+  }
+  return sopt;
+}
+
 /// Compiles a select-chain with the PatchIndex selection fused into the
 /// scan (the PatchIndex scan of §3.3: the selection modes merge the patch
 /// information on-the-fly into the scan's output dataflow).
@@ -219,7 +232,7 @@ OperatorPtr CompileChainWithPatchFilter(const LogicalNode& node,
                                         const OptimizerOptions& options,
                                         obs::ExecProfile* profile) {
   if (node.kind == LogicalNode::Kind::kScan) {
-    ScanOptions sopt;
+    ScanOptions sopt = PrunedScanOptions(node, 0);
     sopt.patch_filter = idx;
     sopt.patch_mode = mode;
     return MaybeProfile(
@@ -241,7 +254,8 @@ OperatorPtr CompileNode(const LogicalNode& node,
   switch (node.kind) {
     case LogicalNode::Kind::kScan: {
       if (node.table != nullptr) {
-        return std::make_unique<ScanOperator>(*node.table, node.columns);
+        return std::make_unique<ScanOperator>(*node.table, node.columns,
+                                              PrunedScanOptions(node, 0));
       }
       // Multi-partition scan: concatenate the partitions in order, each
       // scan offsetting its rowIDs by the partition's global base so the
@@ -252,7 +266,7 @@ OperatorPtr CompileNode(const LogicalNode& node,
       std::uint64_t base = 0;
       for (std::size_t p = 0; p < node.ptable->num_partitions(); ++p) {
         const Table& part = node.ptable->partition(p);
-        ScanOptions sopt;
+        ScanOptions sopt = PrunedScanOptions(node, p);
         sopt.row_id_offset = base;
         parts.push_back(
             std::make_unique<ScanOperator>(part, node.columns, sopt));
@@ -490,7 +504,9 @@ OperatorPtr CompilePlan(const LogicalPtr& plan,
 
 OperatorPtr PlanQuery(LogicalPtr plan, const IndexLookup& indexes,
                       const OptimizerOptions& options) {
-  return CompilePlan(OptimizePlan(std::move(plan), indexes, options), options);
+  LogicalPtr optimized = OptimizePlan(std::move(plan), indexes, options);
+  AnnotateScanPruning(optimized.get());
+  return CompilePlan(optimized, options);
 }
 
 }  // namespace patchindex

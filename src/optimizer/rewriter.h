@@ -60,7 +60,7 @@ OperatorPtr CompilePlan(const LogicalPtr& plan,
                         const OptimizerOptions& options = {},
                         obs::ExecProfile* profile = nullptr);
 
-/// Convenience: optimize + compile.
+/// Convenience: optimize + scan pruning (AnnotateScanPruning) + compile.
 OperatorPtr PlanQuery(LogicalPtr plan, const IndexLookup& indexes,
                       const OptimizerOptions& options = {});
 

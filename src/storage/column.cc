@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "storage/minmax.h"
+
 namespace patchindex {
 
 void Column::Append(const Value& v) {
@@ -42,6 +44,7 @@ void Column::Set(RowId row, const Value& v) {
       str_[row] = v.AsString();
       break;
   }
+  DropSummary();
 }
 
 namespace {
@@ -62,6 +65,8 @@ void CompactAway(std::vector<T>& data, const std::vector<RowId>& rows) {
 }  // namespace
 
 void Column::DeleteRows(const std::vector<RowId>& sorted_rows) {
+  if (sorted_rows.empty()) return;
+  DropSummary();
   switch (type_) {
     case ColumnType::kInt64:
       CompactAway(i64_, sorted_rows);
@@ -73,6 +78,24 @@ void Column::DeleteRows(const std::vector<RowId>& sorted_rows) {
       CompactAway(str_, sorted_rows);
       break;
   }
+}
+
+std::shared_ptr<const MinMaxIndex> Column::BlockSummary() const {
+  PIDX_CHECK(type_ == ColumnType::kInt64);
+  std::lock_guard<std::mutex> lock(summary_.mu);
+  const std::shared_ptr<const MinMaxIndex>& cached = summary_.index;
+  if (cached != nullptr && cached->num_rows() == i64_.size()) return cached;
+  std::shared_ptr<MinMaxIndex> next;
+  if (cached != nullptr && cached->num_rows() < i64_.size()) {
+    // Rows were appended since the build: extend a copy, never the shared
+    // original (other holders may still be scanning with it).
+    next = std::make_shared<MinMaxIndex>(*cached);
+    next->ExtendFromColumn(*this);
+  } else {
+    next = std::make_shared<MinMaxIndex>(*this, kSummaryBlockRows);
+  }
+  summary_.index = next;
+  return next;
 }
 
 std::uint64_t Column::MemoryUsageBytes() const {

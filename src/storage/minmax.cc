@@ -25,18 +25,9 @@ std::vector<RowRange> NormalizeRanges(std::vector<RowRange> ranges) {
 }
 
 MinMaxIndex::MinMaxIndex(const Column& column, std::uint64_t block_size)
-    : block_size_(block_size), num_rows_(column.size()) {
-  PIDX_CHECK(column.type() == ColumnType::kInt64);
+    : block_size_(block_size), num_rows_(0) {
   PIDX_CHECK(block_size >= 1);
-  const auto& data = column.i64_data();
-  const std::uint64_t nblocks = (num_rows_ + block_size - 1) / block_size;
-  mins_.resize(nblocks, std::numeric_limits<std::int64_t>::max());
-  maxs_.resize(nblocks, std::numeric_limits<std::int64_t>::min());
-  for (std::uint64_t i = 0; i < num_rows_; ++i) {
-    const std::uint64_t b = i / block_size;
-    mins_[b] = std::min(mins_[b], data[i]);
-    maxs_[b] = std::max(maxs_[b], data[i]);
-  }
+  ExtendFromColumn(column);
 }
 
 std::vector<RowRange> MinMaxIndex::PruneRanges(std::int64_t lo,
@@ -63,10 +54,20 @@ void MinMaxIndex::ExtendFromColumn(const Column& column) {
   const std::uint64_t nblocks = (new_rows + block_size_ - 1) / block_size_;
   mins_.resize(nblocks, std::numeric_limits<std::int64_t>::max());
   maxs_.resize(nblocks, std::numeric_limits<std::int64_t>::min());
-  for (std::uint64_t i = num_rows_; i < new_rows; ++i) {
-    const std::uint64_t b = i / block_size_;
-    mins_[b] = std::min(mins_[b], data[i]);
-    maxs_[b] = std::max(maxs_[b], data[i]);
+  // Block at a time: the inner loop is a plain min/max reduction with no
+  // per-row division (which dominated the build cost).
+  for (std::uint64_t begin = num_rows_; begin < new_rows;) {
+    const std::uint64_t b = begin / block_size_;
+    const std::uint64_t end = std::min(new_rows, (b + 1) * block_size_);
+    std::int64_t lo = mins_[b];
+    std::int64_t hi = maxs_[b];
+    for (std::uint64_t i = begin; i < end; ++i) {
+      lo = std::min(lo, data[i]);
+      hi = std::max(hi, data[i]);
+    }
+    mins_[b] = lo;
+    maxs_[b] = hi;
+    begin = end;
   }
   num_rows_ = new_rows;
 }

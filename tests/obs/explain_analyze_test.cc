@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <regex>
 #include <string>
 #include <vector>
 
 #include "engine/engine.h"
 #include "obs/profile.h"
+#include "workload/generator.h"
 
 namespace patchindex {
 namespace {
@@ -92,6 +94,44 @@ TEST(ExplainAnalyzeTest, GoldenJoinGroupByOrderBy) {
       "phases: parse=<t>ms bind=<t>ms optimize=<t>ms execute=<t>ms "
       "total=<t>ms peak_mem=<m>\n"
       "execution: parallel, workers=2, parallel join");
+}
+
+TEST(ExplainAnalyzeTest, GoldenPatchSortOverPrunedKeyRange) {
+  // A 10240-row nearly-sorted table (ten 1024-row blocks, key clustered)
+  // with an NSC index on val: the key range keeps one block of ten.
+  EngineOptions options;
+  options.num_threads = 2;
+  options.min_parallel_rows = 0;
+  options.optimizer.force_patch_rewrites = true;
+  Engine engine(options);
+  Session session = engine.CreateSession();
+  GeneratorConfig gen;
+  gen.num_rows = 10'240;
+  gen.exception_rate = 0.05;
+  ASSERT_TRUE(engine.catalog()
+                  .AddTable("s", std::make_unique<Table>(GenerateNscTable(gen)))
+                  .ok());
+  ASSERT_TRUE(
+      session.CreatePatchIndex("s", 1, ConstraintKind::kNearlySorted).ok());
+
+  Result<QueryResult> r = session.Sql(
+      "EXPLAIN ANALYZE SELECT key, val FROM s WHERE key >= 2048 AND "
+      "key < 3072 ORDER BY val");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // The chain runs once per PatchSort branch (exclude / use patches),
+  // so its nodes count two instances whose rows add up to the range.
+  EXPECT_EQ(
+      MaskTimes(PlanText(r.value())),
+      "PatchSort [NSC e=5.00%]  [rows=1024, workers=1, time=<t>ms]\n"
+      "  Select((#0 < 3072), sel=0.30)  [rows=1024, workers=2, time=<t>ms, "
+      "max=<t>ms]\n"
+      "    Select((#0 >= 2048), sel=0.30)  [rows=1024, workers=2, "
+      "time=<t>ms, max=<t>ms]\n"
+      "      Scan(2 cols, 10240 rows)  [rows=1024, blocks=1/10, workers=2, "
+      "time=<t>ms, max=<t>ms]\n"
+      "phases: parse=<t>ms bind=<t>ms optimize=<t>ms execute=<t>ms "
+      "total=<t>ms peak_mem=<m>\n"
+      "execution: serial");
 }
 
 TEST(ExplainAnalyzeTest, SerialFallbackRendersSerial) {
