@@ -69,10 +69,6 @@ Engine::Engine(EngineOptions options) : options_(options) {
         r.GetHistogram("pidx_phase_optimize_us", "Plan optimization phase");
     m_.phase_execute_us = r.GetHistogram(
         "pidx_phase_execute_us", "Plan execution / DML delta-build phase");
-    m_.phase_commit_wait_us = r.GetHistogram(
-        "pidx_phase_commit_wait_us",
-        "Wait for the table's writer-writer lock (DML; under MVCC "
-        "readers never hold it, so this measures writer contention only)");
     m_.phase_commit_us = r.GetHistogram(
         "pidx_phase_commit_us", "PatchIndex commit protocol phase (DML)");
     // MVCC/epoch occupancy, registered as callbacks so every render path
@@ -119,11 +115,13 @@ Engine::Engine(EngineOptions options) : options_(options) {
                   "Resident bytes of catalog tables (columns + PDT deltas)",
                   [self] { return self->ApproxResidentBytes(); });
     // Wait-event histograms: the per-class contention view. The table
-    // lock wait duplicates pidx_phase_commit_wait_us by design — one is
-    // the DML phase view, this one the wait-event-class view.
+    // lock wait is also the DML statement's commit_wait phase, recorded
+    // here only (the profile and trace carry it per statement).
     m_.wait_table_lock_us = r.GetHistogram(
         "pidx_wait_table_lock_us",
-        "Wait event: time blocked acquiring a table's writer-writer lock");
+        "Wait event: time blocked acquiring a table's writer-writer lock "
+        "(DML; under MVCC readers never hold it, so this measures writer "
+        "contention only)");
     m_.wait_pool_queue_us = r.GetHistogram(
         "pidx_wait_pool_queue_us",
         "Wait event: time tasks sat queued in the worker pool before a "
@@ -655,7 +653,6 @@ Status Session::ExecuteUpdateWithProfiled(
   const std::int64_t commit_ns = commit_timer.ElapsedNanos();
   if (m.update_queries != nullptr) {
     m.update_queries->Add(1);
-    m.phase_commit_wait_us->RecordNanos(lock_ns);
     m.wait_table_lock_us->RecordNanos(lock_ns);
     m.phase_execute_us->RecordNanos(build_ns);
     m.phase_commit_us->RecordNanos(commit_ns);

@@ -290,7 +290,6 @@ class Engine {
     obs::Histogram* phase_bind_us = nullptr;
     obs::Histogram* phase_optimize_us = nullptr;
     obs::Histogram* phase_execute_us = nullptr;
-    obs::Histogram* phase_commit_wait_us = nullptr;
     obs::Histogram* phase_commit_us = nullptr;
     /// Wait-event histograms: time blocked on a table's writer lock and
     /// time tasks sat in the thread pool's queue before a worker picked

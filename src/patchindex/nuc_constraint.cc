@@ -1,5 +1,6 @@
 #include "patchindex/nuc_constraint.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -15,21 +16,41 @@ namespace patchindex::internal {
 
 namespace {
 
+/// Blocks of the column summary holding a row with a pending modify on
+/// `column`. The summary bounds the base values only, so DRP could prune
+/// such a block although the row's new value joins; the probe scans these
+/// blocks in addition to the pruning result.
+std::vector<RowRange> PendingModifyBlocks(const Table& table,
+                                          std::size_t column,
+                                          std::uint64_t block_rows) {
+  std::vector<RowRange> blocks;
+  for (const auto& [row, cols] : table.pdt().modifies()) {
+    if (cols.count(column) == 0) continue;
+    const RowId begin = row - row % block_rows;
+    blocks.push_back({begin, std::min(table.num_rows(), begin + block_rows)});
+  }
+  return NormalizeRanges(std::move(blocks));
+}
+
 /// Shared tail of the Figure 5 query: joins `build` (delta tuples:
 /// [value, rowid]) against the visible table scan, drops self-matches,
 /// and merges the rowIDs of both join sides into `patches`.
 Status RunDeltaJoin(const Table& table, std::size_t column,
-                    OperatorPtr build, const MinMaxIndex* minmax,
-                    PatchSet* patches, double* scan_fraction) {
+                    OperatorPtr build, bool use_drp, PatchSet* patches,
+                    double* scan_fraction) {
   // Probe side: the actual table (including pending inserts) with dynamic
-  // range propagation from the join build phase.
+  // range propagation from the join build phase over the column's block
+  // summary, held until the query is done.
   ScanOptions popt;
   popt.append_rowid_column = true;
   DynamicRangePtr range;
-  if (minmax != nullptr) {
+  std::shared_ptr<const MinMaxIndex> summary;
+  if (use_drp) {
+    summary = table.column(column).BlockSummary();
     range = MakeDynamicRange();
     popt.dynamic_range = range;
-    popt.minmax = minmax;
+    popt.minmax = summary.get();
+    popt.ranges = PendingModifyBlocks(table, column, summary->block_size());
   }
   auto probe = std::make_unique<ScanOperator>(
       table, std::vector<std::size_t>{column}, popt);
@@ -75,22 +96,20 @@ Status RunDeltaJoin(const Table& table, std::size_t column,
 
 }  // namespace
 
-Status NucHandleInsert(const Table& table, std::size_t column,
-                       const MinMaxIndex* minmax, PatchSet* patches,
-                       double* scan_fraction) {
+Status NucHandleInsert(const Table& table, std::size_t column, bool use_drp,
+                       PatchSet* patches, double* scan_fraction) {
   if (table.pdt().inserts().empty()) return Status::OK();
   ScanOptions bopt;
   bopt.source = ScanSource::kInsertsOnly;
   bopt.append_rowid_column = true;
   auto build = std::make_unique<ScanOperator>(
       table, std::vector<std::size_t>{column}, bopt);
-  return RunDeltaJoin(table, column, std::move(build), minmax, patches,
+  return RunDeltaJoin(table, column, std::move(build), use_drp, patches,
                       scan_fraction);
 }
 
-Status NucHandleModify(const Table& table, std::size_t column,
-                       const MinMaxIndex* minmax, PatchSet* patches,
-                       double* scan_fraction) {
+Status NucHandleModify(const Table& table, std::size_t column, bool use_drp,
+                       PatchSet* patches, double* scan_fraction) {
   // Build side: the modified tuples with their new values. Modifies to
   // other columns do not affect this constraint.
   Batch delta;
@@ -107,7 +126,7 @@ Status NucHandleModify(const Table& table, std::size_t column,
     return Status::OK();
   }
   auto build = std::make_unique<InMemorySource>(std::move(delta));
-  return RunDeltaJoin(table, column, std::move(build), minmax, patches,
+  return RunDeltaJoin(table, column, std::move(build), use_drp, patches,
                       scan_fraction);
 }
 

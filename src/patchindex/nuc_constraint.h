@@ -5,7 +5,6 @@
 
 #include "common/status.h"
 #include "patchindex/patch_set.h"
-#include "storage/minmax.h"
 #include "storage/table.h"
 
 namespace patchindex::internal {
@@ -22,18 +21,18 @@ namespace patchindex::internal {
 /// computing the join twice for the two rowID projections.
 ///
 /// For inserts, `patches` must already have been grown by OnAppendRows.
-/// `minmax` may be null (DRP disabled -> full scan). `scan_fraction`
-/// receives the fraction of base rows actually scanned.
-Status NucHandleInsert(const Table& table, std::size_t column,
-                       const MinMaxIndex* minmax, PatchSet* patches,
-                       double* scan_fraction);
+/// With `use_drp` the probe scan is pruned through the column's
+/// BlockSummary; without it the probe scans every base row.
+/// `scan_fraction` receives the fraction of base rows actually scanned.
+Status NucHandleInsert(const Table& table, std::size_t column, bool use_drp,
+                       PatchSet* patches, double* scan_fraction);
 
 /// Modify handling: same query shape with the modified tuples (new
-/// values) as build side. `minmax` (if present) must already have been
-/// widened for the new values so DRP cannot prune blocks containing them.
-Status NucHandleModify(const Table& table, std::size_t column,
-                       const MinMaxIndex* minmax, PatchSet* patches,
-                       double* scan_fraction);
+/// values) as build side. The summary bounds the base values, so the
+/// probe scans the blocks of the modified rows in addition to the pruned
+/// ones.
+Status NucHandleModify(const Table& table, std::size_t column, bool use_drp,
+                       PatchSet* patches, double* scan_fraction);
 
 }  // namespace patchindex::internal
 

@@ -59,12 +59,6 @@ Result<std::unique_ptr<PatchIndex>> PatchIndex::Restore(
   index->has_tail_ = state.has_tail;
   index->constant_value_ = state.constant_value;
   index->has_constant_ = state.has_constant;
-  if (state.constraint == ConstraintKind::kNearlyUnique &&
-      options.use_dynamic_range_propagation) {
-    index->minmax_ = std::make_unique<MinMaxIndex>(
-        table.column(state.column), options.minmax_block_size);
-    index->minmax_version_ = table.version();
-  }
   return index;
 }
 
@@ -79,10 +73,6 @@ std::unique_ptr<PatchIndex> PatchIndex::CloneForSnapshot(
   clone->has_tail_ = has_tail_;
   clone->constant_value_ = constant_value_;
   clone->has_constant_ = has_constant_;
-  if (minmax_ != nullptr) {
-    clone->minmax_ = std::make_unique<MinMaxIndex>(*minmax_);
-    clone->minmax_version_ = minmax_version_;
-  }
   clone->last_scan_fraction_ = last_scan_fraction_;
   return clone;
 }
@@ -107,11 +97,6 @@ Status PatchIndex::Recompute() {
   switch (constraint_) {
     case ConstraintKind::kNearlyUnique: {
       for (RowId r : DiscoverNucPatches(col)) patches_->MarkPatch(r);
-      if (options_.use_dynamic_range_propagation) {
-        minmax_ =
-            std::make_unique<MinMaxIndex>(col, options_.minmax_block_size);
-        minmax_version_ = table_->version();
-      }
       break;
     }
     case ConstraintKind::kNearlySorted: {
@@ -130,16 +115,6 @@ Status PatchIndex::Recompute() {
     }
   }
   return Status::OK();
-}
-
-void PatchIndex::EnsureMinMax() {
-  if (!options_.use_dynamic_range_propagation) return;
-  if (minmax_ == nullptr || minmax_version_ != table_->version()) {
-    minmax_ =
-        std::make_unique<MinMaxIndex>(table_->column(column_),
-                                      options_.minmax_block_size);
-    minmax_version_ = table_->version();
-  }
 }
 
 Status PatchIndex::HandleUpdateQuery() {
@@ -162,13 +137,12 @@ Status PatchIndex::HandleUpdateQuery() {
 }
 
 Status PatchIndex::HandleInsert() {
-  pending_ = PendingKind::kInsert;
   patches_->OnAppendRows(table_->pdt().inserts().size());
   switch (constraint_) {
     case ConstraintKind::kNearlyUnique:
-      EnsureMinMax();
-      return internal::NucHandleInsert(*table_, column_, minmax_.get(),
-                                       patches_.get(), &last_scan_fraction_);
+      return internal::NucHandleInsert(
+          *table_, column_, options_.use_dynamic_range_propagation,
+          patches_.get(), &last_scan_fraction_);
     case ConstraintKind::kNearlySorted:
       return internal::NscHandleInsert(*table_, column_, options_.ascending,
                                        patches_.get(), &tail_value_,
@@ -181,22 +155,11 @@ Status PatchIndex::HandleInsert() {
 }
 
 Status PatchIndex::HandleModify() {
-  pending_ = PendingKind::kModify;
   switch (constraint_) {
     case ConstraintKind::kNearlyUnique:
-      EnsureMinMax();
-      if (minmax_ != nullptr) {
-        // Widen block bounds to cover the new values before the handling
-        // query runs, so DRP cannot prune blocks holding modified tuples.
-        for (const auto& [row, cols] : table_->pdt().modifies()) {
-          auto it = cols.find(column_);
-          if (it != cols.end()) {
-            minmax_->WidenForValue(row, it->second.AsInt64());
-          }
-        }
-      }
-      return internal::NucHandleModify(*table_, column_, minmax_.get(),
-                                       patches_.get(), &last_scan_fraction_);
+      return internal::NucHandleModify(
+          *table_, column_, options_.use_dynamic_range_propagation,
+          patches_.get(), &last_scan_fraction_);
     case ConstraintKind::kNearlySorted:
       return internal::NscHandleModify(*table_, column_, patches_.get());
     case ConstraintKind::kNearlyConstant:
@@ -209,7 +172,6 @@ Status PatchIndex::HandleModify() {
 Status PatchIndex::HandleDelete() {
   // Both constraints: dropping tuples cannot violate uniqueness or
   // sortedness, so the tracking information is simply dropped (§5.3).
-  pending_ = PendingKind::kDelete;
   patches_->OnDeleteRows(table_->pdt().deletes());
   return Status::OK();
 }
@@ -218,25 +180,6 @@ Status PatchIndex::AfterCheckpoint() {
   if (options_.maintenance_fault_hook) {
     PIDX_RETURN_NOT_OK(options_.maintenance_fault_hook("after"));
   }
-  switch (pending_) {
-    case PendingKind::kInsert:
-      if (minmax_ != nullptr) {
-        minmax_->ExtendFromColumn(table_->column(column_));
-        minmax_version_ = table_->version();
-      }
-      break;
-    case PendingKind::kModify:
-      // Minmax bounds were widened during handling; still valid.
-      minmax_version_ = table_->version();
-      break;
-    case PendingKind::kDelete:
-      // Block-to-row assignment shifted; rebuild lazily on next use.
-      minmax_.reset();
-      break;
-    case PendingKind::kNone:
-      break;
-  }
-  pending_ = PendingKind::kNone;
   if (exception_rate() > options_.recompute_threshold) {
     return Recompute();
   }

@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "exec/row_filter.h"
 #include "patchindex/patch_set.h"
-#include "storage/minmax.h"
 #include "storage/table.h"
 
 namespace patchindex {
@@ -31,11 +30,11 @@ struct PatchIndexOptions {
   /// NSC only: the materialized sort order.
   bool ascending = true;
 
-  /// NUC only: use dynamic range propagation over a minmax index to avoid
-  /// the full table scan in the insert/modify handling query (§5.1). The
-  /// Fig. 5 query still works without it — it just scans everything.
+  /// NUC only: use dynamic range propagation over the column's block
+  /// summary (Column::BlockSummary) to avoid the full table scan in the
+  /// insert/modify handling query (§5.1). The Fig. 5 query still works
+  /// without it — it just scans everything.
   bool use_dynamic_range_propagation = true;
-  std::uint64_t minmax_block_size = 1024;
 
   /// When the exception rate exceeds this threshold after an update, the
   /// index is globally recomputed (the paper suggests this as the answer
@@ -126,9 +125,8 @@ class PatchIndex : public RowIdFilter {
   /// mix (paper §5, Table 1).
   Status HandleUpdateQuery();
 
-  /// Call after Table::Checkpoint(): maintains the minmax index
-  /// incrementally and triggers a global recomputation if the exception
-  /// rate crossed the configured threshold.
+  /// Call after Table::Checkpoint(): triggers a global recomputation if
+  /// the exception rate crossed the configured threshold.
   Status AfterCheckpoint();
 
   /// Drops the patch set and re-runs discovery (the "global
@@ -156,7 +154,6 @@ class PatchIndex : public RowIdFilter {
   Status HandleInsert();
   Status HandleModify();
   Status HandleDelete();
-  void EnsureMinMax();
 
   const Table* table_;
   std::size_t column_;
@@ -172,14 +169,8 @@ class PatchIndex : public RowIdFilter {
   std::int64_t constant_value_ = 0;
   bool has_constant_ = false;
 
-  // NUC state: minmax index over the column for DRP.
-  std::unique_ptr<MinMaxIndex> minmax_;
-  std::uint64_t minmax_version_ = 0;
+  // NUC state: base-row fraction the last handling query scanned.
   double last_scan_fraction_ = 1.0;
-
-  // What the pending update query did (for AfterCheckpoint maintenance).
-  enum class PendingKind { kNone, kInsert, kModify, kDelete };
-  PendingKind pending_ = PendingKind::kNone;
 };
 
 }  // namespace patchindex

@@ -451,7 +451,9 @@ Status DecodeError(WireReader* r, Status* status, std::uint32_t* line,
   PIDX_RETURN_NOT_OK(r->GetU32(&c));
   std::string message;
   PIDX_RETURN_NOT_OK(r->GetString(&message));
-  if (code > static_cast<std::uint8_t>(StatusCode::kResourceExhausted)) {
+  // kOk is no error: decoding it would turn the error frame into success.
+  if (code == static_cast<std::uint8_t>(StatusCode::kOk) ||
+      code > static_cast<std::uint8_t>(StatusCode::kResourceExhausted)) {
     return Status::InvalidArgument("malformed frame: unknown status code");
   }
   *status = Status(static_cast<StatusCode>(code), std::move(message));

@@ -72,18 +72,4 @@ void MinMaxIndex::ExtendFromColumn(const Column& column) {
   num_rows_ = new_rows;
 }
 
-void MinMaxIndex::WidenForValue(RowId row, std::int64_t value) {
-  PIDX_CHECK(row < num_rows_);
-  const std::uint64_t b = row / block_size_;
-  mins_[b] = std::min(mins_[b], value);
-  maxs_[b] = std::max(maxs_[b], value);
-}
-
-double MinMaxIndex::Selectivity(std::int64_t lo, std::int64_t hi) const {
-  if (num_rows_ == 0) return 0.0;
-  std::uint64_t kept = 0;
-  for (const RowRange& r : PruneRanges(lo, hi)) kept += r.end - r.begin;
-  return static_cast<double>(kept) / static_cast<double>(num_rows_);
-}
-
 }  // namespace patchindex

@@ -28,7 +28,8 @@ std::vector<RowRange> NormalizeRanges(std::vector<RowRange> ranges);
 /// buckets that cannot contain qualifying tuples. The paper's insert
 /// handling uses them for *dynamic range propagation* (§5.1): after the
 /// hash join build phase, the build side's value range prunes the probe
-/// side's full-table scan down to candidate blocks.
+/// side's full-table scan down to candidate blocks. Every INT64 column
+/// caches one (Column::BlockSummary), which serves both uses.
 class MinMaxIndex {
  public:
   MinMaxIndex(const Column& column, std::uint64_t block_size = 1024);
@@ -45,18 +46,9 @@ class MinMaxIndex {
   /// saving the paper's DRP experiment relies on.
   std::vector<RowRange> PruneRanges(std::int64_t lo, std::int64_t hi) const;
 
-  /// Fraction of rows contained in PruneRanges(lo, hi) — 1.0 means the
-  /// index could not prune anything.
-  double Selectivity(std::int64_t lo, std::int64_t hi) const;
-
   /// Incremental maintenance for appends: extends block bounds to cover
   /// column rows [num_rows(), column.size()).
   void ExtendFromColumn(const Column& column);
-
-  /// Incremental maintenance for in-place modifies: widens the containing
-  /// block's bounds to cover `value`. Widening keeps pruning conservative
-  /// (never skips a qualifying block) without a rebuild.
-  void WidenForValue(RowId row, std::int64_t value);
 
  private:
   std::uint64_t block_size_;

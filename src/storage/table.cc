@@ -82,7 +82,6 @@ void Table::Checkpoint() {
   }
   for (const Row& row : pdt_.inserts()) AppendRow(row);
   pdt_.Clear();
-  ++version_;
   BumpMutationSeq();
 }
 
@@ -90,7 +89,6 @@ std::unique_ptr<Table> Table::CloneShared() const {
   auto clone = std::make_unique<Table>(schema_);
   clone->columns_ = columns_;  // shared buffers; COW isolates future writes
   clone->pdt_ = pdt_;
-  clone->version_ = version_;
   clone->mutation_seq_.store(mutation_seq(), std::memory_order_relaxed);
   return clone;
 }

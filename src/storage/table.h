@@ -60,7 +60,6 @@ class Table {
       : schema_(std::move(other.schema_)),
         columns_(std::move(other.columns_)),
         pdt_(std::move(other.pdt_)),
-        version_(other.version_),
         mutation_seq_(other.mutation_seq_.load(std::memory_order_relaxed)) {}
 
   const Schema& schema() const { return schema_; }
@@ -116,10 +115,6 @@ class Table {
 
   std::uint64_t MemoryUsageBytes() const;
 
-  /// Incremented on every Checkpoint(); lets dependent structures (minmax
-  /// indexes, PatchIndexes) detect that the base columns changed.
-  std::uint64_t version() const { return version_; }
-
   /// Monotonic counter bumped by every mutation (base-column appends, PDT
   /// buffering, Checkpoint, DiscardPdt). A published MVCC snapshot records
   /// the value it was taken at; a mismatch against the live head means the
@@ -147,7 +142,6 @@ class Table {
   Schema schema_;
   std::vector<std::shared_ptr<Column>> columns_;
   PositionalDelta pdt_;
-  std::uint64_t version_ = 0;
   std::atomic<std::uint64_t> mutation_seq_{0};
 };
 

@@ -621,5 +621,129 @@ TEST(ScanPruningTest, PinnedReadersSeeTheirSnapshotUnderConcurrentCommits) {
   for (std::thread& t : readers) t.join();
 }
 
+TEST(ScanPruningTest, NucHandlersShareTheSummaryWithPinnedReaders) {
+  // The NUC handlers on `val` read the head column's block summary while
+  // readers prune `val` ranges with the summary their pinned versions
+  // share with it. val = 2 * key, so each partition's blocks hold
+  // narrow, disjoint value ranges.
+  constexpr std::size_t kPartitions = 4;
+  Engine engine(OptionsFor(4));
+  auto table = std::make_unique<PartitionedTable>(KvSchema(), kPartitions);
+  for (std::int64_t i = 0; i < kRows; ++i) table->AppendRow(KvRow(i, 2 * i));
+  ASSERT_TRUE(
+      engine.catalog().AddPartitionedTable("t", std::move(table)).ok());
+  Session writer = engine.CreateSession();
+  ASSERT_TRUE(
+      writer.CreatePatchIndex("t", 1, ConstraintKind::kNearlyUnique).ok());
+  const Catalog::TableRef ref = engine.catalog().Ref("t");
+  ASSERT_TRUE(static_cast<bool>(ref));
+
+  std::atomic<bool> done{false};
+  std::atomic<int> reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(200 + static_cast<std::uint64_t>(r));
+      while (!done.load()) {
+        EpochGc::Guard guard(EpochGc::Global());
+        const TableVersion* version = engine.catalog().PinnedVersion(ref);
+        const PartitionedTable& snapshot = *version->snapshot;
+        const auto lo = static_cast<std::int64_t>(rng.Uniform(0, 2 * kRows));
+        const std::int64_t hi =
+            lo + static_cast<std::int64_t>(rng.Uniform(0, 4'000));
+        LogicalPtr plan = LSelect(
+            LSelect(LScan(snapshot, {0, 1}), Ge(Col(1), ConstInt(lo))),
+            Lt(Col(1), ConstInt(hi)));
+        OperatorPtr op = PlanQuery(plan, engine.catalog().manager());
+        EXPECT_EQ(SortedRows(Collect(*op)),
+                  Reference(snapshot, [lo, hi](auto, auto v) {
+                    return v >= lo && v < hi;
+                  }));
+        reads.fetch_add(1);
+      }
+    });
+  }
+  readers.emplace_back([&] {
+    Session session = engine.CreateSession();
+    while (!done.load()) {
+      EXPECT_TRUE(
+          session.Sql("SELECT key, val FROM t WHERE val >= 1000 AND val < 3000")
+              .ok());
+    }
+  });
+
+  // Inserts collide with existing values; range updates move values far
+  // outside their blocks' bounds; single-row updates give two rows of one
+  // partition, blocks apart, the same fresh value in separate commits.
+  Rng rng(17);
+  std::int64_t next_key = kRows;
+  for (int step = 0; step < 30; ++step) {
+    std::string sql;
+    switch (step % 4) {
+      case 0: {
+        sql = "INSERT INTO t VALUES ";
+        for (int i = 0; i < 50; ++i) {
+          if (i > 0) sql += ", ";
+          const auto val = static_cast<std::int64_t>(
+              i % 2 == 0 ? 2 * rng.Uniform(0, kRows - 1)
+                         : 1'000'000 + rng.Uniform(0, 1'000'000));
+          sql += "(" + std::to_string(next_key++) + ", " +
+                 std::to_string(val) + ")";
+        }
+        break;
+      }
+      case 1: {
+        const auto lo = static_cast<std::int64_t>(rng.Uniform(0, kRows - 40));
+        sql = "UPDATE t SET val = val + 50001 WHERE key >= " +
+              std::to_string(lo) + " AND key < " + std::to_string(lo + 40);
+        break;
+      }
+      default: {
+        const std::int64_t key = (step % 4 == 2 ? 100 : 100 + 4 * 2'048) +
+                                 step / 4 * 4;
+        sql = "UPDATE t SET val = " + std::to_string(5'000'000 + step / 4) +
+              " WHERE key = " + std::to_string(key);
+        break;
+      }
+    }
+    Result<QueryResult> r = writer.Sql(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  while (reads.load() < 20) std::this_thread::yield();
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  const PartitionedTable& head = *engine.catalog().FindPartitionedTable("t");
+  const std::vector<PatchIndex*> indexes =
+      engine.catalog().manager().IndexesOn(head);
+  ASSERT_EQ(indexes.size(), kPartitions);
+  for (const PatchIndex* idx : indexes) {
+    EXPECT_EQ(idx->NumRows(), idx->table().num_rows());
+    EXPECT_TRUE(idx->CheckInvariant());
+  }
+  for (std::int64_t lo : {0, 150, 20'000, 1'000'000, 5'000'000}) {
+    const std::int64_t hi = lo + 60'000;
+    EXPECT_EQ(Select(writer, "SELECT key, val FROM t WHERE val >= " +
+                                 std::to_string(lo) + " AND val < " +
+                                 std::to_string(hi)),
+              Reference(head, [lo, hi](auto, auto v) {
+                return v >= lo && v < hi;
+              }))
+        << lo;
+  }
+  Result<QueryResult> distinct = writer.Sql("SELECT DISTINCT val FROM t");
+  ASSERT_TRUE(distinct.ok()) << distinct.status().ToString();
+  std::vector<std::int64_t> want;
+  for (const auto& row : Reference(head, [](auto, auto) { return true; })) {
+    want.push_back(row[1]);
+  }
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  std::vector<std::int64_t> got = distinct.value().rows.columns[0].i64;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+}
+
 }  // namespace
 }  // namespace patchindex

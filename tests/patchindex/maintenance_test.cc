@@ -1,4 +1,4 @@
-// Maintenance-path tests: lazy minmax rebuild after deletes, automatic
+// Maintenance-path tests: block-summary rebuild after deletes, automatic
 // bitmap condensing under heavy delete streams, staleness protection in
 // the rewriter, and long alternating update sequences.
 
@@ -27,29 +27,31 @@ Table MakeTable(const std::vector<std::int64_t>& vals) {
 }
 
 TEST(MaintenanceTest, NucInsertHandlingWorksAfterDeletes) {
-  // Deletes shift rowIDs and invalidate the minmax block mapping; the
-  // index must rebuild it lazily and still find collisions correctly.
-  std::vector<std::int64_t> vals(512);
-  for (int i = 0; i < 512; ++i) vals[i] = i * 10;
+  // Deletes shift rowIDs and drop the column's block summary; the next
+  // handling query must rebuild it and still find collisions correctly.
+  std::vector<std::int64_t> vals(8192);
+  for (int i = 0; i < 8192; ++i) vals[i] = i * 10;
   Table t = MakeTable(vals);
   PatchIndexOptions o;
-  o.minmax_block_size = 16;
   o.bitmap_options.shard_size_bits = 128;
   o.bitmap_options.parallel = false;
   PatchIndexManager mgr;
   PatchIndex* idx = mgr.CreateIndex(t, 1, ConstraintKind::kNearlyUnique, o);
 
-  for (RowId r : {5ull, 100ull, 200ull}) ASSERT_TRUE(t.BufferDelete(r).ok());
+  for (RowId r : {5ull, 1000ull, 2000ull}) {
+    ASSERT_TRUE(t.BufferDelete(r).ok());
+  }
   ASSERT_TRUE(mgr.CommitUpdateQuery(t).ok());
 
-  // Insert a collision with a value whose row shifted (base row 300 held
-  // 3000; after 3 deletes below it sits at row 297).
-  t.BufferInsert(Row{{Value(std::int64_t{600}), Value(std::int64_t{3000})}});
+  // Insert a collision with a value whose row shifted (base row 3000 held
+  // 30000; after 3 deletes below it sits at row 2997).
+  t.BufferInsert(
+      Row{{Value(std::int64_t{9000}), Value(std::int64_t{30000})}});
   ASSERT_TRUE(mgr.CommitUpdateQuery(t).ok());
-  EXPECT_TRUE(idx->IsPatch(297));
-  EXPECT_TRUE(idx->IsPatch(509));  // the inserted row
+  EXPECT_TRUE(idx->IsPatch(2997));
+  EXPECT_TRUE(idx->IsPatch(8189));  // the inserted row
   EXPECT_TRUE(idx->CheckInvariant());
-  // The rebuilt minmax still prunes: only a fraction was scanned.
+  // The rebuilt summary still prunes: only a fraction was scanned.
   EXPECT_LT(idx->last_handled_scan_fraction(), 0.2);
 }
 

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/rng.h"
 #include "patchindex/manager.h"
+#include "storage/minmax.h"
 
 namespace patchindex {
 namespace {
@@ -33,7 +37,6 @@ PatchIndexOptions SmallOptions(PatchSetDesign design = PatchSetDesign::kBitmap) 
   o.design = design;
   o.bitmap_options.shard_size_bits = 256;
   o.bitmap_options.parallel = false;
-  o.minmax_block_size = 8;
   return o;
 }
 
@@ -148,36 +151,133 @@ INSTANTIATE_TEST_SUITE_P(BothDesigns, NucUpdateTest,
                                       : "Identifier";
                          });
 
+/// Sorted values i * 10 over `blocks` column-summary blocks.
+std::vector<std::int64_t> SortedBlocks(std::uint64_t blocks) {
+  std::vector<std::int64_t> vals(blocks * Column::kSummaryBlockRows);
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    vals[i] = static_cast<std::int64_t>(i) * 10;
+  }
+  return vals;
+}
+
 TEST(NucDrpTest, InsertHandlingPrunesProbeScan) {
-  // 256 sorted values in blocks of 8; inserting one colliding value must
-  // scan only a small fraction of the base table.
-  std::vector<std::int64_t> vals(256);
-  for (int i = 0; i < 256; ++i) vals[i] = i * 10;
-  Table t = MakeTable(vals);
+  // 16 blocks of sorted values; inserting one colliding value must scan
+  // only the one block holding its partner.
+  Table t = MakeTable(SortedBlocks(16));
   PatchIndexManager mgr;
   PatchIndex* idx = mgr.CreateIndex(t, 1, ConstraintKind::kNearlyUnique,
                                     SmallOptions());
-  t.BufferInsert(InsertRow(256, 1280));  // collides with row 128
+  t.BufferInsert(InsertRow(16384, 81920));  // collides with row 8192
   ASSERT_TRUE(mgr.CommitUpdateQuery(t).ok());
-  EXPECT_TRUE(idx->IsPatch(128));
-  EXPECT_TRUE(idx->IsPatch(256));
+  EXPECT_TRUE(idx->IsPatch(8192));
+  EXPECT_TRUE(idx->IsPatch(16384));
   EXPECT_LT(idx->last_handled_scan_fraction(), 0.1);
 }
 
 TEST(NucDrpTest, DisablingDrpScansFullTable) {
-  std::vector<std::int64_t> vals(256);
-  for (int i = 0; i < 256; ++i) vals[i] = i * 10;
-  Table t = MakeTable(vals);
+  Table t = MakeTable(SortedBlocks(16));
   PatchIndexOptions opt = SmallOptions();
   opt.use_dynamic_range_propagation = false;
   PatchIndexManager mgr;
   PatchIndex* idx =
       mgr.CreateIndex(t, 1, ConstraintKind::kNearlyUnique, opt);
-  t.BufferInsert(InsertRow(256, 1280));
+  t.BufferInsert(InsertRow(16384, 81920));
   ASSERT_TRUE(mgr.CommitUpdateQuery(t).ok());
-  EXPECT_TRUE(idx->IsPatch(128));
+  EXPECT_TRUE(idx->IsPatch(8192));
   EXPECT_DOUBLE_EQ(idx->last_handled_scan_fraction(), 1.0);
 }
+
+class NucDrpDifferentialTest
+    : public ::testing::TestWithParam<PatchSetDesign> {};
+
+/// A random row that is not a patch. The handlers are exact only for
+/// these: modifying or deleting a patch row leaves its partner a patch
+/// although its value may now be unique (the optimality loss the paper
+/// accepts), so a fresh discovery would differ.
+RowId NonPatchRow(const PatchIndex& idx, Rng& rng) {
+  for (;;) {
+    const RowId r = rng.Uniform(0, idx.NumRows() - 1);
+    if (!idx.IsPatch(r)) return r;
+  }
+}
+
+TEST_P(NucDrpDifferentialTest, PatchSetMatchesRediscoveryAfterEveryCommit) {
+  // Ten 1024-row blocks of clustered values (row i holds 3i plus a little
+  // noise, so neighbours sometimes collide). Inserts land near one
+  // cluster; every modify moves a value outside its block's bounds.
+  constexpr std::uint64_t kBlocks = 10;
+  Rng rng(2024);
+  std::vector<std::int64_t> vals(kBlocks * Column::kSummaryBlockRows);
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    vals[i] = static_cast<std::int64_t>(3 * i + rng.Uniform(0, 4));
+  }
+  const auto domain = static_cast<std::int64_t>(3 * vals.size());
+  Table t = MakeTable(vals);
+  PatchIndexManager mgr;
+  PatchIndex* idx = mgr.CreateIndex(t, 1, ConstraintKind::kNearlyUnique,
+                                    SmallOptions(GetParam()));
+  std::int64_t next_key = static_cast<std::int64_t>(vals.size());
+  int pruned_steps = 0;
+  for (int step = 0; step < 60; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const Column& col = t.column(1);
+    const std::uint64_t n = t.num_rows();
+    const int op = step % 3;
+    if (op == 0) {
+      const auto center = static_cast<std::int64_t>(rng.Uniform(0, domain));
+      for (int k = 0; k < 20; ++k) {
+        t.BufferInsert(InsertRow(
+            next_key++,
+            center + static_cast<std::int64_t>(rng.Uniform(0, 300))));
+      }
+    } else if (op == 1) {
+      // Two rows in distinct blocks move to one value no block covers
+      // (above every earlier one), so only their own blocks can find the
+      // pair; a third row takes the value of a row outside its block.
+      std::shared_ptr<const MinMaxIndex> summary = col.BlockSummary();
+      auto block_covers = [&](RowId r, std::int64_t v) {
+        const std::uint64_t b = r / summary->block_size();
+        return v >= summary->BlockMin(b) && v <= summary->BlockMax(b);
+      };
+      const std::int64_t fresh = domain + step;
+      const RowId a = NonPatchRow(*idx, rng);
+      RowId b = NonPatchRow(*idx, rng);
+      while (b / summary->block_size() == a / summary->block_size()) {
+        b = NonPatchRow(*idx, rng);
+      }
+      ASSERT_TRUE(t.BufferModify(a, 1, Value(fresh)).ok());
+      ASSERT_TRUE(t.BufferModify(b, 1, Value(fresh)).ok());
+      for (int attempt = 0; attempt < 64; ++attempt) {
+        const RowId c = NonPatchRow(*idx, rng);
+        const std::int64_t v = col.GetInt64(rng.Uniform(0, n - 1));
+        if (c == a || c == b || block_covers(c, v)) continue;
+        ASSERT_TRUE(t.BufferModify(c, 1, Value(v)).ok());
+        break;
+      }
+    } else {
+      std::set<RowId> kill;
+      while (kill.size() < 5) kill.insert(NonPatchRow(*idx, rng));
+      for (RowId r : kill) ASSERT_TRUE(t.BufferDelete(r).ok());
+    }
+    ASSERT_TRUE(mgr.CommitUpdateQuery(t).ok());
+    ASSERT_TRUE(idx->CheckInvariant());
+    std::unique_ptr<Table> copy = t.CloneShared();
+    auto fresh = PatchIndex::Create(*copy, 1, ConstraintKind::kNearlyUnique,
+                                    SmallOptions(GetParam()));
+    ASSERT_EQ(idx->patches().PatchRowIds(), fresh->patches().PatchRowIds());
+    if (op != 2 && idx->last_handled_scan_fraction() < 1.0) ++pruned_steps;
+  }
+  EXPECT_GT(pruned_steps, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothDesigns, NucDrpDifferentialTest,
+                         ::testing::Values(PatchSetDesign::kBitmap,
+                                           PatchSetDesign::kIdentifier),
+                         [](const auto& info) {
+                           return info.param == PatchSetDesign::kBitmap
+                                      ? "Bitmap"
+                                      : "Identifier";
+                         });
 
 TEST(NscUpdateTest, InsertExtendingSortedSequenceAddsNoPatches) {
   Table t = MakeTable({1, 2, 3});
