@@ -12,10 +12,7 @@
 // Per sweep, p50/p95/p99 server-side query latency is read off the
 // pidx_server_query_latency_us histogram (snapshot delta around the
 // sweep; log-bucketed, so percentiles resolve to a power-of-two upper
-// bound). Before the sweeps, the same point workload runs against a
-// second server whose engine has enable_metrics=false — the recorded
-// enabled/disabled qps pair is the metrics-overhead acceptance number.
-// Results go to BENCH_server.json.
+// bound). Results go to BENCH_server.json.
 //
 // Usage: bench_server_throughput [rows] [queries_per_sweep]
 //                                (default 100000 rows, 2000 queries)
@@ -118,13 +115,9 @@ SweepResult RunSweep(net::PiServer& server, Engine& engine,
   return result;
 }
 
-/// A fresh engine holding the NUC table `t` (with its NUC index), with
-/// metric recording on or off — the two arms of the overhead comparison
-/// see byte-identical data (same kBenchSeed).
-std::unique_ptr<Engine> MakeEngine(std::uint64_t rows, bool enable_metrics) {
-  EngineOptions options;
-  options.enable_metrics = enable_metrics;
-  auto engine = std::make_unique<Engine>(options);
+/// A fresh engine holding the NUC table `t` (with its NUC index).
+std::unique_ptr<Engine> MakeEngine(std::uint64_t rows) {
+  auto engine = std::make_unique<Engine>();
   Session session = engine->CreateSession();
   GeneratorConfig cfg;
   cfg.num_rows = rows;
@@ -157,56 +150,13 @@ int main(int argc, char** argv) {
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2'000;
 
   const net::ServerOptions options = MakeServerOptions();
-  std::unique_ptr<Engine> engine = MakeEngine(rows, /*enable_metrics=*/true);
+  std::unique_ptr<Engine> engine = MakeEngine(rows);
   net::PiServer server(*engine, options);
   Status st = server.Start();
   if (!st.ok()) {
     std::fprintf(stderr, "cannot start server: %s\n", st.ToString().c_str());
     return 1;
   }
-
-  // Metrics-overhead pair: the same point-SELECT workload against this
-  // server (metrics recording on, the default) and against a second one
-  // whose engine has enable_metrics=false. Point SELECTs leave the table
-  // untouched, so running the pair before the sweeps keeps both arms on
-  // pristine data. The arms alternate (A/B/A/B, best-of-5 each) so slow
-  // scheduler drift hits both equally instead of biasing whichever arm
-  // ran second.
-  constexpr int kOverheadReps = 5;
-  constexpr std::size_t kOverheadClients = 4;
-  double enabled_s = 1e100;
-  double disabled_s = 1e100;
-  {
-    std::unique_ptr<Engine> baseline =
-        MakeEngine(rows, /*enable_metrics=*/false);
-    net::PiServer baseline_server(*baseline, MakeServerOptions());
-    st = baseline_server.Start();
-    if (!st.ok()) {
-      std::fprintf(stderr, "cannot start baseline server: %s\n",
-                   st.ToString().c_str());
-      return 1;
-    }
-    for (int rep = 0; rep < kOverheadReps; ++rep) {
-      const SweepResult on =
-          RunSweep(server, *engine, kOverheadClients, queries, rows,
-                   /*mixed=*/false, /*salt=*/100 + rep);
-      if (on.seconds < enabled_s) enabled_s = on.seconds;
-      const SweepResult off =
-          RunSweep(baseline_server, *baseline, kOverheadClients, queries,
-                   rows, /*mixed=*/false, /*salt=*/200 + rep);
-      if (off.seconds < disabled_s) disabled_s = off.seconds;
-    }
-    baseline_server.Stop();
-  }
-  const double enabled_qps = queries / enabled_s;
-  const double disabled_qps = queries / disabled_s;
-  const double overhead_pct =
-      disabled_qps > 0 ? (disabled_qps - enabled_qps) / disabled_qps * 100.0
-                       : 0.0;
-  std::printf("metrics overhead (point, clients=%zu, best of %d): "
-              "enabled %9.0f qps, disabled %9.0f qps, overhead %.2f%%\n",
-              kOverheadClients, kOverheadReps, enabled_qps, disabled_qps,
-              overhead_pct);
 
   std::FILE* json = std::fopen("BENCH_server.json", "w");
   if (json == nullptr) {
@@ -223,20 +173,11 @@ int main(int argc, char** argv) {
                "90%% point SELECT + 10%% single-row UPDATE; busy_retries "
                "= SERVER_BUSY rejections retried by clients; p50/p95/p99 "
                "come from the log-bucketed server latency histogram "
-               "(bucket upper bounds, so power-of-two resolution); the "
-               "flight recorder runs in both metrics_overhead arms, so "
-               "enabled-vs-disabled isolates the metrics registry on top "
-               "of it\",\n"
-               "  \"metrics_overhead\": {\"workload\": \"point\", "
-               "\"clients\": %zu, \"reps\": %d, "
-               "\"metrics_enabled_qps\": %.1f, "
-               "\"metrics_disabled_qps\": %.1f, "
-               "\"overhead_pct\": %.2f},\n"
+               "(bucket upper bounds, so power-of-two resolution)\",\n"
                "  \"results\": [\n",
                static_cast<unsigned long long>(rows),
                static_cast<unsigned long long>(queries),
-               options.query_workers, kOverheadClients, kOverheadReps,
-               enabled_qps, disabled_qps, overhead_pct);
+               options.query_workers);
 
   const std::size_t sweeps[] = {1, 4, 16, 64};
   bool first = true;

@@ -11,7 +11,6 @@
 
 #include "common/timer.h"
 #include "obs/mem_tracker.h"
-#include "obs/wait_event.h"
 #include "patchindex/checkpoint.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
@@ -61,8 +60,9 @@ bool SafeTableName(const std::string& name) {
 
 }  // namespace
 
-DurabilityManager::DurabilityManager(DurabilityOptions options)
-    : options_(std::move(options)) {}
+DurabilityManager::DurabilityManager(DurabilityOptions options,
+                                     DurabilityMetrics metrics)
+    : options_(std::move(options)), metrics_(metrics) {}
 
 DurabilityManager::~DurabilityManager() {
   catalog_log_.Close();
@@ -289,15 +289,10 @@ Status DurabilityManager::LogCommit(const std::string& name,
     bytes += frame.size();
   }
   if (st.ok() && options_.fsync) {
-    // One wait span per commit (all its partition fsyncs together) — the
-    // wait-event-class view; fsync_latency_us keeps the per-fsync view.
-    obs::WaitSpan fsync_wait(metrics_.wait_fsync_us);
     for (const std::size_t p : dirty) {
       WallTimer fsync_timer;
       st = state->wal[p].Fsync("wal.fsync");
-      if (metrics_.fsync_latency_us != nullptr) {
-        metrics_.fsync_latency_us->RecordNanos(fsync_timer.ElapsedNanos());
-      }
+      metrics_.fsync_latency_us->RecordNanos(fsync_timer.ElapsedNanos());
       if (!st.ok()) break;
     }
   }
@@ -313,9 +308,7 @@ Status DurabilityManager::LogCommit(const std::string& name,
   }
   state->next_csn = csn + 1;
   state->wal_bytes += bytes;
-  if (metrics_.wal_appended_bytes != nullptr) {
-    metrics_.wal_appended_bytes->Add(bytes);
-  }
+  metrics_.wal_appended_bytes->Add(bytes);
   if (commit_csn != nullptr) *commit_csn = static_cast<std::int64_t>(csn);
   return Status::OK();
 }
@@ -439,10 +432,8 @@ Status DurabilityManager::CheckpointLocked(
           IndexCheckpointPath(specs[i], spec_partition[i], old_csn).c_str());
     }
   }
-  if (metrics_.checkpoint_duration_us != nullptr) {
-    metrics_.checkpoint_duration_us->RecordNanos(
-        checkpoint_timer.ElapsedNanos());
-  }
+  metrics_.checkpoint_duration_us->RecordNanos(
+      checkpoint_timer.ElapsedNanos());
   return Status::OK();
 }
 

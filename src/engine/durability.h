@@ -45,9 +45,8 @@ struct DurabilityOptions {
   bool enabled() const { return !data_dir.empty(); }
 };
 
-/// Hot-path durability instrumentation handles, bound by the engine
-/// before Open()/Recover() run so recovery's log resets are counted too.
-/// All-null (the default) records nothing.
+/// Hot-path durability instrumentation handles, bound by the engine at
+/// construction so recovery's log resets are counted too. All are set.
 struct DurabilityMetrics {
   /// WAL record bytes appended by acknowledged commits.
   obs::Counter* wal_appended_bytes = nullptr;
@@ -55,10 +54,6 @@ struct DurabilityMetrics {
   obs::Histogram* fsync_latency_us = nullptr;
   /// Wall time of each completed table checkpoint.
   obs::Histogram* checkpoint_duration_us = nullptr;
-  /// Wait event: time a commit was blocked on its WAL fsyncs — the same
-  /// stalls fsync_latency_us records per fsync, aggregated per commit
-  /// into the engine's wait-event-class view.
-  obs::Histogram* wait_fsync_us = nullptr;
 };
 
 /// A race-free copy of one table's durable bookkeeping, for
@@ -121,15 +116,11 @@ struct RecoveryReport {
 /// state-map access are internally locked.
 class DurabilityManager {
  public:
-  explicit DurabilityManager(DurabilityOptions options);
+  DurabilityManager(DurabilityOptions options, DurabilityMetrics metrics);
   ~DurabilityManager();
 
   DurabilityManager(const DurabilityManager&) = delete;
   DurabilityManager& operator=(const DurabilityManager&) = delete;
-
-  /// Binds metric handles (see DurabilityMetrics). Call before
-  /// Open()/Recover(); not thread-safe against concurrent commits.
-  void SetMetrics(const DurabilityMetrics& metrics) { metrics_ = metrics; }
 
   /// Creates/locks the data directory and opens the catalog log. Must be
   /// called (and succeed) before anything else.

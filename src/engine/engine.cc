@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/epoch_gc.h"
-#include "common/timer.h"
 #include "engine/read_pin.h"
 #include "exec/operator.h"
 #include "optimizer/scan_pruning.h"
@@ -52,104 +51,83 @@ Engine::Engine(EngineOptions options) : options_(options) {
   metrics_ = std::make_unique<obs::MetricsRegistry>();
   recorder_ =
       std::make_unique<obs::FlightRecorder>(options_.flight_recorder_capacity);
-  if (options_.enable_metrics) {
-    obs::MetricsRegistry& r = *metrics_;
-    m_.read_queries = r.GetCounter(
-        "pidx_read_queries_total", "Read queries executed (plans and SQL)");
-    m_.update_queries = r.GetCounter("pidx_update_queries_total",
-                                     "Update queries committed");
-    m_.sql_statements = r.GetCounter("pidx_sql_statements_total",
-                                     "SQL statements executed");
-    m_.query_latency_us = r.GetHistogram(
-        "pidx_query_latency_us", "End-to-end SQL statement latency");
-    m_.phase_parse_us =
-        r.GetHistogram("pidx_phase_parse_us", "SQL parse phase");
-    m_.phase_bind_us = r.GetHistogram("pidx_phase_bind_us", "Bind phase");
-    m_.phase_optimize_us =
-        r.GetHistogram("pidx_phase_optimize_us", "Plan optimization phase");
-    m_.phase_execute_us = r.GetHistogram(
-        "pidx_phase_execute_us", "Plan execution / DML delta-build phase");
-    m_.phase_commit_us = r.GetHistogram(
-        "pidx_phase_commit_us", "PatchIndex commit protocol phase (DML)");
-    // MVCC/epoch occupancy, registered as callbacks so every render path
-    // (Prometheus scrape, .stats, pi_stats.metrics) samples live values.
-    // The catalog is a member and the EpochGc singleton is immortal, so
-    // the callbacks stay valid for the registry's lifetime.
-    const Catalog* catalog = &catalog_;
-    r.SetCallback("pidx_mvcc_versions_live",
-                  "Published table versions alive (current + awaiting "
-                  "epoch reclamation)",
-                  [catalog] {
-                    return static_cast<std::uint64_t>(
-                        catalog->TotalLiveVersions());
-                  });
-    r.SetCallback("pidx_epoch_pinned_guards",
-                  "Epoch guards currently pinned (readers in flight)",
-                  [] { return EpochGc::Global().GetStats().pinned; });
-    r.SetCallback("pidx_epoch_retired_pending",
-                  "Retired objects awaiting epoch reclamation",
-                  [] { return EpochGc::Global().GetStats().retired_pending; });
-    r.SetCallback("pidx_epoch_reclaimed_total",
-                  "Objects reclaimed by the epoch GC since process start",
-                  [] { return EpochGc::Global().GetStats().reclaimed_total; });
-    // Memory accounting: tracked transient bytes (the tracker hierarchy —
-    // in-flight joins, sorts, result queues) plus pull-style resident
-    // bytes (catalog tables). pidx_memory_bytes is the headline figure.
-    // The tracker outlives the registry (member order) and `this` owns
-    // both, so the captures stay valid.
-    obs::MemoryTracker* mem = mem_tracker_.get();
-    const Engine* self = this;
-    r.SetCallback("pidx_memory_bytes",
-                  "Engine memory footprint: resident catalog-table bytes "
-                  "plus tracked transient query/server bytes",
-                  [self, mem] {
-                    return self->ApproxResidentBytes() + mem->current();
-                  });
-    r.SetCallback("pidx_memory_tracked_bytes",
-                  "Bytes currently charged to the engine's memory tracker",
-                  [mem] { return mem->current(); });
-    r.SetCallback("pidx_memory_tracked_peak_bytes",
-                  "High-water mark of tracked transient bytes",
-                  [mem] { return mem->peak(); });
-    r.SetCallback("pidx_memory_resident_bytes",
-                  "Resident bytes of catalog tables (columns + PDT deltas)",
-                  [self] { return self->ApproxResidentBytes(); });
-    // Wait-event histograms: the per-class contention view. The table
-    // lock wait is also the DML statement's commit_wait phase, recorded
-    // here only (the profile and trace carry it per statement).
-    m_.wait_table_lock_us = r.GetHistogram(
-        "pidx_wait_table_lock_us",
-        "Wait event: time blocked acquiring a table's writer-writer lock "
-        "(DML; under MVCC readers never hold it, so this measures writer "
-        "contention only)");
-    m_.wait_pool_queue_us = r.GetHistogram(
-        "pidx_wait_pool_queue_us",
-        "Wait event: time tasks sat queued in the worker pool before a "
-        "worker picked them up");
-    obs::Histogram* pool_wait = m_.wait_pool_queue_us;
-    pool_->SetQueueWaitRecorder([pool_wait](std::uint64_t ns) {
-      pool_wait->RecordNanos(static_cast<std::int64_t>(ns));
-    });
+  obs::MetricsRegistry& r = *metrics_;
+  m_.read_queries = r.GetCounter("pidx_read_queries_total",
+                                 "Read queries executed (plans and SQL)");
+  m_.update_queries =
+      r.GetCounter("pidx_update_queries_total", "Update queries committed");
+  m_.sql_statements =
+      r.GetCounter("pidx_sql_statements_total", "SQL statements executed");
+  m_.query_latency_us = r.GetHistogram("pidx_query_latency_us",
+                                       "End-to-end SQL statement latency");
+  for (std::size_t i = 0; i < obs::kPhases.size(); ++i) {
+    m_.phase_us[i] =
+        r.GetHistogram(obs::kPhases[i].metric, obs::kPhases[i].help);
   }
+  // MVCC/epoch occupancy, registered as callbacks so every render path
+  // (Prometheus scrape, .stats, pi_stats.metrics) samples live values.
+  // The catalog is a member and the EpochGc singleton is immortal, so
+  // the callbacks stay valid for the registry's lifetime.
+  const Catalog* catalog = &catalog_;
+  r.SetCallback("pidx_mvcc_versions_live",
+                "Published table versions alive (current + awaiting "
+                "epoch reclamation)",
+                [catalog] {
+                  return static_cast<std::uint64_t>(
+                      catalog->TotalLiveVersions());
+                });
+  r.SetCallback("pidx_epoch_pinned_guards",
+                "Epoch guards currently pinned (readers in flight)",
+                [] { return EpochGc::Global().GetStats().pinned; });
+  r.SetCallback("pidx_epoch_retired_pending",
+                "Retired objects awaiting epoch reclamation",
+                [] { return EpochGc::Global().GetStats().retired_pending; });
+  r.SetCallback("pidx_epoch_reclaimed_total",
+                "Objects reclaimed by the epoch GC since process start",
+                [] { return EpochGc::Global().GetStats().reclaimed_total; });
+  // Memory accounting: tracked transient bytes (the tracker hierarchy —
+  // in-flight joins, sorts, result queues) plus pull-style resident
+  // bytes (catalog tables). pidx_memory_bytes is the headline figure.
+  // The tracker outlives the registry (member order) and `this` owns
+  // both, so the captures stay valid.
+  obs::MemoryTracker* mem = mem_tracker_.get();
+  const Engine* self = this;
+  r.SetCallback("pidx_memory_bytes",
+                "Engine memory footprint: resident catalog-table bytes "
+                "plus tracked transient query/server bytes",
+                [self, mem] {
+                  return self->ApproxResidentBytes() + mem->current();
+                });
+  r.SetCallback("pidx_memory_tracked_bytes",
+                "Bytes currently charged to the engine's memory tracker",
+                [mem] { return mem->current(); });
+  r.SetCallback("pidx_memory_tracked_peak_bytes",
+                "High-water mark of tracked transient bytes",
+                [mem] { return mem->peak(); });
+  r.SetCallback("pidx_memory_resident_bytes",
+                "Resident bytes of catalog tables (columns + PDT deltas)",
+                [self] { return self->ApproxResidentBytes(); });
+  // Wait-event histogram: time tasks sat in the worker pool's queue
+  // (the table-lock wait is the commit_wait phase's histogram above).
+  obs::Histogram* pool_wait = r.GetHistogram(
+      "pidx_wait_pool_queue_us",
+      "Wait event: time tasks sat queued in the worker pool before a "
+      "worker picked them up");
+  pool_->SetQueueWaitRecorder([pool_wait](std::uint64_t ns) {
+    pool_wait->RecordNanos(static_cast<std::int64_t>(ns));
+  });
 
   if (options_.durability.enabled()) {
-    durability_ = std::make_unique<DurabilityManager>(options_.durability);
-    if (options_.enable_metrics) {
-      obs::MetricsRegistry& r = *metrics_;
-      DurabilityMetrics dm;
-      dm.wal_appended_bytes =
-          r.GetCounter("pidx_wal_appended_bytes_total",
-                       "WAL record bytes appended by committed updates");
-      dm.fsync_latency_us = r.GetHistogram(
-          "pidx_fsync_latency_us", "Commit-path WAL fsync latency");
-      dm.checkpoint_duration_us = r.GetHistogram(
-          "pidx_checkpoint_duration_us", "Table checkpoint wall time");
-      dm.wait_fsync_us = r.GetHistogram(
-          "pidx_wait_fsync_us",
-          "Wait event: commit blocked on the WAL fsync (the durability "
-          "stall every committed update pays)");
-      durability_->SetMetrics(dm);
-    }
+    DurabilityMetrics dm;
+    dm.wal_appended_bytes =
+        r.GetCounter("pidx_wal_appended_bytes_total",
+                     "WAL record bytes appended by committed updates");
+    dm.fsync_latency_us = r.GetHistogram("pidx_fsync_latency_us",
+                                         "Commit-path WAL fsync latency");
+    dm.checkpoint_duration_us = r.GetHistogram(
+        "pidx_checkpoint_duration_us", "Table checkpoint wall time");
+    durability_ =
+        std::make_unique<DurabilityManager>(options_.durability, dm);
     recovery_status_ = durability_->Open();
     if (recovery_status_.ok()) {
       recovery_status_ = durability_->Recover(&catalog_, pool_.get());
@@ -159,8 +137,7 @@ Engine::Engine(EngineOptions options) : options_(options) {
       // compound the damage. recovery_status() tells callers (piserver
       // refuses to start; tests assert on it).
       durability_.reset();
-    } else if (options_.enable_metrics) {
-      obs::MetricsRegistry& r = *metrics_;
+    } else {
       const RecoveryReport& report = durability_->last_recovery();
       r.GetGauge("pidx_recovery_tables", "Tables restored by recovery")
           ->Set(static_cast<std::int64_t>(report.tables));
@@ -321,22 +298,21 @@ void CollectPlanTableRefs(const LogicalNode& plan, const Catalog& catalog,
 }
 
 Result<QueryResult> Session::Execute(LogicalPtr plan) {
-  return ExecuteProfiled(std::move(plan), engine_->options_.optimizer,
-                         /*profile=*/nullptr, /*profile_ops=*/false);
+  return Execute(std::move(plan), engine_->options_.optimizer);
 }
 
 Result<QueryResult> Session::Execute(LogicalPtr plan,
                                      const OptimizerOptions& optimizer) {
-  return ExecuteProfiled(std::move(plan), optimizer, /*profile=*/nullptr,
-                         /*profile_ops=*/false);
+  obs::QueryProfile profile;
+  return ExecuteProfiled(std::move(plan), optimizer, /*profile_ops=*/false,
+                         engine_->PhaseSinksFor(&profile));
 }
 
-Result<QueryResult> Session::ExecuteProfiled(
-    LogicalPtr plan, const OptimizerOptions& optimizer,
-    obs::QueryProfile* profile, bool profile_ops,
-    const obs::FlightRecorder::Handle& active, obs::TraceBuffer* trace) {
+Result<QueryResult> Session::ExecuteProfiled(LogicalPtr plan,
+                                             const OptimizerOptions& optimizer,
+                                             bool profile_ops,
+                                             const obs::PhaseSinks& sinks) {
   if (plan == nullptr) return Status::InvalidArgument("null plan");
-  const Engine::MetricSet& m = engine_->m_;
 
   // Per-query memory accounting: reuse the statement tracker the SQL
   // session installed, or make one here for the bare-plan API so
@@ -351,10 +327,6 @@ Result<QueryResult> Session::ExecuteProfiled(
     query_mem = &*local_mem;
   }
 
-  if (active != nullptr) {
-    obs::FlightRecorder::SetPhase(active, obs::QueryPhase::kOptimize);
-  }
-  WallTimer optimize_timer;
   LogicalPtr optimized;
   // Protect every catalog table the plan scans for the statement's
   // duration. Each table resolves to its pinned published version
@@ -365,7 +337,7 @@ Result<QueryResult> Session::ExecuteProfiled(
   // the optimize phase, so its time is attributed.
   std::optional<PinnedReadSet> pin;
   {
-    obs::TraceSpan span(trace, "optimize", 0);
+    obs::PhaseSpan span(sinks, obs::QueryPhase::kOptimize);
     pin.emplace(engine_->catalog_, &plan);
     // Pruning describes this execution's table state and parameters, so
     // it goes on a private copy: a plan the caller keeps and compiles
@@ -374,24 +346,19 @@ Result<QueryResult> Session::ExecuteProfiled(
         OptimizePlan(std::move(plan), pin->indexes(), optimizer));
     AnnotateScanPruning(optimized.get());
   }
-  const std::int64_t optimize_ns = optimize_timer.ElapsedNanos();
 
   obs::ExecProfile exec_profile;
   obs::ExecProfile* ops = profile_ops ? &exec_profile : nullptr;
 
-  if (active != nullptr) {
-    obs::FlightRecorder::SetPhase(active, obs::QueryPhase::kExecute);
-  }
   QueryResult result;
   ParallelExecOptions parallel_options;
   parallel_options.morsel_rows = engine_->options_.morsel_rows;
   parallel_options.min_parallel_rows = engine_->options_.min_parallel_rows;
   parallel_options.profile = ops;
-  parallel_options.trace = trace;
+  parallel_options.trace = sinks.trace;
   parallel_options.memory = query_mem;
   ParallelExecReport report;
-  WallTimer execute_timer;
-  obs::TraceSpan execute_span(trace, "execute", 0);
+  obs::PhaseSpan execute_span(sinks, obs::QueryPhase::kExecute);
   try {
     if (engine_->options_.enable_parallel_execution &&
         ExecuteParallel(*optimized, engine_->pool(), parallel_options,
@@ -415,23 +382,16 @@ Result<QueryResult> Session::ExecuteProfiled(
     // the pinned versions. Session and engine stay fully usable.
     return Status::ResourceExhausted(e.what());
   }
-  const std::int64_t execute_ns = execute_timer.ElapsedNanos();
+  execute_span.Close();
 
-  if (m.read_queries != nullptr) {
-    m.read_queries->Add(1);
-    m.phase_optimize_us->RecordNanos(optimize_ns);
-    m.phase_execute_us->RecordNanos(execute_ns);
-  }
-  if (profile != nullptr) {
-    profile->optimize_ms = static_cast<double>(optimize_ns) / 1e6;
-    profile->execute_ms = static_cast<double>(execute_ns) / 1e6;
-    profile->parallel = result.parallel;
-    profile->parallel_join = result.parallel_join;
-    profile->parallel_sort = result.parallel_sort;
-    profile->pool_workers = engine_->pool().num_threads();
-    profile->peak_mem_bytes = query_mem->peak();
-    if (ops != nullptr) obs::FillOpProfiles(*optimized, exec_profile, profile);
-  }
+  engine_->m_.read_queries->Add(1);
+  obs::QueryProfile* profile = sinks.profile;
+  profile->parallel = result.parallel;
+  profile->parallel_join = result.parallel_join;
+  profile->parallel_sort = result.parallel_sort;
+  profile->pool_workers = engine_->pool().num_threads();
+  profile->peak_mem_bytes = query_mem->peak();
+  if (ops != nullptr) obs::FillOpProfiles(*optimized, exec_profile, profile);
   return result;
 }
 
@@ -575,16 +535,16 @@ Status Session::ExecuteUpdateWith(
     const std::string& table_name,
     const std::function<Result<UpdateQuery>(const PartitionedTable&)>&
         build) {
-  return ExecuteUpdateWithProfiled(table_name, build, /*profile=*/nullptr);
+  obs::QueryProfile profile;
+  return ExecuteUpdateWithProfiled(table_name, build,
+                                   engine_->PhaseSinksFor(&profile));
 }
 
 Status Session::ExecuteUpdateWithProfiled(
     const std::string& table_name,
     const std::function<Result<UpdateQuery>(const PartitionedTable&)>&
         build,
-    obs::QueryProfile* profile, const obs::FlightRecorder::Handle& active,
-    obs::TraceBuffer* trace, std::int64_t* commit_csn) {
-  const Engine::MetricSet& m = engine_->m_;
+    const obs::PhaseSinks& sinks, std::int64_t* commit_csn) {
   Catalog::TableRef ref = engine_->catalog_.Ref(table_name);
   if (!ref) {
     return Status::NotFound("table '" + table_name + "' does not exist");
@@ -605,64 +565,42 @@ Status Session::ExecuteUpdateWithProfiled(
   // measures contention against other update queries (and DDL /
   // checkpoints), never against readers. Surface the blocking table in
   // pi_stats.active_queries while we wait.
+  obs::PhaseSpan wait_span(sinks, obs::QueryPhase::kCommitWait);
+  const obs::FlightRecorder::Handle& active = sinks.active;
   if (active != nullptr) {
-    obs::FlightRecorder::SetPhase(active, obs::QueryPhase::kCommitWait);
     obs::FlightRecorder::SetPhaseDetail(active, table_name);
   }
-  WallTimer lock_timer;
-  std::unique_lock<std::shared_mutex> exclusive = [&] {
-    obs::TraceSpan span(trace, "commit_wait", 0);
-    return std::unique_lock<std::shared_mutex>(*ref.lock);
-  }();
-  const std::int64_t lock_ns = lock_timer.ElapsedNanos();
+  std::unique_lock<std::shared_mutex> exclusive(*ref.lock);
+  wait_span.Close();
   if (active != nullptr) obs::FlightRecorder::SetPhaseDetail(active, "");
   // Recheck under the lock: a concurrent DropTable may have de-cataloged
   // the table between Ref() and lock acquisition.
   if (engine_->catalog_.FindPartitionedTable(table_name) != table) {
     return Status::NotFound("table '" + table_name + "' was dropped");
   }
-  if (active != nullptr) {
-    obs::FlightRecorder::SetPhase(active, obs::QueryPhase::kExecute);
-  }
-  WallTimer build_timer;
+  obs::PhaseSpan execute_span(sinks, obs::QueryPhase::kExecute);
   Result<UpdateQuery> query = [&]() -> Result<UpdateQuery> {
-    obs::TraceSpan span(trace, "execute", 0);
     try {
-      return build(*table);
+      Result<UpdateQuery> built = build(*table);
+      if (built.ok()) {
+        query_mem->Charge(ApproxUpdateBytes(built.value()), "DML delta");
+      }
+      return built;
     } catch (const obs::ResourceExhaustedError& e) {
-      // The row-matching plan ran over budget; nothing is buffered yet.
+      // The row-matching plan or the delta itself ran over budget;
+      // nothing is buffered yet, so aborting needs no PDT rollback.
       return Status::ResourceExhausted(e.what());
     }
   }();
+  execute_span.Close();
   if (!query.ok()) return query.status();
-  const std::int64_t build_ns = build_timer.ElapsedNanos();
-  try {
-    query_mem->Charge(ApproxUpdateBytes(query.value()), "DML delta");
-  } catch (const obs::ResourceExhaustedError& e) {
-    // Still pre-buffering: aborting here needs no PDT rollback.
-    return Status::ResourceExhausted(e.what());
-  }
-  if (active != nullptr) {
-    obs::FlightRecorder::SetPhase(active, obs::QueryPhase::kCommit);
-  }
-  WallTimer commit_timer;
-  obs::TraceSpan commit_span(trace, "commit", 0);
+  obs::PhaseSpan commit_span(sinks, obs::QueryPhase::kCommit);
   Status status = ApplyUpdateLocked(
       engine_->catalog_, ref, table_name, engine_->durability_.get(),
       &engine_->pool(), std::move(query).value(), commit_csn);
-  const std::int64_t commit_ns = commit_timer.ElapsedNanos();
-  if (m.update_queries != nullptr) {
-    m.update_queries->Add(1);
-    m.wait_table_lock_us->RecordNanos(lock_ns);
-    m.phase_execute_us->RecordNanos(build_ns);
-    m.phase_commit_us->RecordNanos(commit_ns);
-  }
-  if (profile != nullptr) {
-    profile->commit_wait_ms = static_cast<double>(lock_ns) / 1e6;
-    profile->execute_ms = static_cast<double>(build_ns) / 1e6;
-    profile->commit_ms = static_cast<double>(commit_ns) / 1e6;
-    profile->peak_mem_bytes = query_mem->peak();
-  }
+  commit_span.Close();
+  engine_->m_.update_queries->Add(1);
+  sinks.profile->peak_mem_bytes = query_mem->peak();
   return status;
 }
 

@@ -48,14 +48,6 @@ struct EngineOptions {
   /// processing). 1 keeps the historical single-partition behavior.
   std::size_t default_table_partitions = 1;
 
-  /// Runtime switch for the observability layer: when true (default)
-  /// every query records its phase spans (parse/bind/optimize/execute/
-  /// commit) into the engine's metrics registry and attaches a
-  /// QueryResult::profile. False skips all recording — the baseline the
-  /// metrics-overhead benchmark compares against. Operator-level
-  /// profiling (EXPLAIN ANALYZE) is per-query and unaffected.
-  bool enable_metrics = true;
-
   /// Completed statements the flight recorder retains for
   /// `pi_stats.queries` (see obs/flight_recorder.h). 0 disables retention
   /// — the active-query registry still works.
@@ -120,8 +112,8 @@ struct QueryResult {
   /// an already merged aggregate result.
   bool parallel_sort = false;
   /// Phase spans (and, for EXPLAIN ANALYZE, per-operator measurements)
-  /// of this query. Set by the SQL path when EngineOptions::enable_metrics
-  /// is on; null otherwise (and for hand-built plans run via Execute).
+  /// of this query. Set by the SQL path for every executed statement;
+  /// null for plain EXPLAIN and for hand-built plans run via Execute.
   std::shared_ptr<obs::QueryProfile> profile;
   /// The statement's span trace when the engine's trace sampler selected
   /// it (EngineOptions::trace_sampling); null otherwise. Render with
@@ -196,9 +188,7 @@ class Engine {
 
   /// The engine-wide metrics registry: query/statement counters and
   /// phase-latency histograms, plus whatever other layers (the server)
-  /// register into it. Always present — recording by the engine itself is
-  /// gated by EngineOptions::enable_metrics; external registrations work
-  /// either way.
+  /// register into it.
   obs::MetricsRegistry& metrics() { return *metrics_; }
 
   /// The engine's flight recorder: the active-query registry plus the
@@ -278,25 +268,21 @@ class Engine {
   friend class Session;
   friend class PreparedStatement;
 
-  /// Hot-path handles into `metrics_`, resolved once at construction. All
-  /// null when EngineOptions::enable_metrics is false, so call sites test
-  /// one pointer and skip recording entirely.
+  /// Hot-path handles into `metrics_`, resolved once at construction.
   struct MetricSet {
     obs::Counter* read_queries = nullptr;
     obs::Counter* update_queries = nullptr;
     obs::Counter* sql_statements = nullptr;
     obs::Histogram* query_latency_us = nullptr;
-    obs::Histogram* phase_parse_us = nullptr;
-    obs::Histogram* phase_bind_us = nullptr;
-    obs::Histogram* phase_optimize_us = nullptr;
-    obs::Histogram* phase_execute_us = nullptr;
-    obs::Histogram* phase_commit_us = nullptr;
-    /// Wait-event histograms: time blocked on a table's writer lock and
-    /// time tasks sat in the thread pool's queue before a worker picked
-    /// them up.
-    obs::Histogram* wait_table_lock_us = nullptr;
-    obs::Histogram* wait_pool_queue_us = nullptr;
+    /// One histogram per obs::kPhases entry, fed by the PhaseSpans.
+    obs::PhaseHistograms phase_us{};
   };
+
+  /// The sinks of one statement's PhaseSpans (no trace, no flight-
+  /// recorder entry unless the caller adds them).
+  obs::PhaseSinks PhaseSinksFor(obs::QueryProfile* profile) const {
+    return obs::PhaseSinks{profile, &m_.phase_us, nullptr, nullptr};
+  }
 
   EngineOptions options_;
   Catalog catalog_;
@@ -423,33 +409,26 @@ class Session {
             engine->next_session_id_.fetch_add(1,
                                                std::memory_order_relaxed)) {}
 
-  /// The one read-query execution path. Phase spans (optimize/execute),
-  /// execution flags and pool size go into `profile` when non-null;
-  /// `profile_ops` additionally wraps every operator to measure rows and
-  /// per-worker wall time (EXPLAIN ANALYZE), filling `profile->ops`.
-  /// Engine metric recording is independent of both and gated only by
-  /// EngineOptions::enable_metrics.
-  /// `active` (when non-null) is the statement's flight-recorder handle —
-  /// the phase advances to optimize/execute as the query moves; `trace`
-  /// (when non-null) collects phase and executor spans.
-  Result<QueryResult> ExecuteProfiled(
-      LogicalPtr plan, const OptimizerOptions& optimizer,
-      obs::QueryProfile* profile, bool profile_ops,
-      const obs::FlightRecorder::Handle& active = {},
-      obs::TraceBuffer* trace = nullptr);
+  /// The one read-query execution path. The optimize and execute
+  /// PhaseSpans report to `sinks` (the flight-recorder phase, the phase
+  /// histograms, the trace when sampled); execution flags, pool size and
+  /// peak memory go into `sinks.profile`. `profile_ops` additionally
+  /// wraps every operator to measure rows and per-worker wall time
+  /// (EXPLAIN ANALYZE), filling `sinks.profile->ops`.
+  Result<QueryResult> ExecuteProfiled(LogicalPtr plan,
+                                      const OptimizerOptions& optimizer,
+                                      bool profile_ops,
+                                      const obs::PhaseSinks& sinks);
 
-  /// ExecuteUpdateWith plus phase measurement: lock-wait, delta build
-  /// (`execute`) and commit spans go into `profile` when non-null, and
-  /// into the engine's phase histograms when metrics are enabled.
-  /// `commit_csn` (when non-null) receives the WAL commit sequence number
-  /// the statement committed under, untouched for volatile tables.
+  /// ExecuteUpdateWith with its commit_wait (lock), execute (delta
+  /// build) and commit PhaseSpans reporting to `sinks`. `commit_csn`
+  /// (when non-null) receives the WAL commit sequence number the
+  /// statement committed under, untouched for volatile tables.
   Status ExecuteUpdateWithProfiled(
       const std::string& table,
       const std::function<Result<UpdateQuery>(const PartitionedTable&)>&
           build,
-      obs::QueryProfile* profile,
-      const obs::FlightRecorder::Handle& active = {},
-      obs::TraceBuffer* trace = nullptr, std::int64_t* commit_csn = nullptr);
+      const obs::PhaseSinks& sinks, std::int64_t* commit_csn = nullptr);
 
   Engine* engine_;
   std::shared_ptr<ExecPathCounters> counters_;

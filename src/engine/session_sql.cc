@@ -152,34 +152,27 @@ struct PreparedStatement::Impl {
   Session session;
   sql::BoundStatement bound;
   std::string sql;
-  /// Front-end spans measured once by Prepare, copied into every
-  /// execution's profile (a prepared statement parses/binds once; a
-  /// one-shot Session::Sql pays them per call).
-  double parse_ms = 0.0;
-  double bind_ms = 0.0;
+  /// Front-end spans measured once by Prepare (parse_ms/bind_ms set),
+  /// the starting profile of every execution (a prepared statement
+  /// parses/binds once; a one-shot Session::Sql pays them per call).
+  obs::QueryProfile front;
 };
 
 Result<PreparedStatement> Session::Prepare(std::string_view sql) {
-  const Engine::MetricSet& m = engine_->m_;
-  WallTimer parse_timer;
+  obs::QueryProfile front;
+  const obs::PhaseSinks sinks = engine_->PhaseSinksFor(&front);
+  obs::PhaseSpan parse_span(sinks, obs::QueryPhase::kParse);
   Result<sql::Statement> parsed = sql::ParseStatement(sql);
+  parse_span.Close();
   if (!parsed.ok()) return parsed.status();
-  const std::int64_t parse_ns = parse_timer.ElapsedNanos();
-  WallTimer bind_timer;
+  obs::PhaseSpan bind_span(sinks, obs::QueryPhase::kBind);
   Result<sql::BoundStatement> bound =
       sql::BindStatement(parsed.value(), engine_->catalog());
+  bind_span.Close();
   if (!bound.ok()) return bound.status();
-  const std::int64_t bind_ns = bind_timer.ElapsedNanos();
-  if (m.phase_parse_us != nullptr) {
-    m.phase_parse_us->RecordNanos(parse_ns);
-    m.phase_bind_us->RecordNanos(bind_ns);
-  }
-  auto impl = std::make_shared<PreparedStatement::Impl>(
+  return PreparedStatement(std::make_shared<PreparedStatement::Impl>(
       PreparedStatement::Impl{*this, std::move(bound).value(),
-                              std::string(sql)});
-  impl->parse_ms = static_cast<double>(parse_ns) / 1e6;
-  impl->bind_ms = static_cast<double>(bind_ns) / 1e6;
-  return PreparedStatement(std::move(impl));
+                              std::string(sql), std::move(front)}));
 }
 
 Result<QueryResult> Session::Sql(std::string_view sql,
@@ -199,7 +192,6 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
   const sql::BoundStatement& bound = impl_->bound;
   PIDX_RETURN_NOT_OK(BindParams(bound, std::move(params)));
   Session& session = impl_->session;
-  const Engine::MetricSet& m = session.engine_->m_;
 
   // Plain EXPLAIN renders the would-be plan without executing; ANALYZE
   // (below) executes with operator profiling and renders measurements.
@@ -209,14 +201,10 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
     return TextResult("plan", SplitLines(text.value()));
   }
 
-  // One QueryProfile per execution: phase spans always (when metrics are
-  // on), per-operator measurements only for EXPLAIN ANALYZE.
-  std::shared_ptr<obs::QueryProfile> profile;
-  if (m.sql_statements != nullptr || bound.analyze) {
-    profile = std::make_shared<obs::QueryProfile>();
-    profile->parse_ms = impl_->parse_ms;
-    profile->bind_ms = impl_->bind_ms;
-  }
+  // One QueryProfile per execution, starting from the front-end spans:
+  // phase spans always, per-operator measurements only for EXPLAIN
+  // ANALYZE.
+  auto profile = std::make_shared<obs::QueryProfile>(impl_->front);
 
   // Register with the flight recorder: the statement is visible in
   // pi_stats.active_queries from here until Complete retires it into
@@ -248,16 +236,18 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
   // Span capture when the trace sampler selects this statement. The
   // buffer's clock starts now; parse/bind are re-created as synthetic
   // leading spans from the prepared statement's measurements.
-  const auto parse_us = static_cast<std::uint64_t>(
-      std::max(0.0, impl_->parse_ms) * 1000.0);
-  const auto bind_us = static_cast<std::uint64_t>(
-      std::max(0.0, impl_->bind_ms) * 1000.0);
+  const auto parse_us = static_cast<std::uint64_t>(profile->parse_ms * 1e3);
+  const auto bind_us = static_cast<std::uint64_t>(profile->bind_ms * 1e3);
   std::shared_ptr<obs::TraceBuffer> trace;
   if (engine->SampleTrace()) {
     trace = std::make_shared<obs::TraceBuffer>(parse_us + bind_us);
-    trace->Add("parse", 0, 0, parse_us);
-    trace->Add("bind", 0, parse_us, bind_us);
+    trace->Add(obs::PhaseOf(obs::QueryPhase::kParse).name, 0, 0, parse_us);
+    trace->Add(obs::PhaseOf(obs::QueryPhase::kBind).name, 0, parse_us,
+               bind_us);
   }
+  obs::PhaseSinks sinks = engine->PhaseSinksFor(profile.get());
+  sinks.trace = trace.get();
+  sinks.active = active;
 
   WallTimer total_timer;
   std::int64_t commit_csn = -1;
@@ -274,7 +264,7 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
           MaterializeSystemScans(plan.get(), engine, &system_tables));
       Result<QueryResult> result = session.ExecuteProfiled(
           std::move(plan), session.engine_->options().optimizer,
-          profile.get(), /*profile_ops=*/bound.analyze, active, trace.get());
+          /*profile_ops=*/bound.analyze, sinks);
       if (!result.ok()) return result.status();
       QueryResult out = std::move(result).value();
       out.column_names = bound.column_names;
@@ -307,7 +297,7 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
           [&rows](const PartitionedTable&) -> Result<UpdateQuery> {
             return UpdateQuery::Insert(std::move(rows));
           },
-          profile.get(), active, trace.get(), &commit_csn));
+          sinks, &commit_csn));
       return out;
     }
     case sql::Statement::Kind::kUpdate: {
@@ -327,7 +317,7 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
             out.rows_affected = matches.num_rows();
             return UpdateQuery::Modify(std::move(cells));
           },
-          profile.get(), active, trace.get(), &commit_csn));
+          sinks, &commit_csn));
       return out;
     }
     case sql::Statement::Kind::kDelete: {
@@ -339,7 +329,7 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
             out.rows_affected = matches.num_rows();
             return UpdateQuery::Delete(std::move(matches.row_ids));
           },
-          profile.get(), active, trace.get(), &commit_csn));
+          sinks, &commit_csn));
       return out;
     }
     case sql::Statement::Kind::kCreateTable: {
@@ -372,24 +362,19 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
   }();
 
   const std::int64_t total_ns = total_timer.ElapsedNanos();
+  // Total = this execution plus the statement's (possibly amortized)
+  // parse/bind spans, so the breakdown sums to the total.
+  profile->total_ms = profile->parse_ms + profile->bind_ms +
+                      static_cast<double>(total_ns) / 1e6;
+  // One peak read feeds both surfaces, so pi_stats.queries and EXPLAIN
+  // ANALYZE's peak_mem= agree byte-for-byte.
+  profile->peak_mem_bytes = query_mem->peak();
 
   // Retire the statement into the completed ring — errors included, so
   // pi_stats.queries shows failures with their status code and message.
   obs::QueryRecord rec;
-  rec.parse_ms = impl_->parse_ms;
-  rec.bind_ms = impl_->bind_ms;
-  rec.total_ms = impl_->parse_ms + impl_->bind_ms +
-                 static_cast<double>(total_ns) / 1e6;
-  // One peak read feeds both surfaces, so pi_stats.queries and EXPLAIN
-  // ANALYZE's peak_mem= agree byte-for-byte.
-  rec.peak_mem_bytes = query_mem->peak();
-  if (profile != nullptr) {
-    rec.optimize_ms = profile->optimize_ms;
-    rec.execute_ms = profile->execute_ms;
-    rec.commit_wait_ms = profile->commit_wait_ms;
-    rec.commit_ms = profile->commit_ms;
-    profile->peak_mem_bytes = rec.peak_mem_bytes;
-  }
+  static_cast<obs::PhaseTimes&>(rec) = *profile;
+  rec.peak_mem_bytes = profile->peak_mem_bytes;
   if (!executed.ok()) {
     rec.status = Status::CodeName(executed.status().code());
     rec.error = executed.status().message();
@@ -414,17 +399,10 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
     out.trace = trace;
   }
 
-  if (m.sql_statements != nullptr) {
-    m.sql_statements->Add(1);
-    m.query_latency_us->RecordNanos(total_ns);
-  }
-  if (profile != nullptr) {
-    // Total = this execution plus the statement's (possibly amortized)
-    // parse/bind spans, so the breakdown sums to the total.
-    profile->total_ms = profile->parse_ms + profile->bind_ms +
-                        static_cast<double>(total_ns) / 1e6;
-    out.profile = profile;
-  }
+  const Engine::MetricSet& m = engine->m_;
+  m.sql_statements->Add(1);
+  m.query_latency_us->RecordNanos(total_ns);
+  out.profile = profile;
   if (bound.analyze) {
     QueryResult analyzed = TextResult("plan", profile->RenderLines());
     analyzed.profile = profile;

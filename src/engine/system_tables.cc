@@ -54,14 +54,9 @@ void FillQueries(Engine* engine, Table* out) {
                I(std::int64_t{q.parallel ? 1 : 0}),
                I(q.csn),
                I(q.start_unix_us),
-               D(q.total_ms),
-               D(q.parse_ms),
-               D(q.bind_ms),
-               D(q.optimize_ms),
-               D(q.execute_ms),
-               D(q.commit_wait_ms),
-               D(q.commit_ms),
-               I(q.peak_mem_bytes)};
+               D(q.total_ms)};
+    for (const obs::PhaseInfo& p : obs::kPhases) r.cells.push_back(D(q.*p.ms));
+    r.cells.push_back(I(q.peak_mem_bytes));
     out->AppendRow(r);
   }
 }

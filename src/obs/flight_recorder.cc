@@ -18,24 +18,6 @@ std::uint64_t UnixMicrosNow() {
 
 }  // namespace
 
-const char* QueryPhaseName(QueryPhase phase) {
-  switch (phase) {
-    case QueryPhase::kParse:
-      return "parse";
-    case QueryPhase::kBind:
-      return "bind";
-    case QueryPhase::kOptimize:
-      return "optimize";
-    case QueryPhase::kExecute:
-      return "execute";
-    case QueryPhase::kCommitWait:
-      return "commit_wait";
-    case QueryPhase::kCommit:
-      return "commit";
-  }
-  return "unknown";
-}
-
 void FlightRecorder::SetPhaseDetail(const Handle& handle,
                                     std::string detail) {
   std::lock_guard<std::mutex> lock(handle->detail_mu);
@@ -128,8 +110,9 @@ std::vector<ActiveQuery> FlightRecorder::ActiveSnapshot() const {
     q.session_id = entry->session_id;
     q.connection_id = entry->connection_id;
     q.sql = entry->sql;
-    q.phase = QueryPhaseName(
-        static_cast<QueryPhase>(entry->phase.load(std::memory_order_relaxed)));
+    q.phase = PhaseOf(static_cast<QueryPhase>(
+                          entry->phase.load(std::memory_order_relaxed)))
+                  .name;
     {
       std::lock_guard<std::mutex> detail_lock(entry->detail_mu);
       if (!entry->phase_detail.empty()) {

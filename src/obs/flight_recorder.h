@@ -10,14 +10,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/profile.h"
+
 namespace patchindex::obs {
 
 class MemoryTracker;
 
 /// One completed statement as retained by the flight recorder — the row
 /// shape of `pi_stats.queries`. Self-contained: no plan or session
-/// pointers, safe to copy out of the ring at any time.
-struct QueryRecord {
+/// pointers, safe to copy out of the ring at any time. The phase times
+/// are the statement's QueryProfile timings, copied in one assignment.
+struct QueryRecord : PhaseTimes {
   std::uint64_t query_id = 0;
   std::uint64_t session_id = 0;
   /// Server connection the statement arrived on; -1 for in-process
@@ -35,35 +38,11 @@ struct QueryRecord {
   std::int64_t csn = -1;
   /// Wall-clock statement start (unix microseconds).
   std::uint64_t start_unix_us = 0;
-  double total_ms = 0.0;
-  double parse_ms = 0.0;
-  double bind_ms = 0.0;
-  double optimize_ms = 0.0;
-  double execute_ms = 0.0;
-  double commit_wait_ms = 0.0;
-  double commit_ms = 0.0;
   /// Statement-wide peak of the per-query memory tracker (the same
   /// figure EXPLAIN ANALYZE's `peak_mem=` renders); 0 when the statement
   /// ran without accounting.
   std::uint64_t peak_mem_bytes = 0;
 };
-
-/// Where an in-flight statement currently is. Advanced by the session as
-/// the statement moves through the funnel; read by pi_stats.active_queries
-/// snapshots from other threads.
-enum class QueryPhase : int {
-  kParse = 0,
-  kBind,
-  kOptimize,
-  kExecute,
-  /// DML waiting for the table's writer–writer lock (readers never hold
-  /// it under MVCC). The phase detail names the blocking table, so
-  /// pi_stats.active_queries shows e.g. "commit_wait(orders)".
-  kCommitWait,
-  kCommit,
-};
-
-const char* QueryPhaseName(QueryPhase phase);
 
 /// One in-flight statement as seen by `pi_stats.active_queries`.
 struct ActiveQuery {
@@ -73,7 +52,7 @@ struct ActiveQuery {
   std::string sql;
   /// Phase name, with the detail appended as "phase(detail)" when set —
   /// a commit-waiting DML statement shows the table it is blocked on.
-  std::string phase = "parse";
+  std::string phase = PhaseOf(QueryPhase::kParse).name;
   std::uint64_t start_unix_us = 0;
   double elapsed_ms = 0.0;
   /// Bytes the statement's memory tracker has charged so far; 0 when the

@@ -101,12 +101,12 @@ std::vector<std::string> QueryProfile::RenderLines() const {
     line += "]";
     lines.push_back(std::move(line));
   }
-  std::string phases;
-  Appendf(&phases,
-          "phases: parse=%.3fms bind=%.3fms optimize=%.3fms execute=%.3fms",
-          parse_ms, bind_ms, optimize_ms, execute_ms);
-  if (commit_wait_ms > 0.0 || commit_ms > 0.0) {
-    Appendf(&phases, " lock=%.3fms commit=%.3fms", commit_wait_ms, commit_ms);
+  // Reads never wait or commit: their line omits the two DML phases.
+  const bool dml = commit_wait_ms > 0.0 || commit_ms > 0.0;
+  std::string phases = "phases:";
+  for (const PhaseInfo& p : kPhases) {
+    if (p.phase >= QueryPhase::kCommitWait && !dml) continue;
+    Appendf(&phases, " %s=%.3fms", p.label, this->*p.ms);
   }
   Appendf(&phases, " total=%.3fms", total_ms);
   if (peak_mem_bytes > 0) {

@@ -1,6 +1,7 @@
 #ifndef PATCHINDEX_OBS_PROFILE_H_
 #define PATCHINDEX_OBS_PROFILE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -90,21 +91,90 @@ struct OpProfile {
   std::uint64_t mem_bytes = 0;
 };
 
-/// A finished query's profile: phase spans, execution mode, and (when
-/// operator profiling was requested, i.e. EXPLAIN ANALYZE) the annotated
-/// operator tree. Attached to QueryResult::profile.
-struct QueryProfile {
+/// Where a statement is in its funnel. Every phase surface — the
+/// QueryProfile fields, pi_stats.queries columns, the phase histograms,
+/// trace span names and pi_stats.active_queries — is keyed by it through
+/// kPhases below.
+enum class QueryPhase : int {
+  kParse = 0,
+  kBind,
+  kOptimize,
+  /// Plan execution for reads; row matching / delta building for DML.
+  kExecute,
+  /// DML waiting for the table's writer–writer lock (readers never hold
+  /// it under MVCC). pi_stats.active_queries shows the blocking table,
+  /// e.g. "commit_wait(orders)".
+  kCommitWait,
+  /// PatchIndex commit protocol (handle -> checkpoint -> maintain) (DML).
+  kCommit,
+};
+
+/// One statement's phase durations and end-to-end total, milliseconds —
+/// the shared base of QueryProfile and QueryRecord, so the flight
+/// recorder copies a profile's timings in one assignment.
+struct PhaseTimes {
   double parse_ms = 0.0;
   double bind_ms = 0.0;
   double optimize_ms = 0.0;
-  /// Plan execution for reads; row matching / delta building for DML.
   double execute_ms = 0.0;
-  /// Time spent waiting for the table's exclusive catalog lock (DML).
   double commit_wait_ms = 0.0;
-  /// PatchIndex commit protocol (handle -> checkpoint -> maintain) (DML).
   double commit_ms = 0.0;
   double total_ms = 0.0;
+};
 
+/// One phase's names on every surface.
+struct PhaseInfo {
+  QueryPhase phase;
+  /// Trace span and pi_stats.active_queries name; pi_stats.queries
+  /// serves the phase as column `<name>_ms`.
+  const char* name;
+  /// Label in the rendered `phases:` lines (commit_wait prints "lock").
+  const char* label;
+  double PhaseTimes::*ms;
+  /// The phase's latency histogram and its help text.
+  const char* metric;
+  const char* help;
+};
+
+/// The phase table, in QueryPhase order — the one list the wire codec,
+/// pi_stats.queries, the engine's histograms and the renderers iterate.
+inline constexpr std::array<PhaseInfo, 6> kPhases = {{
+    {QueryPhase::kParse, "parse", "parse", &PhaseTimes::parse_ms,
+     "pidx_phase_parse_us", "SQL parse phase"},
+    {QueryPhase::kBind, "bind", "bind", &PhaseTimes::bind_ms,
+     "pidx_phase_bind_us", "Bind phase"},
+    {QueryPhase::kOptimize, "optimize", "optimize", &PhaseTimes::optimize_ms,
+     "pidx_phase_optimize_us", "Plan optimization phase"},
+    {QueryPhase::kExecute, "execute", "execute", &PhaseTimes::execute_ms,
+     "pidx_phase_execute_us", "Plan execution / DML delta-build phase"},
+    // The table-lock wait is a wait event first: it lands in the
+    // pidx_wait_* family, next to the pool and server queue waits.
+    {QueryPhase::kCommitWait, "commit_wait", "lock",
+     &PhaseTimes::commit_wait_ms, "pidx_wait_table_lock_us",
+     "Wait event: time blocked acquiring a table's writer-writer lock "
+     "(DML; under MVCC readers never hold it, so this measures writer "
+     "contention only)"},
+    {QueryPhase::kCommit, "commit", "commit", &PhaseTimes::commit_ms,
+     "pidx_phase_commit_us", "PatchIndex commit protocol phase (DML)"},
+}};
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kPhases.size(); ++i) {
+        if (static_cast<std::size_t>(kPhases[i].phase) != i) return false;
+      }
+      return true;
+    }(),
+    "kPhases must list the phases in QueryPhase order");
+
+inline const PhaseInfo& PhaseOf(QueryPhase phase) {
+  return kPhases[static_cast<std::size_t>(phase)];
+}
+
+/// A finished query's profile: phase spans, execution mode, and (when
+/// operator profiling was requested, i.e. EXPLAIN ANALYZE) the annotated
+/// operator tree. Attached to QueryResult::profile.
+struct QueryProfile : PhaseTimes {
   bool parallel = false;
   bool parallel_join = false;
   bool parallel_sort = false;

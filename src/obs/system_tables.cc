@@ -2,6 +2,10 @@
 
 #include <array>
 #include <memory>
+#include <string>
+#include <vector>
+
+#include "obs/profile.h"
 
 namespace patchindex::obs {
 
@@ -19,26 +23,25 @@ Schema MakeSchema(SystemTableId id) {
                      {"p50_us", T::kInt64},
                      {"p95_us", T::kInt64},
                      {"p99_us", T::kInt64}});
-    case SystemTableId::kQueries:
-      return Schema({{"query_id", T::kInt64},
-                     {"session_id", T::kInt64},
-                     {"connection_id", T::kInt64},
-                     {"sql", T::kString},
-                     {"status", T::kString},
-                     {"error", T::kString},
-                     {"rows_returned", T::kInt64},
-                     {"rows_affected", T::kInt64},
-                     {"parallel", T::kInt64},
-                     {"csn", T::kInt64},
-                     {"start_us", T::kInt64},
-                     {"total_ms", T::kDouble},
-                     {"parse_ms", T::kDouble},
-                     {"bind_ms", T::kDouble},
-                     {"optimize_ms", T::kDouble},
-                     {"execute_ms", T::kDouble},
-                     {"commit_wait_ms", T::kDouble},
-                     {"commit_ms", T::kDouble},
-                     {"peak_mem_bytes", T::kInt64}});
+    case SystemTableId::kQueries: {
+      std::vector<Field> fields = {{"query_id", T::kInt64},
+                                   {"session_id", T::kInt64},
+                                   {"connection_id", T::kInt64},
+                                   {"sql", T::kString},
+                                   {"status", T::kString},
+                                   {"error", T::kString},
+                                   {"rows_returned", T::kInt64},
+                                   {"rows_affected", T::kInt64},
+                                   {"parallel", T::kInt64},
+                                   {"csn", T::kInt64},
+                                   {"start_us", T::kInt64},
+                                   {"total_ms", T::kDouble}};
+      for (const PhaseInfo& p : kPhases) {
+        fields.push_back({std::string(p.name) + "_ms", T::kDouble});
+      }
+      fields.push_back({"peak_mem_bytes", T::kInt64});
+      return Schema(std::move(fields));
+    }
     case SystemTableId::kActiveQueries:
       return Schema({{"query_id", T::kInt64},
                      {"session_id", T::kInt64},

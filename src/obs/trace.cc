@@ -38,6 +38,28 @@ void AppendJsonEscaped(std::string* out, const std::string& s) {
 
 }  // namespace
 
+PhaseSpan::PhaseSpan(const PhaseSinks& sinks, QueryPhase phase)
+    : sinks_(&sinks), phase_(phase) {
+  if (sinks.active != nullptr) FlightRecorder::SetPhase(sinks.active, phase);
+  start_ = std::chrono::steady_clock::now();
+}
+
+void PhaseSpan::Close() {
+  if (sinks_ == nullptr) return;
+  const std::int64_t ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start_)
+          .count();
+  const PhaseInfo& info = PhaseOf(phase_);
+  sinks_->profile->*info.ms += static_cast<double>(ns) / 1e6;
+  (*sinks_->histograms)[static_cast<std::size_t>(phase_)]->RecordNanos(ns);
+  if (sinks_->trace != nullptr) {
+    sinks_->trace->Add(info.name, 0, sinks_->trace->OffsetUs(start_),
+                       static_cast<std::uint64_t>(ns) / 1000);
+  }
+  sinks_ = nullptr;
+}
+
 std::string RenderChromeTrace(const std::vector<TraceEvent>& events) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;

@@ -1,12 +1,17 @@
 #ifndef PATCHINDEX_OBS_TRACE_H_
 #define PATCHINDEX_OBS_TRACE_H_
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/profile.h"
 
 namespace patchindex::obs {
 
@@ -39,9 +44,14 @@ class TraceBuffer {
 
   /// Microseconds elapsed since the buffer (the query) started.
   std::uint64_t NowUs() const {
-    const auto d = std::chrono::steady_clock::now() - base_;
+    return OffsetUs(std::chrono::steady_clock::now());
+  }
+
+  /// Microseconds from the buffer's origin to `t` (not before it).
+  std::uint64_t OffsetUs(std::chrono::steady_clock::time_point t) const {
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+        std::chrono::duration_cast<std::chrono::microseconds>(t - base_)
+            .count());
   }
 
   void Add(std::string name, std::uint32_t tid, std::uint64_t start_us,
@@ -82,6 +92,43 @@ class TraceSpan {
   const char* name_;
   std::uint32_t tid_;
   std::uint64_t start_us_;
+};
+
+/// The engine's phase histograms, in kPhases order.
+using PhaseHistograms = std::array<Histogram*, kPhases.size()>;
+
+/// Where one statement's PhaseSpans report. `profile` and `histograms`
+/// are always set; `trace` only when the trace sampler selected the
+/// statement, `active` only for statements the flight recorder tracks.
+struct PhaseSinks {
+  QueryProfile* profile = nullptr;
+  const PhaseHistograms* histograms = nullptr;
+  TraceBuffer* trace = nullptr;
+  FlightRecorder::Handle active;
+};
+
+/// RAII measurement of one statement phase — the only clock on a phase.
+/// Opening sets the flight-recorder phase (what pi_stats.active_queries
+/// shows); closing reads the clock once and writes that one duration to
+/// every surface: it adds it to the profile's phase field (QueryRecord
+/// copies the profile), records it in the phase histogram, and adds a
+/// span named after the phase to the trace. Every exit path closes the
+/// span, so a failed statement keeps the phases it ran. `sinks` must
+/// outlive the span.
+class PhaseSpan {
+ public:
+  PhaseSpan(const PhaseSinks& sinks, QueryPhase phase);
+  ~PhaseSpan() { Close(); }
+  PhaseSpan(const PhaseSpan&) = delete;
+  PhaseSpan& operator=(const PhaseSpan&) = delete;
+
+  /// Ends the phase before scope exit; later calls are no-ops.
+  void Close();
+
+ private:
+  const PhaseSinks* sinks_;
+  QueryPhase phase_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Renders spans as Chrome trace-event JSON (the array-of-"X"-events

@@ -267,36 +267,32 @@ void PiServer::RegisterMetrics() {
   r.SetCallback("pidx_server_protocol_errors_total",
                 "Malformed frames / handshake failures",
                 [stats] { return stats->protocol_errors.load(); });
-  if (engine_.options().enable_metrics) {
-    query_latency_us_ = r.GetHistogram(
-        "pidx_server_query_latency_us",
-        "End-to-end query time in a server worker (execute + respond)");
-    wait_queue_us_ = r.GetHistogram(
-        "pidx_wait_server_queue_us",
-        "Wait event: admitted request sat in its connection queue before "
-        "a worker picked it up");
-    slow_queries_ = r.GetCounter(
-        "pidx_server_slow_queries_total",
-        "Queries at or over ServerOptions::slow_query_ms");
-  }
+  query_latency_us_ = r.GetHistogram(
+      "pidx_server_query_latency_us",
+      "End-to-end query time in a server worker (execute + respond)");
+  wait_queue_us_ = r.GetHistogram(
+      "pidx_wait_server_queue_us",
+      "Wait event: admitted request sat in its connection queue before a "
+      "worker picked it up");
+  slow_queries_ =
+      r.GetCounter("pidx_server_slow_queries_total",
+                   "Queries at or over ServerOptions::slow_query_ms");
 }
 
 void PiServer::LogSlowQuery(const std::string& sql, double total_ms,
                             const obs::QueryProfile* profile) {
-  if (slow_queries_ != nullptr) slow_queries_->Add(1);
-  char buf[256];
+  slow_queries_->Add(1);
+  char buf[64];
   std::string line;
   std::snprintf(buf, sizeof buf, "slow query (%.3f ms): ", total_ms);
   line += buf;
   line += sql;
   if (profile != nullptr) {
-    std::snprintf(buf, sizeof buf,
-                  " -- phases: parse=%.3fms bind=%.3fms optimize=%.3fms "
-                  "execute=%.3fms lock=%.3fms commit=%.3fms",
-                  profile->parse_ms, profile->bind_ms, profile->optimize_ms,
-                  profile->execute_ms, profile->commit_wait_ms,
-                  profile->commit_ms);
-    line += buf;
+    line += " -- phases:";
+    for (const obs::PhaseInfo& p : obs::kPhases) {
+      std::snprintf(buf, sizeof buf, " %s=%.3fms", p.label, profile->*p.ms);
+      line += buf;
+    }
   }
   if (options_.slow_query_sink) {
     options_.slow_query_sink(line);
@@ -750,7 +746,7 @@ void PiServer::WorkerLoop() {
       task = std::move(conn->queue.front());
       conn->queue.pop_front();
     }
-    if (wait_queue_us_ != nullptr && task.admitted) {
+    if (task.admitted) {
       wait_queue_us_->RecordNanos(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - task.enqueued)
@@ -805,6 +801,25 @@ void MarkBroken(Connection& conn) {
 
 }  // namespace
 
+Status PiServer::RunAndRespond(
+    Connection& conn, const std::string& sql,
+    const std::function<Result<QueryResult>()>& run) {
+  WallTimer timer;
+  Result<QueryResult> result = run();
+  const Status write =
+      result.ok() ? SendResult(conn.fd, result.value(), mem_tracker_.get())
+                  : SendErrorFrame(conn.fd, result.status());
+  const std::int64_t elapsed_ns = timer.ElapsedNanos();
+  query_latency_us_->RecordNanos(elapsed_ns);
+  const double elapsed_ms = static_cast<double>(elapsed_ns) / 1e6;
+  if (options_.slow_query_ms > 0 &&
+      elapsed_ms >= static_cast<double>(options_.slow_query_ms)) {
+    LogSlowQuery(sql, elapsed_ms,
+                 result.ok() ? result.value().profile.get() : nullptr);
+  }
+  return write;
+}
+
 void PiServer::ProcessTask(const std::shared_ptr<Connection>& conn,
                            Task& task) {
   if (task.kind == Task::Kind::kFatal) {
@@ -836,24 +851,9 @@ void PiServer::ProcessTask(const std::shared_ptr<Connection>& conn,
     case Task::Kind::kQuery: {
       stats_->queries_executed.fetch_add(1);
       conn->queries.fetch_add(1);
-      WallTimer timer;
-      Result<QueryResult> result =
-          conn->session.Sql(task.text, std::move(task.params));
-      if (!result.ok()) {
-        write = SendErrorFrame(conn->fd, result.status());
-      } else {
-        write = SendResult(conn->fd, result.value(), mem_tracker_.get());
-      }
-      const std::int64_t elapsed_ns = timer.ElapsedNanos();
-      if (query_latency_us_ != nullptr) {
-        query_latency_us_->RecordNanos(elapsed_ns);
-      }
-      const double elapsed_ms = static_cast<double>(elapsed_ns) / 1e6;
-      if (options_.slow_query_ms > 0 &&
-          elapsed_ms >= static_cast<double>(options_.slow_query_ms)) {
-        LogSlowQuery(task.text, elapsed_ms,
-                     result.ok() ? result.value().profile.get() : nullptr);
-      }
+      write = RunAndRespond(*conn, task.text, [&] {
+        return conn->session.Sql(task.text, std::move(task.params));
+      });
       break;
     }
     case Task::Kind::kPrepare: {
@@ -882,24 +882,10 @@ void PiServer::ProcessTask(const std::shared_ptr<Connection>& conn,
                                        std::to_string(task.stmt_id)));
         break;
       }
-      WallTimer timer;
-      Result<QueryResult> result =
-          it->second.Execute(std::move(task.params));
-      if (!result.ok()) {
-        write = SendErrorFrame(conn->fd, result.status());
-      } else {
-        write = SendResult(conn->fd, result.value(), mem_tracker_.get());
-      }
-      const std::int64_t elapsed_ns = timer.ElapsedNanos();
-      if (query_latency_us_ != nullptr) {
-        query_latency_us_->RecordNanos(elapsed_ns);
-      }
-      const double elapsed_ms = static_cast<double>(elapsed_ns) / 1e6;
-      if (options_.slow_query_ms > 0 &&
-          elapsed_ms >= static_cast<double>(options_.slow_query_ms)) {
-        LogSlowQuery(it->second.sql(), elapsed_ms,
-                     result.ok() ? result.value().profile.get() : nullptr);
-      }
+      PreparedStatement& stmt = it->second;
+      write = RunAndRespond(*conn, stmt.sql(), [&] {
+        return stmt.Execute(std::move(task.params));
+      });
       break;
     }
     case Task::Kind::kCloseStmt: {

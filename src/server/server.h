@@ -159,6 +159,11 @@ class PiServer {
   void PushReady(const std::shared_ptr<Connection>& conn);
   void ReapFinishedConnectionsLocked();
   void RegisterMetrics();
+  /// Runs one statement (a kQuery or kExecute task) through `run`, sends
+  /// its result or error, and records pidx_server_query_latency_us and
+  /// the slow-query log under `sql`. Returns the send status.
+  Status RunAndRespond(Connection& conn, const std::string& sql,
+                       const std::function<Result<QueryResult>()>& run);
   void LogSlowQuery(const std::string& sql, double total_ms,
                     const obs::QueryProfile* profile);
 
@@ -168,9 +173,7 @@ class PiServer {
   /// registry keeps rendering the final values after this server is gone.
   std::shared_ptr<ServerStats> stats_ = std::make_shared<ServerStats>();
 
-  /// Server histograms in the engine's registry; null when the engine
-  /// was built with enable_metrics off (the ServerStats callbacks still
-  /// register — folding existing atomics costs nothing per query).
+  /// Server metrics in the engine's registry, bound by RegisterMetrics.
   obs::Histogram* query_latency_us_ = nullptr;
   /// Admitted-request wait between enqueue and worker pickup
   /// (pidx_wait_server_queue_us, next to the engine's pidx_wait_* family).

@@ -271,14 +271,12 @@ void EncodeResultHeader(WireWriter* w, const QueryResult& result) {
   // v2 phase-span block: the per-operator tree stays server-side (EXPLAIN
   // ANALYZE renders it into rows), but the phase breakdown travels so
   // remote `.timing` output matches local output.
+  // Layout: the kPhases times in table order, then total_ms.
   if (result.profile != nullptr) {
     w->PutU8(1);
-    w->PutF64(result.profile->parse_ms);
-    w->PutF64(result.profile->bind_ms);
-    w->PutF64(result.profile->optimize_ms);
-    w->PutF64(result.profile->execute_ms);
-    w->PutF64(result.profile->commit_wait_ms);
-    w->PutF64(result.profile->commit_ms);
+    for (const obs::PhaseInfo& p : obs::kPhases) {
+      w->PutF64(result.profile.get()->*p.ms);
+    }
     w->PutF64(result.profile->total_ms);
   } else {
     w->PutU8(0);
@@ -304,12 +302,9 @@ Status DecodeResultHeader(WireReader* r, QueryResult* result) {
   result->profile.reset();
   if (has_profile != 0) {
     auto profile = std::make_shared<obs::QueryProfile>();
-    PIDX_RETURN_NOT_OK(r->GetF64(&profile->parse_ms));
-    PIDX_RETURN_NOT_OK(r->GetF64(&profile->bind_ms));
-    PIDX_RETURN_NOT_OK(r->GetF64(&profile->optimize_ms));
-    PIDX_RETURN_NOT_OK(r->GetF64(&profile->execute_ms));
-    PIDX_RETURN_NOT_OK(r->GetF64(&profile->commit_wait_ms));
-    PIDX_RETURN_NOT_OK(r->GetF64(&profile->commit_ms));
+    for (const obs::PhaseInfo& p : obs::kPhases) {
+      PIDX_RETURN_NOT_OK(r->GetF64(&(profile.get()->*p.ms)));
+    }
     PIDX_RETURN_NOT_OK(r->GetF64(&profile->total_ms));
     result->profile = std::move(profile);
   }

@@ -242,25 +242,5 @@ TEST(ExplainAnalyzeTest, DmlProfileCoversCommitPhases) {
   EXPECT_NE(text.find("pidx_phase_commit_us"), std::string::npos);
 }
 
-TEST(ExplainAnalyzeTest, MetricsDisabledSkipsProfileButNotAnalyze) {
-  EngineOptions options;
-  options.enable_metrics = false;
-  Engine engine(options);
-  Session session = engine.CreateSession();
-  LoadJoinTables(session);
-
-  // The runtime-disabled baseline pays no profiling cost on plain SQL...
-  Result<QueryResult> r = session.Sql("SELECT COUNT(*) FROM fact");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().profile, nullptr);
-  EXPECT_EQ(engine.metrics().RenderText().find("pidx_"), std::string::npos);
-
-  // ...but an explicit EXPLAIN ANALYZE still profiles on demand.
-  r = session.Sql(kJoinAnalyzeSql);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_NE(r.value().profile, nullptr);
-  EXPECT_NE(PlanText(r.value()).find("phases:"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace patchindex

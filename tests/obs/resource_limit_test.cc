@@ -1,8 +1,9 @@
 // Per-query memory limits end to end: an over-budget statement aborts
 // with kResourceExhausted naming the operator while the engine stays
-// fully usable, the accounted balance drains when statements retire,
-// peak_mem figures agree byte-for-byte across every surface (EXPLAIN
-// ANALYZE text, QueryResult::profile, pi_stats.queries), and the new
+// fully usable and keeps the phases it ran in pi_stats.queries, the
+// accounted balance drains when statements retire, peak_mem and phase
+// figures agree across every surface (EXPLAIN ANALYZE text,
+// QueryResult::profile, pi_stats.queries, the trace), and the
 // pi_stats.memory / pi_stats.histograms system tables serve live rows.
 
 #include <gtest/gtest.h>
@@ -10,10 +11,12 @@
 #include <cstdint>
 #include <regex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
 #include "obs/profile.h"
+#include "obs/trace.h"
 #include "server/meta_commands.h"
 
 namespace patchindex {
@@ -49,7 +52,8 @@ TEST(ResourceLimitTest, OverLimitQueryAbortsNamingOperatorEngineUsable) {
 
   // Materializing 200k two-column rows charges megabytes against a 256KB
   // budget: the statement must abort with the structured status.
-  Result<QueryResult> r = session.Sql("SELECT key, val FROM big ORDER BY val");
+  const std::string sort = "SELECT key, val FROM big ORDER BY val";
+  Result<QueryResult> r = session.Sql(sort);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
       << r.status().ToString();
@@ -66,11 +70,31 @@ TEST(ResourceLimitTest, OverLimitQueryAbortsNamingOperatorEngineUsable) {
   Result<QueryResult> count = session.Sql("SELECT COUNT(*) FROM big");
   ASSERT_TRUE(count.ok()) << count.status().ToString();
   EXPECT_EQ(count.value().rows.columns[0].i64[0], 200'000);
-  Result<QueryResult> status = session.Sql(
-      "SELECT COUNT(*) FROM pi_stats.queries "
+
+  // An UPDATE whose row matching trips the budget fails in its execute
+  // phase, after the table-lock wait.
+  const std::string update = "UPDATE big SET val = 1";
+  EXPECT_EQ(session.Sql(update).status().code(),
+            StatusCode::kResourceExhausted);
+
+  // Each failure keeps the phases it ran: the sort was optimized and
+  // executed until the budget tripped, and both executions took time.
+  Result<QueryResult> failed = session.Sql(
+      "SELECT sql, optimize_ms, execute_ms, total_ms FROM pi_stats.queries "
       "WHERE status = 'ResourceExhausted'");
-  ASSERT_TRUE(status.ok()) << status.status().ToString();
-  EXPECT_EQ(status.value().rows.columns[0].i64[0], 1);
+  ASSERT_TRUE(failed.ok()) << failed.status().ToString();
+  const Batch& rows = failed.value().rows;
+  ASSERT_EQ(rows.num_rows(), 2u);
+  for (std::size_t i = 0; i < rows.num_rows(); ++i) {
+    const std::string& sql = rows.columns[0].str[i];
+    if (sql == sort) {
+      EXPECT_GT(rows.columns[1].f64[i], 0.0) << "optimize_ms";
+    } else {
+      EXPECT_EQ(sql, update);
+    }
+    EXPECT_GT(rows.columns[2].f64[i], 0.0) << sql << ": execute_ms";
+    EXPECT_LE(rows.columns[2].f64[i], rows.columns[3].f64[i]) << sql;
+  }
 }
 
 TEST(ResourceLimitTest, DmlDeltaChargesAgainstTheBudget) {
@@ -99,8 +123,53 @@ TEST(ResourceLimitTest, DmlDeltaChargesAgainstTheBudget) {
   EXPECT_EQ(count.value().rows.columns[0].i64[0], 1);
 }
 
+/// One statement's phase figures on every surface: its pi_stats.queries
+/// row equals the profile exactly, and each phase span in its trace lasts
+/// the profile's value to within the trace's microsecond resolution.
+void ExpectPhasesAgree(Session& session, const std::string& sql,
+                       const QueryResult& result) {
+  ASSERT_NE(result.profile, nullptr) << sql;
+  ASSERT_NE(result.trace, nullptr) << sql;
+  const obs::QueryProfile& p = *result.profile;
+  const std::vector<std::pair<std::string, double>> phases = {
+      {"parse", p.parse_ms},
+      {"bind", p.bind_ms},
+      {"optimize", p.optimize_ms},
+      {"execute", p.execute_ms},
+      {"commit_wait", p.commit_wait_ms},
+      {"commit", p.commit_ms}};
+
+  Result<QueryResult> rec = session.Sql(
+      "SELECT total_ms, parse_ms, bind_ms, optimize_ms, execute_ms, "
+      "commit_wait_ms, commit_ms FROM pi_stats.queries WHERE sql = '" +
+      sql + "'");
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  const Batch& row = rec.value().rows;
+  ASSERT_EQ(row.num_rows(), 1u) << sql;
+  EXPECT_EQ(row.columns[0].f64[0], p.total_ms) << sql;
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_EQ(row.columns[i + 1].f64[0], phases[i].second)
+        << sql << ": " << phases[i].first;
+  }
+
+  std::size_t spans = 0;
+  for (const obs::TraceEvent& e : result.trace->Events()) {
+    for (const auto& [name, ms] : phases) {
+      if (e.name != name) continue;
+      ++spans;
+      EXPECT_NEAR(static_cast<double>(e.dur_us), ms * 1000.0, 1.0)
+          << sql << ": " << name;
+    }
+  }
+  // parse + bind + optimize + execute for reads; parse + bind +
+  // commit_wait + execute + commit for DML.
+  EXPECT_GE(spans, 4u) << sql;
+}
+
 TEST(ResourceLimitTest, PeakMemAgreesAcrossAllSurfaces) {
-  Engine engine;
+  EngineOptions options;
+  options.trace_sampling = 1.0;
+  Engine engine(options);
   Session session = engine.CreateSession();
   GenBig(engine, session, 50'000);
 
@@ -130,6 +199,16 @@ TEST(ResourceLimitTest, PeakMemAgreesAcrossAllSurfaces) {
   ASSERT_EQ(rec.value().rows.num_rows(), 1u);
   EXPECT_EQ(static_cast<std::uint64_t>(rec.value().rows.columns[0].i64[0]),
             rendered);
+
+  // The phase times come from one span each, so every surface carries
+  // the same figures.
+  for (const std::string& stmt :
+       {std::string("SELECT COUNT(*) FROM big WHERE val >= 100"),
+        std::string("INSERT INTO big VALUES (999999999, 1)")}) {
+    Result<QueryResult> run = session.Sql(stmt);
+    ASSERT_TRUE(run.ok()) << stmt << ": " << run.status().ToString();
+    ExpectPhasesAgree(session, stmt, run.value());
+  }
 }
 
 TEST(ResourceLimitTest, MemorySystemTableReportsScopes) {

@@ -178,17 +178,6 @@ TEST(ServerObservabilityTest, WireCarriesQueryProfile) {
   EXPECT_EQ(r.value().profile, nullptr);
 }
 
-TEST(ServerObservabilityTest, MetricsDisabledEngineSendsNoProfile) {
-  EngineOptions engine_options;
-  engine_options.enable_metrics = false;
-  TestServer ts({}, engine_options);
-  PiClient client = ts.Connect();
-  ASSERT_TRUE(client.Sql("CREATE TABLE t (a INT64)").ok());
-  Result<QueryResult> r = client.Sql("SELECT COUNT(*) FROM t");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().profile, nullptr);
-}
-
 /// One blocking HTTP exchange against 127.0.0.1:`port`: sends `request`
 /// verbatim, reads to EOF (the endpoint closes after each response).
 std::string HttpExchange(std::uint16_t port, const std::string& request) {

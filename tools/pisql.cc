@@ -169,16 +169,16 @@ class Shell {
     if (timing_) {
       // Engine-reported spans: the remote backend carries them in the
       // result header, so this line is format-identical either way. A
-      // metrics-disabled engine reports no profile; fall back to the
-      // client-side wall clock.
+      // statement that did not execute (plain EXPLAIN) reports no
+      // profile; fall back to the client-side wall clock.
       if (qr.profile != nullptr) {
-        std::printf(
-            "time: %.3f ms (parse %.3f bind %.3f optimize %.3f "
-            "execute %.3f lock %.3f commit %.3f)\n",
-            qr.profile->total_ms, qr.profile->parse_ms,
-            qr.profile->bind_ms, qr.profile->optimize_ms,
-            qr.profile->execute_ms, qr.profile->commit_wait_ms,
-            qr.profile->commit_ms);
+        std::printf("time: %.3f ms (", qr.profile->total_ms);
+        const char* sep = "";
+        for (const obs::PhaseInfo& p : obs::kPhases) {
+          std::printf("%s%s %.3f", sep, p.label, qr.profile.get()->*p.ms);
+          sep = " ";
+        }
+        std::printf(")\n");
       } else {
         std::printf("time: %.3f ms\n", timer.ElapsedSeconds() * 1e3);
       }
