@@ -69,13 +69,14 @@ SweepResult RunEngineSweep(std::size_t partitions) {
   Rng rng = bench::SeededRng(6);
 
   Schema schema({{"key", ColumnType::kInt64}, {"val", ColumnType::kInt64}});
-  PartitionedTable* table =
-      engine.catalog().CreatePartitionedTable("t", schema, partitions).value();
+  auto loaded = std::make_unique<PartitionedTable>(schema, partitions);
   for (std::uint64_t i = 0; i < kEngineRows; ++i) {
-    table->AppendRow(Row{{Value(static_cast<std::int64_t>(i)),
-                          Value(static_cast<std::int64_t>(
-                              rng.Uniform(0, 1'000)))}});
+    loaded->AppendRow(Row{{Value(static_cast<std::int64_t>(i)),
+                           Value(static_cast<std::int64_t>(
+                               rng.Uniform(0, 1'000)))}});
   }
+  const PartitionedTable* table =
+      engine.catalog().AddPartitionedTable("t", std::move(loaded)).value();
   // One NUC index per partition, discovered partition-locally.
   Status st =
       session.CreatePatchIndex("t", 0, ConstraintKind::kNearlyUnique);

@@ -74,7 +74,7 @@ struct RunResult {
 
 RunResult Run(std::uint64_t rows, double seconds) {
   Engine engine;
-  Result<PartitionedTable*> added =
+  Result<const PartitionedTable*> added =
       engine.catalog().AddPartitionedTable("t", MakeTable(rows));
   if (!added.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",

@@ -10,7 +10,7 @@
 //       the join, and the same with a NUC index on the build key (the
 //       rewriter's annotation lets the build skip duplicate chaining).
 // Reported per thread count: best-of wall time and speedup over the
-// serial tree (enable_parallel_execution=false). Row counts are checked
+// serial tree (min_parallel_rows = SIZE_MAX). Row counts are checked
 // against the serial result so the comparison cannot silently diverge.
 //
 // Usage: bench_parallel_scan [num_rows] [join_json_path]
@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -99,7 +100,8 @@ void RunSweep(const char* title, std::uint64_t source_rows,
     // registered in any catalog, so no locks are taken — the bench is
     // read-only after setup.
     EngineOptions serial_options;
-    serial_options.enable_parallel_execution = false;
+    serial_options.min_parallel_rows =
+        std::numeric_limits<std::size_t>::max();
     serial_options.optimizer.force_patch_rewrites = true;
     Engine serial_engine(serial_options);
 

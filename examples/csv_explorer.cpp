@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
 
   Engine engine;
   Session session = engine.CreateSession();
-  Table& table =
+  const Table& table =
       *engine.catalog().AddTable("data", std::move(loaded).value()).value();
   std::printf("loaded %llu rows\n",
               static_cast<unsigned long long>(table.num_rows()));

@@ -4,6 +4,7 @@
 // maintain itself: no recomputation, no full table scan.
 
 #include <cstdio>
+#include <memory>
 
 #include "engine/engine.h"
 #include "patchindex/patch_index.h"
@@ -17,17 +18,16 @@ int main() {
   // A table of user records whose email hashes are "nearly unique":
   // legitimate duplicates exist (shared mailboxes), so a UNIQUE
   // constraint cannot be declared — but 99% of the column is unique.
-  Table* users =
-      engine.catalog()
-          .CreateTable("users", Schema({{"user_id", ColumnType::kInt64},
-                                        {"email_hash", ColumnType::kInt64}}))
-          .value();
+  auto loaded = std::make_unique<Table>(Schema(
+      {{"user_id", ColumnType::kInt64}, {"email_hash", ColumnType::kInt64}}));
   for (std::int64_t i = 0; i < 100'000; ++i) {
     // every 100th user shares a mailbox with the previous one
     const std::int64_t hash = (i % 100 == 99) ? 7'000'000 + i - 1
                                               : 7'000'000 + i;
-    users->AppendRow(Row{{Value(i), Value(hash)}});
+    loaded->AppendRow(Row{{Value(i), Value(hash)}});
   }
+  const Table* users =
+      engine.catalog().AddTable("users", std::move(loaded)).value();
 
   // 1. Define the approximate constraint. Discovery materializes the
   //    exceptions ("patches") in a sharded bitmap.

@@ -36,14 +36,15 @@ void ReleaseFreedPages() {
 
 }  // namespace
 
-Result<Table*> Catalog::CreateTable(const std::string& name, Schema schema) {
-  Result<PartitionedTable*> created =
+Result<const Table*> Catalog::CreateTable(const std::string& name,
+                                          Schema schema) {
+  Result<const PartitionedTable*> created =
       CreatePartitionedTable(name, std::move(schema), 1);
   if (!created.ok()) return created.status();
   return &created.value()->partition(0);
 }
 
-Result<PartitionedTable*> Catalog::CreatePartitionedTable(
+Result<const PartitionedTable*> Catalog::CreatePartitionedTable(
     const std::string& name, Schema schema, std::size_t num_partitions) {
   if (num_partitions == 0) {
     return Status::InvalidArgument("a table needs at least one partition");
@@ -60,19 +61,19 @@ Result<PartitionedTable*> Catalog::CreatePartitionedTable(
                                                num_partitions));
 }
 
-Result<Table*> Catalog::AddTable(const std::string& name,
-                                 std::unique_ptr<Table> table) {
+Result<const Table*> Catalog::AddTable(const std::string& name,
+                                       std::unique_ptr<Table> table) {
   Schema schema = table->schema();
   std::vector<std::unique_ptr<Table>> parts;
   parts.push_back(std::move(table));
-  Result<PartitionedTable*> added = AddPartitionedTable(
+  Result<const PartitionedTable*> added = AddPartitionedTable(
       name, std::make_unique<PartitionedTable>(std::move(schema),
                                                std::move(parts)));
   if (!added.ok()) return added.status();
   return &added.value()->partition(0);
 }
 
-Result<PartitionedTable*> Catalog::AddPartitionedTable(
+Result<const PartitionedTable*> Catalog::AddPartitionedTable(
     const std::string& name, std::unique_ptr<PartitionedTable> table) {
   std::lock_guard<std::mutex> lock(mu_);
   if (tables_.count(name) != 0) {
@@ -80,7 +81,7 @@ Result<PartitionedTable*> Catalog::AddPartitionedTable(
   }
   auto entry = std::make_shared<Entry>();
   entry->table = std::move(table);
-  PartitionedTable* handle = entry->table.get();
+  const PartitionedTable* handle = entry->table.get();
   // Publish the first version before the entry becomes visible, so every
   // reader that can resolve the table finds a pinnable version. No lock
   // needed: nothing else can reach the entry yet.
@@ -89,7 +90,7 @@ Result<PartitionedTable*> Catalog::AddPartitionedTable(
   return handle;
 }
 
-Table* Catalog::FindTable(const std::string& name) {
+const Table* Catalog::FindTable(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(name);
   if (it == tables_.end() || it->second->table->num_partitions() != 1) {
@@ -98,19 +99,11 @@ Table* Catalog::FindTable(const std::string& name) {
   return &it->second->table->partition(0);
 }
 
-const Table* Catalog::FindTable(const std::string& name) const {
-  return const_cast<Catalog*>(this)->FindTable(name);
-}
-
-PartitionedTable* Catalog::FindPartitionedTable(const std::string& name) {
+const PartitionedTable* Catalog::FindPartitionedTable(
+    const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second->table.get();
-}
-
-const PartitionedTable* Catalog::FindPartitionedTable(
-    const std::string& name) const {
-  return const_cast<Catalog*>(this)->FindPartitionedTable(name);
 }
 
 Status Catalog::DropTable(const std::string& name) {
@@ -126,9 +119,9 @@ Status Catalog::DropTable(const std::string& name) {
   }
   // New lookups now fail; sessions holding a TableRef keep the entry
   // alive. Dropping the indexes under the exclusive lock serializes
-  // against in-flight locked queries (which hold the shared lock while
-  // they consult the indexes); the table itself is freed when the last
-  // TableRef releases. Pinned MVCC readers are unaffected: the retired
+  // against readers that found no version and wait on the shared lock
+  // (they consult the live indexes); the table itself is freed when the
+  // last TableRef releases. Pinned MVCC readers are unaffected: the retired
   // version (and the index snapshots it owns) stays alive until their
   // epoch guards release.
   {
@@ -253,17 +246,6 @@ void Catalog::RetireVersion(std::shared_ptr<VersionTracker> tracker,
 
 const TableVersion* Catalog::PinnedVersion(const TableRef& ref) const {
   return EntryOf(ref).version.load(std::memory_order_seq_cst);
-}
-
-bool Catalog::VersionMatchesHead(const TableVersion& version,
-                                 const PartitionedTable& head) {
-  if (version.partition_seqs.size() != head.num_partitions()) return false;
-  for (std::size_t p = 0; p < head.num_partitions(); ++p) {
-    if (version.partition_seqs[p] != head.partition(p).mutation_seq()) {
-      return false;
-    }
-  }
-  return true;
 }
 
 Catalog::VersionStats Catalog::VersionStatsFor(const TableRef& ref) const {

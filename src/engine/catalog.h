@@ -35,26 +35,28 @@ struct TableVersion {
   /// The frozen table: CloneShared partition snapshots, with partitions
   /// an update left untouched reused from the previous version.
   std::shared_ptr<const PartitionedTable> snapshot;
-  /// Each head partition's mutation_seq at publication. A mismatch
-  /// against the live head means the head mutated after this version was
-  /// published (an unpublished direct mutation) and the version is stale.
+  /// Each head partition's mutation_seq at publication. The next
+  /// publication reuses every partition whose seq is unchanged.
   std::vector<std::uint64_t> partition_seqs;
   /// Immutable index clones, bound to `snapshot`'s partitions.
   std::vector<std::shared_ptr<const PatchIndex>> indexes;
 };
 
 /// Named tables plus their PatchIndexes (via an owned PatchIndexManager),
-/// with one reader-writer lock per table. The exclusive lock is a
-/// writer–writer lock: update queries, DDL and checkpoints serialize on
-/// it, while read queries pin the published TableVersion through an
-/// epoch guard and do not take it. The shared mode serves only readers
-/// that find the published version stale against a head mutated outside
-/// the commit protocol (rows or PDT deltas written through a raw Table*).
+/// with one reader-writer lock per table. A table's head changes only
+/// inside the commit protocol, DDL and recovery, which reach it through
+/// a TableRef under the exclusive lock; every other caller sees const
+/// tables. The exclusive lock is a writer–writer lock: update queries,
+/// DDL and checkpoints serialize on it, while read queries pin the
+/// published TableVersion through an epoch guard and do not take it. The
+/// shared mode serves head inspection (pi_stats, memory accounting, the
+/// EXPLAIN of an UPDATE/DELETE) and a reader whose table was dropped
+/// after its plan resolved it.
 ///
 /// Every catalog entry is a PartitionedTable — the engine's storage unit
 /// (paper §3.2: discovery, patch maintenance and query processing are
 /// partition-local). Single-partition tables keep the historical plain
-/// `Table*` view via FindTable/TableRef::table; multi-partition tables
+/// `Table` view via FindTable/TableRef::table; multi-partition tables
 /// are reached through FindPartitionedTable / TableRef::ptable. The lock
 /// covers the whole partitioned table: update queries may touch several
 /// partitions (and commit them in parallel) under one exclusive lock.
@@ -65,9 +67,9 @@ struct TableVersion {
 /// Lock ordering (deadlock freedom): the map mutex is only ever held
 /// inside Catalog methods and never while acquiring a table lock. Table
 /// locks are acquired either singly (update queries, DDL) or in
-/// ascending lock-address order (read queries locking several tables via
-/// Session::Execute). Never acquire a table lock while holding another
-/// one out of that order.
+/// ascending lock-address order (a read query waiting on tables dropped
+/// after its plan resolved them, see PinnedReadSet). Never acquire a
+/// table lock while holding another one out of that order.
 class Catalog {
  public:
   Catalog() = default;
@@ -75,8 +77,10 @@ class Catalog {
   Catalog& operator=(const Catalog&) = delete;
 
   /// Creates an empty single-partition table; fails when the name is
-  /// taken. The historical single-table API.
-  Result<Table*> CreateTable(const std::string& name, Schema schema);
+  /// taken. The historical single-table API. Like every creation call it
+  /// hands back a const view: rows arrive through update queries, or are
+  /// loaded before the table is added.
+  Result<const Table*> CreateTable(const std::string& name, Schema schema);
 
   /// Hard ceiling on a table's partition count: partitions are eagerly
   /// allocated, so an absurd SQL `PARTITIONS n` must be rejected with a
@@ -85,27 +89,24 @@ class Catalog {
 
   /// Creates an empty table with `num_partitions` partitions
   /// (1 <= n <= kMaxPartitions).
-  Result<PartitionedTable*> CreatePartitionedTable(const std::string& name,
-                                                   Schema schema,
-                                                   std::size_t num_partitions);
+  Result<const PartitionedTable*> CreatePartitionedTable(
+      const std::string& name, Schema schema, std::size_t num_partitions);
 
   /// Registers an already-populated table under `name` (bulk-load path);
   /// it becomes the single partition of a PartitionedTable entry.
-  Result<Table*> AddTable(const std::string& name,
-                          std::unique_ptr<Table> table);
+  Result<const Table*> AddTable(const std::string& name,
+                                std::unique_ptr<Table> table);
 
   /// Registers an already-populated partitioned table under `name`.
-  Result<PartitionedTable*> AddPartitionedTable(
+  Result<const PartitionedTable*> AddPartitionedTable(
       const std::string& name, std::unique_ptr<PartitionedTable> table);
 
   /// The single-table view: partition 0 of a single-partition entry;
   /// nullptr when absent *or* multi-partition (callers that understand
   /// partitions use FindPartitionedTable).
-  Table* FindTable(const std::string& name);
   const Table* FindTable(const std::string& name) const;
 
   /// nullptr when absent.
-  PartitionedTable* FindPartitionedTable(const std::string& name);
   const PartitionedTable* FindPartitionedTable(const std::string& name) const;
 
   /// Drops the table and every PatchIndex on it (all partitions),
@@ -123,7 +124,9 @@ class Catalog {
   /// A resolved handle onto a catalog table: the table, its reader-writer
   /// lock, and shared ownership keeping both alive while held — closing
   /// the window between resolving the lock and acquiring it, during which
-  /// a concurrent DropTable could otherwise free them.
+  /// a concurrent DropTable could otherwise free them. The only route to
+  /// a mutable head: the commit protocol, DDL and recovery write through
+  /// it under the exclusive lock and publish a version before releasing.
   struct TableRef {
     PartitionedTable* ptable = nullptr;
     /// Partition 0 for single-partition entries, nullptr otherwise (the
@@ -161,16 +164,6 @@ class Catalog {
   /// EpochGc::Guard on EpochGc::Global() for as long as it dereferences
   /// the result — the pointer is unprotected otherwise.
   const TableVersion* PinnedVersion(const TableRef& ref) const;
-
-  /// True when `version`'s recorded partition seqs still match the live
-  /// head — no partition has mutated since the version was published, so
-  /// its snapshot is byte-identical to the head's committed state. A
-  /// mismatch means an unpublished direct mutation (bulk loads, tests
-  /// appending through a raw Table*) or a writer mid-commit; readers then
-  /// fall back to the head under a shared lock (or the pinned version
-  /// when a writer holds the lock).
-  static bool VersionMatchesHead(const TableVersion& version,
-                                 const PartitionedTable& head);
 
   struct VersionStats {
     std::int64_t live = 0;             ///< Versions published, not yet freed.

@@ -336,30 +336,16 @@ bool DurabilityManager::ShouldCheckpoint(const std::string& name) const {
 }
 
 Status DurabilityManager::CheckpointTable(const std::string& name,
-                                          const PartitionedTable& table,
-                                          const PatchIndexManager& manager) {
+                                          const TableVersion& version) {
   TableState* state = FindState(name);
   if (state == nullptr) return Status::OK();  // untracked table
-  const std::vector<PatchIndex*> live = manager.IndexesOn(table);
-  return CheckpointLocked(name, state, table,
-                          std::vector<const PatchIndex*>(live.begin(),
-                                                         live.end()));
+  return CheckpointLocked(name, state, version);
 }
 
-Status DurabilityManager::CheckpointTable(
-    const std::string& name, const PartitionedTable& snapshot,
-    const std::vector<std::shared_ptr<const PatchIndex>>& indexes) {
-  TableState* state = FindState(name);
-  if (state == nullptr) return Status::OK();  // untracked table
-  std::vector<const PatchIndex*> flat;
-  flat.reserve(indexes.size());
-  for (const auto& idx : indexes) flat.push_back(idx.get());
-  return CheckpointLocked(name, state, snapshot, flat);
-}
-
-Status DurabilityManager::CheckpointLocked(
-    const std::string& name, TableState* state, const PartitionedTable& table,
-    const std::vector<const PatchIndex*>& indexes) {
+Status DurabilityManager::CheckpointLocked(const std::string& name,
+                                           TableState* state,
+                                           const TableVersion& version) {
+  const PartitionedTable& table = *version.snapshot;
   WallTimer checkpoint_timer;
   const FaultHook& hook = options_.fault_hook;
   const std::uint64_t old_csn = state->snapshot_csn;
@@ -379,7 +365,7 @@ Status DurabilityManager::CheckpointLocked(
     PIDX_RETURN_NOT_OK(
         SaveTableSnapshot(table.partition(p), snap + ".tmp", hook));
     PIDX_RETURN_NOT_OK(RenameFile("snap.rename", snap + ".tmp", snap, hook));
-    for (const PatchIndex* idx : indexes) {
+    for (const auto& idx : version.indexes) {
       if (&idx->table() != &table.partition(p)) continue;
       IndexSpec spec;
       spec.table = name;
@@ -584,11 +570,16 @@ Status DurabilityManager::RecoverTable(const std::string& name,
   const std::uint64_t base_csn = have_manifest ? manifest.csn : 0;
   state->snapshot_csn = base_csn;
 
-  Result<PartitionedTable*> added = catalog->AddPartitionedTable(
-      name, std::make_unique<PartitionedTable>(state->schema,
-                                               std::move(parts)));
-  if (!added.ok()) return added.status();
-  PartitionedTable* table = added.value();
+  PIDX_RETURN_NOT_OK(
+      catalog
+          ->AddPartitionedTable(name, std::make_unique<PartitionedTable>(
+                                          state->schema, std::move(parts)))
+          .status());
+  // Recovery rebuilds the head through its TableRef, like the commit
+  // protocol. It is single-threaded (the engine is not serving yet), so
+  // no table lock is needed.
+  const Catalog::TableRef ref = catalog->Ref(name);
+  PartitionedTable* table = ref.ptable;
 
   // 2. Restore index checkpoints stamped with the manifest's csn, so
   //    replay maintains them incrementally (the §3.4 alternative to
@@ -690,11 +681,16 @@ Status DurabilityManager::RecoverTable(const std::string& name,
     ++report_.indexes_rebuilt;
   }
 
-  // 5. Reset the durable state unless it is already pristine: one
-  //    checkpoint folds the replayed tail into fresh snapshots and
-  //    truncates the logs (also discarding any dropped partial commit, so
-  //    its csn can be reassigned).
-  Status reset = Status::OK();
+  // 5. Republish the table's MVCC version: AddPartitionedTable published
+  //    the pre-replay state, and replay/index rebuild mutated the head
+  //    since; reindex snapshots the restored/rebuilt indexes into the
+  //    version.
+  catalog->PublishVersion(ref, last_csn, /*reindex=*/true);
+
+  // 6. Reset the durable state unless it is already pristine: one
+  //    checkpoint of the version just published folds the replayed tail
+  //    into fresh snapshots and truncates the logs (also discarding any
+  //    dropped partial commit, so its csn can be reassigned).
   if (pristine) {
     for (std::size_t p = 0; p < state->partitions; ++p) {
       auto file =
@@ -702,20 +698,10 @@ Status DurabilityManager::RecoverTable(const std::string& name,
       if (!file.ok()) return file.status();
       state->wal[p] = std::move(file).value();
     }
-  } else {
-    const std::vector<PatchIndex*> live = catalog->manager().IndexesOn(*table);
-    reset = CheckpointLocked(
-        name, state, *table,
-        std::vector<const PatchIndex*>(live.begin(), live.end()));
+    return Status::OK();
   }
-
-  // 6. Republish the table's MVCC version: AddPartitionedTable published
-  //    the pre-replay state, and replay/index rebuild mutated the head
-  //    since. Recovery is single-threaded (the engine is not serving
-  //    yet), so no table lock is needed; reindex snapshots the restored/
-  //    rebuilt indexes into the version.
-  catalog->PublishVersion(catalog->Ref(name), last_csn, /*reindex=*/true);
-  return reset;
+  EpochGc::Guard guard(EpochGc::Global());
+  return CheckpointLocked(name, state, *catalog->PinnedVersion(ref));
 }
 
 }  // namespace patchindex

@@ -96,9 +96,12 @@ struct RecoveryReport {
 /// LogCommit returns; a failed append/fsync truncates the logs back to
 /// their pre-commit size and aborts the commit.
 ///
-/// Checkpoint path: CheckpointTable (exclusive lock held) snapshots every
-/// partition's base columns (PDTs are empty at rest — commits fold them
-/// via Table::Checkpoint) and every PatchIndex's state into csn-stamped
+/// Checkpoint path: CheckpointTable (exclusive lock held) writes a
+/// published TableVersion — never the live head — so every checkpoint
+/// (Engine::Checkpoint, the WAL-size trigger, recovery's log reset) has
+/// one source. It snapshots every partition's base columns (PDTs are
+/// empty in a published version — commits fold them via
+/// Table::Checkpoint) and every index clone's state into csn-stamped
 /// files, fsyncs them, then atomically renames the manifest — the commit
 /// point — fsyncs the directory, and only then truncates the WALs.
 ///
@@ -108,7 +111,8 @@ struct RecoveryReport {
 /// order through the normal PatchIndex commit protocol (restored indexes
 /// are maintained incrementally), drop the torn tail and any trailing
 /// commit with missing partition records, rebuild unrestored indexes by
-/// discovery, and checkpoint once to reset the logs.
+/// discovery, publish the recovered TableVersion, and checkpoint once
+/// from it to reset the logs.
 ///
 /// Thread safety: table-level calls (LogCommit, CheckpointTable) must
 /// hold that table's exclusive lock — they are not otherwise
@@ -152,24 +156,16 @@ class DurabilityManager {
   /// True once `name`'s WAL bytes exceed checkpoint_wal_bytes.
   bool ShouldCheckpoint(const std::string& name) const;
 
-  /// Snapshots `name` and truncates its WALs (exclusive lock held by the
-  /// caller). Failure is recoverable: the WALs keep growing and the next
-  /// trigger retries; durable state is never left ambiguous (the manifest
-  /// rename is atomic).
-  Status CheckpointTable(const std::string& name, const PartitionedTable& table,
-                         const PatchIndexManager& manager);
-
-  /// Checkpoint sourced from a pinned MVCC version: `snapshot` is the
-  /// version's immutable PartitionedTable and `indexes` its index clones
-  /// (Catalog::TableVersion). The caller must still hold the table's
-  /// exclusive (writer–writer) lock — WAL truncation must be fenced
-  /// against concurrent commits — and the version must be current
-  /// (Catalog::VersionMatchesHead), so the files written are exactly the
-  /// committed head state. Readers are unaffected throughout: they never
-  /// take the lock under MVCC.
-  Status CheckpointTable(
-      const std::string& name, const PartitionedTable& snapshot,
-      const std::vector<std::shared_ptr<const PatchIndex>>& indexes);
+  /// Snapshots `name` from `version` — the table's published
+  /// TableVersion, whose immutable snapshot and index clones are exactly
+  /// the committed state — and truncates its WALs. The caller holds the
+  /// table's exclusive (writer–writer) lock, which fences WAL truncation
+  /// against concurrent commits, and an EpochGc guard keeping `version`
+  /// alive; readers never take the lock and are unaffected. Failure is
+  /// recoverable: the WALs keep growing and the next trigger retries;
+  /// durable state is never left ambiguous (the manifest rename is
+  /// atomic).
+  Status CheckpointTable(const std::string& name, const TableVersion& version);
 
   const RecoveryReport& last_recovery() const { return report_; }
   const DurabilityOptions& options() const { return options_; }
@@ -217,12 +213,8 @@ class DurabilityManager {
   Status RecoverTable(const std::string& name, TableState* state,
                       const std::vector<IndexSpec>& indexes, Catalog* catalog,
                       ThreadPool* pool);
-  /// `indexes` are the PatchIndexes to checkpoint alongside the data —
-  /// live manager-owned indexes or a pinned version's clones; each must
-  /// be bound to one of `table`'s partitions.
   Status CheckpointLocked(const std::string& name, TableState* state,
-                          const PartitionedTable& table,
-                          const std::vector<const PatchIndex*>& indexes);
+                          const TableVersion& version);
 
   TableState* FindState(const std::string& name);
   const TableState* FindState(const std::string& name) const;

@@ -238,23 +238,11 @@ Status Engine::Checkpoint() {
     // who keep scanning their pinned versions.
     std::unique_lock<std::shared_mutex> exclusive(*ref.lock);
     if (catalog_.FindPartitionedTable(name) != ref.ptable) continue;
-    Status st;
-    {
-      // Checkpoint from the pinned published version when it is current:
-      // the snapshot is immutable (no COW surprises mid-write) and
-      // byte-identical to the committed head. A stale version (direct
-      // unpublished mutations) falls back to the head + live indexes.
-      EpochGc::Guard guard(EpochGc::Global());
-      const TableVersion* version = catalog_.PinnedVersion(ref);
-      if (version != nullptr &&
-          Catalog::VersionMatchesHead(*version, *ref.ptable)) {
-        st = durability_->CheckpointTable(name, *version->snapshot,
-                                          version->indexes);
-      } else {
-        st = durability_->CheckpointTable(name, *ref.ptable,
-                                          catalog_.manager());
-      }
-    }
+    // The published version is the committed state: its snapshot is
+    // immutable, so nothing changes under the checkpoint's feet.
+    EpochGc::Guard guard(EpochGc::Global());
+    Status st =
+        durability_->CheckpointTable(name, *catalog_.PinnedVersion(ref));
     if (!st.ok() && first.ok()) first = st;
   }
   return first;
@@ -331,10 +319,10 @@ Result<QueryResult> Session::ExecuteProfiled(LogicalPtr plan,
   // Protect every catalog table the plan scans for the statement's
   // duration. Each table resolves to its pinned published version
   // (lock-free; the plan is cloned and its scans retargeted at the
-  // immutable snapshots), with a shared lock only for a head mutated
-  // outside the commit protocol. The refs keep the tables alive even if
-  // a concurrent DropTable de-catalogs them mid-query. Pinning is part of
-  // the optimize phase, so its time is attributed.
+  // immutable snapshots). The refs keep the tables alive even if a
+  // concurrent DropTable de-catalogs them mid-query; only such a dropped
+  // table costs a shared-lock wait. Pinning is part of the optimize
+  // phase, so its time is attributed.
   std::optional<PinnedReadSet> pin;
   {
     obs::PhaseSpan span(sinks, obs::QueryPhase::kOptimize);
@@ -360,8 +348,7 @@ Result<QueryResult> Session::ExecuteProfiled(LogicalPtr plan,
   ParallelExecReport report;
   obs::PhaseSpan execute_span(sinks, obs::QueryPhase::kExecute);
   try {
-    if (engine_->options_.enable_parallel_execution &&
-        ExecuteParallel(*optimized, engine_->pool(), parallel_options,
+    if (ExecuteParallel(*optimized, engine_->pool(), parallel_options,
                         &result.rows, &report)) {
       result.parallel = true;
       result.parallel_join = report.parallel_join;
@@ -487,15 +474,13 @@ Status ApplyUpdateLocked(Catalog& catalog, const Catalog::TableRef& ref,
   // Write-ahead: the routed, partition-local deltas go to the log (and
   // to stable storage) before the commit protocol publishes them. The
   // WAL fsync remains the commit point. A log failure aborts the whole
-  // commit — the buffered PDTs are discarded and nothing becomes
-  // visible; republishing after the discard refreshes the version's
-  // partition seqs so readers return to the lock-free path.
+  // commit — the buffered PDTs are discarded and nothing is published,
+  // so readers keep seeing the previous version.
   std::int64_t csn = -1;
   if (durability != nullptr) {
     Status logged = durability->LogCommit(name, *table, &csn);
     if (!logged.ok()) {
       table->DiscardPdt();
-      catalog.PublishVersion(ref, 0);
       return logged;
     }
   }
@@ -509,14 +494,15 @@ Status ApplyUpdateLocked(Catalog& catalog, const Catalog::TableRef& ref,
     // partition, not the table.
     catalog.PublishVersion(ref, csn > 0 ? static_cast<std::uint64_t>(csn)
                                         : 0);
+    if (durability != nullptr && durability->ShouldCheckpoint(name)) {
+      // Best-effort WAL-size-triggered checkpoint of the version just
+      // published: a failure leaves the log growing and the next commit
+      // retries (self-healing); it never affects the committed update.
+      EpochGc::Guard guard(EpochGc::Global());
+      (void)durability->CheckpointTable(name, *catalog.PinnedVersion(ref));
+    }
   }
   if (commit_csn != nullptr && csn >= 0) *commit_csn = csn;
-  if (durability != nullptr && durability->ShouldCheckpoint(name)) {
-    // Best-effort WAL-size-triggered checkpoint: a failure leaves the
-    // log growing and the next commit retries (self-healing); it never
-    // affects the already-committed update.
-    (void)durability->CheckpointTable(name, *table, manager);
-  }
   return committed;
 }
 

@@ -36,12 +36,10 @@ struct EngineOptions {
   std::size_t morsel_rows = kDefaultMorselRows;
 
   /// Tables below this visible-row count run on the serial operator tree
-  /// even when the plan shape is parallelizable. 0 forces parallelism.
+  /// even when the plan shape is parallelizable. 0 forces parallelism;
+  /// std::numeric_limits<std::size_t>::max() pins every query to the
+  /// serial tree (A/B comparisons, the equivalence tests).
   std::size_t min_parallel_rows = 16 * kBatchSize;
-
-  /// Master switch: false pins every query to the serial operator tree
-  /// (used for A/B comparison and by the equivalence tests).
-  bool enable_parallel_execution = true;
 
   /// Partitions a CREATE TABLE statement without a PARTITIONS clause
   /// gets (the session default of the paper's §3.2 partition-local
@@ -162,8 +160,9 @@ class Session;
 class PreparedStatement;
 
 /// Resolves every catalog table `plan` scans to TableRefs, sorted by
-/// lock address and deduplicated — the deterministic order in which read
-/// queries acquire their shared locks (see the Session class comment).
+/// lock address and deduplicated — the deterministic order in which a
+/// read query waits on the shared locks of dropped tables (see the
+/// Session class comment).
 /// Shared by Session::Execute and the SQL EXPLAIN path.
 void CollectPlanTableRefs(const LogicalNode& plan, const Catalog& catalog,
                           std::vector<Catalog::TableRef>* refs);
@@ -253,13 +252,11 @@ class Engine {
   /// recovery — servers should refuse to start.
   const Status& recovery_status() const { return recovery_status_; }
 
-  /// Checkpoints every durable table (snapshot + WAL truncation), each
-  /// under its exclusive lock — a writer–writer lock, so readers keep
-  /// scanning their pinned versions throughout. The snapshot data is
-  /// sourced from the table's pinned published version when it is
-  /// current (it is immutable and byte-identical to the committed head);
-  /// the live head is used otherwise. Returns the first failure, after
-  /// trying all tables. A no-op without durability.
+  /// Checkpoints every durable table (snapshot + WAL truncation) from its
+  /// published version, each under its exclusive lock — a writer–writer
+  /// lock, so readers keep scanning their pinned versions throughout.
+  /// Returns the first failure, after trying all tables. A no-op without
+  /// durability.
   Status Checkpoint();
 
   Session CreateSession();
@@ -309,12 +306,14 @@ class Engine {
 ///
 /// Concurrency: a read query pins each scanned table's published
 /// immutable TableVersion through an epoch guard and runs lock-free — see
-/// engine/read_pin.h for the full resolution order. Update queries and
-/// DDL take the table's exclusive lock, which therefore only ever
-/// serializes writers against writers (and checkpoints).
+/// engine/read_pin.h. Heads change only inside the commit protocol, which
+/// publishes before it unlocks, so a read always sees the last committed
+/// state. Update queries and DDL take the table's exclusive lock, which
+/// therefore only ever serializes writers against writers (and
+/// checkpoints).
 ///
-/// Lock ordering: a read query takes a shared lock only for a head
-/// mutated outside the commit protocol, in ascending lock-address order;
+/// Lock ordering: a read query takes a shared lock only for a table
+/// dropped after its plan resolved it, in ascending lock-address order;
 /// update queries and DDL take a single exclusive table lock. The
 /// catalog's own map mutex is never held while a table lock is acquired.
 /// This total order makes deadlock between any mix of concurrent
@@ -325,9 +324,8 @@ class Session {
   /// then executes it in parallel where supported (serial fallback
   /// otherwise — see ParallelPlanSupported in engine/executor.h for the
   /// supported shapes). Every catalog table the plan scans is protected
-  /// for the duration of the query — by an epoch-pinned immutable
-  /// version (lock-free; the passed plan is never mutated), or by a
-  /// shared lock for a head mutated outside the commit protocol.
+  /// for the duration of the query by an epoch-pinned immutable version
+  /// (lock-free; the passed plan is never mutated).
   Result<QueryResult> Execute(LogicalPtr plan);
 
   /// Same, with per-query optimizer options overriding the engine's.

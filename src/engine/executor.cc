@@ -31,12 +31,12 @@ namespace {
 /// offset (scans add it to their rowIDs so output rowIDs are
 /// table-global).
 ///
-/// The scan node's table pointers were retargeted by PinnedReadSet at
-/// the immutable snapshot of a pinned TableVersion, so everything below
-/// reads frozen state with no table lock held; under the stale-head
-/// fallback they still point at the live head under a shared lock. The
-/// executor cannot tell the difference and must not care — both are
-/// plain `const Table*`s.
+/// For catalog tables, PinnedReadSet retargeted the scan node's table
+/// pointers at the immutable snapshot of a pinned TableVersion, so
+/// everything below reads frozen state with no table lock held. A
+/// free-standing table (the §5 handlers' PDT-aware scans, tests) is read
+/// as is. The executor cannot tell the difference and must not care —
+/// both are plain `const Table*`s.
 struct ScanTarget {
   const LogicalNode* scan = nullptr;
   std::vector<const Table*> parts;

@@ -99,10 +99,11 @@ bool ParallelPlanSupported(const LogicalNode& plan);
 /// which case the caller should compile and run the serial tree. When
 /// `report` is non-null it is filled with which parallel paths ran.
 ///
-/// Thread-safety: callers must hold at least a shared lock on every
-/// scanned catalog table (Session::Execute does); the executor itself
-/// only reads tables. Multiple queries may execute concurrently on one
-/// pool — each awaits only its own tasks.
+/// Thread-safety: catalog tables must be read through a PinnedReadSet
+/// (Session::Execute does), which points their scans at immutable
+/// snapshots; the executor itself only reads tables. Multiple queries
+/// may execute concurrently on one pool — each awaits only its own
+/// tasks.
 bool ExecuteParallel(const LogicalNode& plan, ThreadPool& pool,
                      const ParallelExecOptions& options, Batch* out,
                      ParallelExecReport* report = nullptr);

@@ -1,6 +1,5 @@
 #include "engine/read_pin.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "engine/engine.h"
@@ -53,7 +52,7 @@ void RetargetScans(
 
 }  // namespace
 
-PinnedReadSet::PinnedReadSet(Catalog& catalog, LogicalPtr* plan)
+PinnedReadSet::PinnedReadSet(const Catalog& catalog, LogicalPtr* plan)
     : guard_(EpochGc::Global()), lookup_(catalog.manager()) {
   // `guard_` pins FIRST, before any version pointer is loaded:
   // publication retires the old version only after unlinking it, so a
@@ -65,34 +64,17 @@ PinnedReadSet::PinnedReadSet(Catalog& catalog, LogicalPtr* plan)
   std::unordered_map<const Table*, const Table*> part_map;
   for (const Catalog::TableRef& ref : refs_) {
     const TableVersion* version = catalog.PinnedVersion(ref);
-    bool use_version =
-        version != nullptr &&
-        Catalog::VersionMatchesHead(*version, *ref.ptable);
-    if (!use_version) {
-      std::shared_lock<std::shared_mutex> lock(*ref.lock, std::try_to_lock);
-      if (lock.owns_lock()) {
-        locks_.push_back(std::move(lock));
-      } else if (version != nullptr) {
-        // A writer holds the exclusive lock. The pinned version is the
-        // last committed state — a statement starting now reads it
-        // instead of waiting for the writer.
-        use_version = true;
-      } else {
-        // No version to fall back to (the table was dropped after the
-        // plan resolved it): block on the shared lock and finish against
-        // the de-cataloged table.
-        locks_.emplace_back(*ref.lock);
-      }
+    if (version == nullptr) {
+      // Dropped after the plan resolved it: wait out DropTable and finish
+      // against the de-cataloged table.
+      locks_.emplace_back(*ref.lock);
+      continue;
     }
-    if (use_version) {
-      lookup_.AddVersion(*version);
-      const PartitionedTable& snapshot = *version->snapshot;
-      table_map[ref.ptable] = &snapshot;
-      const std::size_t common =
-          std::min(ref.ptable->num_partitions(), snapshot.num_partitions());
-      for (std::size_t p = 0; p < common; ++p) {
-        part_map[&ref.ptable->partition(p)] = &snapshot.partition(p);
-      }
+    lookup_.AddVersion(*version);
+    const PartitionedTable& snapshot = *version->snapshot;
+    table_map[ref.ptable] = &snapshot;
+    for (std::size_t p = 0; p < snapshot.num_partitions(); ++p) {
+      part_map[&ref.ptable->partition(p)] = &snapshot.partition(p);
     }
   }
   if (!table_map.empty()) {

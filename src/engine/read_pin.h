@@ -16,11 +16,11 @@ namespace patchindex {
 
 /// IndexLookup over the immutable index snapshots of pinned
 /// TableVersions, with the live PatchIndexManager as fallback for tables
-/// that are not read through a version (shared-locked heads, free-standing
-/// tables). Resolution is by partition address, like the manager's: a
-/// snapshot partition resolves to exactly the index clones published with
-/// it — including "no indexes", so a pinned read never accidentally picks
-/// up a live index bound to a different table state.
+/// that are not read through a version (a table dropped mid-statement,
+/// free-standing tables). Resolution is by partition address, like the
+/// manager's: a snapshot partition resolves to exactly the index clones
+/// published with it — including "no indexes", so a pinned read never
+/// accidentally picks up a live index bound to a different table state.
 class PinnedIndexLookup : public IndexLookup {
  public:
   explicit PinnedIndexLookup(const PatchIndexManager& fallback)
@@ -39,34 +39,30 @@ class PinnedIndexLookup : public IndexLookup {
 };
 
 /// Per-statement read protection: resolves every catalog table a plan
-/// scans and protects each one for the statement's duration. Per table,
-/// in order:
+/// scans and protects each one for the statement's duration. A head
+/// changes only inside the commit protocol, which publishes a new
+/// TableVersion before it releases the exclusive lock, so the published
+/// version is always the table's committed state. Per table:
 ///
-///   1. The published TableVersion is current (its partition seqs match
-///      the head): scan the immutable snapshot, no lock at all. The
-///      epoch guard keeps the version alive against concurrent retirement.
-///   2. Otherwise the head was mutated outside the commit protocol (rows
-///      appended or PDT deltas buffered through a raw Table*), or a
-///      writer is mid-commit. Try the shared lock without blocking: on
-///      success read the live head, which keeps directly-mutated tables
-///      readable at their freshest state.
-///   3. The try-lock failed, so a writer holds the exclusive lock: fall
-///      back to the pinned version — the last committed state, exactly
-///      what a statement starting now is entitled to see. Readers
-///      therefore NEVER wait on writers; the exclusive lock is a
-///      writer–writer lock only.
+///   - It has a published version: scan the immutable snapshot with no
+///     lock at all. The epoch guard keeps the version alive against
+///     concurrent retirement. Readers therefore never wait on writers;
+///     the exclusive lock is a writer–writer lock only.
+///   - It has none, because it was dropped after the plan resolved it:
+///     block on the shared lock (DropTable holds the exclusive lock while
+///     it drops the indexes) and finish against the de-cataloged table.
 ///
 /// When any table resolves to a version, the plan is cloned and its scan
 /// nodes are retargeted at the snapshot tables (the caller's original
 /// plan is never mutated, so retained plans stay valid); `indexes()`
 /// then resolves those snapshot partitions to the version's index clones.
 ///
-/// Lock ordering: refs are processed in ascending lock-address order, and
-/// only step 2's failure path skips a lock — the total order against
-/// exclusive lockers is preserved, so deadlock stays impossible.
+/// Lock ordering: refs are processed in ascending lock-address order, so
+/// the shared-lock waits keep the total order against exclusive lockers
+/// and deadlock stays impossible.
 class PinnedReadSet {
  public:
-  PinnedReadSet(Catalog& catalog, LogicalPtr* plan);
+  PinnedReadSet(const Catalog& catalog, LogicalPtr* plan);
 
   PinnedReadSet(const PinnedReadSet&) = delete;
   PinnedReadSet& operator=(const PinnedReadSet&) = delete;

@@ -341,10 +341,10 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
                                   session.engine_->options()
                                       .default_table_partitions);
       }
-      Result<PartitionedTable*> created =
-          session.engine_->catalog().CreatePartitionedTable(
-              bound.table, bound.create_schema, partitions);
-      if (!created.ok()) return created.status();
+      PIDX_RETURN_NOT_OK(session.engine_->catalog()
+                             .CreatePartitionedTable(
+                                 bound.table, bound.create_schema, partitions)
+                             .status());
       if (DurabilityManager* durability = session.engine_->durability()) {
         Status logged = durability->LogCreateTable(
             bound.table, bound.create_schema, partitions);

@@ -10,7 +10,7 @@ class Table;
 
 /// Read-side index resolution, abstracted away from the live
 /// PatchIndexManager so the optimizer can rewrite plans against either
-/// the head registry (stale-head reads, DML row-finding) or a pinned
+/// the head registry (DML row-finding, free-standing tables) or a pinned
 /// MVCC table version's immutable index snapshots — the rewriter itself
 /// never knows which. Implementations resolve by partition address:
 /// whatever Table object the plan's scan nodes reference is the object

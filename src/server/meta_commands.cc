@@ -173,7 +173,7 @@ std::string MetaGen(Engine& engine, const std::vector<std::string>& words) {
   }
   Table table =
       words[1] == "nsc" ? GenerateNscTable(cfg) : GenerateNucTable(cfg);
-  Result<Table*> added = engine.catalog().AddTable(
+  Result<const Table*> added = engine.catalog().AddTable(
       words[2], std::make_unique<Table>(std::move(table)));
   if (!added.ok()) {
     return "error: " + added.status().ToString() + "\n";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string>
 #include <utility>
 
 namespace patchindex::sql {
@@ -254,25 +255,57 @@ class Parser {
 
   // ---------------------------------------------------------- expressions
 
-  ParseExprPtr ParseExprTop() { return ParseOr(); }
+  ParseExprPtr ParseExprTop() {
+    return Nested([this] { return ParseOr(); });
+  }
+
+  /// Takes one more level of expression nesting. Every cycle of the
+  /// grammar (parentheses, call and IN-list arguments through
+  /// ParseExprTop, NOT and unary-minus chains) and every operator of a
+  /// left-associative chain (each one deepens the tree the binder and
+  /// optimizer recurse over) descends here. Past kMaxExprDepth the
+  /// statement fails instead of overflowing the stack.
+  bool Descend() {
+    if (depth_ >= kMaxExprDepth) {
+      Fail("expression nested deeper than " + std::to_string(kMaxExprDepth) +
+               " levels",
+           Cur());
+      return false;
+    }
+    ++depth_;
+    return true;
+  }
+
+  /// Runs one recursive production a level deeper.
+  template <typename Fn>
+  ParseExprPtr Nested(Fn parse) {
+    if (!Descend()) return std::make_shared<ParseExpr>();
+    ParseExprPtr e = parse();
+    --depth_;
+    return e;
+  }
 
   ParseExprPtr ParseOr() {
+    const std::size_t depth = depth_;
     ParseExprPtr left = ParseAnd();
-    while (error_.ok() && Cur().Is("or")) {
+    while (error_.ok() && Cur().Is("or") && Descend()) {
       const SourceLoc loc = Cur().loc;
       Advance();
       left = MakeBinary(ParseExpr::Op::kOr, std::move(left), ParseAnd(), loc);
     }
+    depth_ = depth;
     return left;
   }
 
   ParseExprPtr ParseAnd() {
+    const std::size_t depth = depth_;
     ParseExprPtr left = ParseNot();
-    while (error_.ok() && Cur().Is("and")) {
+    while (error_.ok() && Cur().Is("and") && Descend()) {
       const SourceLoc loc = Cur().loc;
       Advance();
       left = MakeBinary(ParseExpr::Op::kAnd, std::move(left), ParseNot(), loc);
     }
+    depth_ = depth;
     return left;
   }
 
@@ -284,7 +317,7 @@ class Parser {
       e->kind = ParseExpr::Kind::kUnary;
       e->op = ParseExpr::Op::kNot;
       e->loc = loc;
-      e->children.push_back(ParseNot());
+      e->children.push_back(Nested([this] { return ParseNot(); }));
       return e;
     }
     return ParseComparison();
@@ -351,9 +384,12 @@ class Parser {
   }
 
   ParseExprPtr ParseAdditive() {
+    const std::size_t depth = depth_;
     ParseExprPtr left = ParseMultiplicative();
-    while (error_.ok() && (Cur().kind == TokenKind::kPlus ||
-                           Cur().kind == TokenKind::kMinus)) {
+    while (error_.ok() &&
+           (Cur().kind == TokenKind::kPlus ||
+            Cur().kind == TokenKind::kMinus) &&
+           Descend()) {
       const ParseExpr::Op op = Cur().kind == TokenKind::kPlus
                                    ? ParseExpr::Op::kAdd
                                    : ParseExpr::Op::kSub;
@@ -361,13 +397,17 @@ class Parser {
       Advance();
       left = MakeBinary(op, std::move(left), ParseMultiplicative(), loc);
     }
+    depth_ = depth;
     return left;
   }
 
   ParseExprPtr ParseMultiplicative() {
+    const std::size_t depth = depth_;
     ParseExprPtr left = ParseUnary();
-    while (error_.ok() && (Cur().kind == TokenKind::kStar ||
-                           Cur().kind == TokenKind::kSlash)) {
+    while (error_.ok() &&
+           (Cur().kind == TokenKind::kStar ||
+            Cur().kind == TokenKind::kSlash) &&
+           Descend()) {
       const ParseExpr::Op op = Cur().kind == TokenKind::kStar
                                    ? ParseExpr::Op::kMul
                                    : ParseExpr::Op::kDiv;
@@ -375,6 +415,7 @@ class Parser {
       Advance();
       left = MakeBinary(op, std::move(left), ParseUnary(), loc);
     }
+    depth_ = depth;
     return left;
   }
 
@@ -382,7 +423,7 @@ class Parser {
     if (Cur().kind == TokenKind::kMinus) {
       const SourceLoc loc = Cur().loc;
       Advance();
-      ParseExprPtr inner = ParseUnary();
+      ParseExprPtr inner = Nested([this] { return ParseUnary(); });
       if (!error_.ok()) return inner;
       // Fold -literal so `-3` is a literal, not a unary expression.
       if (inner->kind == ParseExpr::Kind::kIntLit) {
@@ -608,6 +649,7 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
   std::size_t num_params_ = 0;
+  std::size_t depth_ = 0;
   std::vector<SourceLoc> param_locs_;
   Status error_ = Status::OK();
 };

@@ -1,6 +1,7 @@
 #ifndef PATCHINDEX_SQL_PARSER_H_
 #define PATCHINDEX_SQL_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/status.h"
@@ -44,8 +45,14 @@ namespace patchindex::sql {
 ///   agg_call   := (COUNT|SUM|MIN|MAX|AVG) ( (*|expr) )
 ///
 /// Errors are kInvalidArgument with the line/column of the offending
-/// token in the message.
+/// token in the message. Expressions nest at most kMaxExprDepth levels
+/// (each parenthesis, NOT, unary minus and chained binary operator is
+/// one level), so a hostile statement fails with an error instead of
+/// exhausting the stack.
 Result<Statement> ParseStatement(std::string_view sql);
+
+/// Deepest expression nesting ParseStatement accepts.
+inline constexpr std::size_t kMaxExprDepth = 256;
 
 }  // namespace patchindex::sql
 

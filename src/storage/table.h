@@ -116,9 +116,9 @@ class Table {
   std::uint64_t MemoryUsageBytes() const;
 
   /// Monotonic counter bumped by every mutation (base-column appends, PDT
-  /// buffering, Checkpoint, DiscardPdt). A published MVCC snapshot records
-  /// the value it was taken at; a mismatch against the live head means the
-  /// snapshot is stale. Readable without the table lock.
+  /// buffering, Checkpoint, DiscardPdt). A published MVCC version records
+  /// the value it was taken at, and the next publication reuses every
+  /// partition whose value has not moved. Readable without the table lock.
   std::uint64_t mutation_seq() const {
     return mutation_seq_.load(std::memory_order_acquire);
   }

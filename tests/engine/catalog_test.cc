@@ -42,7 +42,7 @@ TEST(CatalogTest, AddTableRegistersPopulatedTable) {
 
 TEST(CatalogTest, RefOnlyForCatalogTables) {
   Catalog catalog;
-  Table* owned = catalog.CreateTable("t", KvSchema()).value();
+  const Table* owned = catalog.CreateTable("t", KvSchema()).value();
   Catalog::TableRef ref = catalog.Ref(*owned);
   ASSERT_TRUE(ref);
   EXPECT_EQ(ref.table, owned);
@@ -55,8 +55,9 @@ TEST(CatalogTest, RefOnlyForCatalogTables) {
 
 TEST(CatalogTest, RefKeepsDroppedTableAlive) {
   Catalog catalog;
-  Table* owned = catalog.CreateTable("t", KvSchema()).value();
-  owned->AppendRow(Row{{Value(std::int64_t{1}), Value(std::int64_t{2})}});
+  auto table = std::make_unique<Table>(KvSchema());
+  table->AppendRow(Row{{Value(std::int64_t{1}), Value(std::int64_t{2})}});
+  const Table* owned = catalog.AddTable("t", std::move(table)).value();
   Catalog::TableRef ref = catalog.Ref(*owned);
   ASSERT_TRUE(catalog.DropTable("t").ok());
   // The handle still reaches valid table data after the drop.
@@ -66,10 +67,11 @@ TEST(CatalogTest, RefKeepsDroppedTableAlive) {
 
 TEST(CatalogTest, DropTableDropsItsIndexes) {
   Catalog catalog;
-  Table* table = catalog.CreateTable("t", KvSchema()).value();
+  auto loaded = std::make_unique<Table>(KvSchema());
   for (std::int64_t i = 0; i < 8; ++i) {
-    table->AppendRow(Row{{Value(i), Value(i)}});
+    loaded->AppendRow(Row{{Value(i), Value(i)}});
   }
+  const Table* table = catalog.AddTable("t", std::move(loaded)).value();
   catalog.manager().CreateIndex(*table, 1, ConstraintKind::kNearlySorted);
   ASSERT_EQ(catalog.manager().num_indexes(), 1u);
   ASSERT_TRUE(catalog.DropTable("t").ok());

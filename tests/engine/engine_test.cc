@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <limits>
 #include <memory>
 #include <set>
+#include <shared_mutex>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,15 +23,16 @@ namespace {
 EngineOptions TestOptions(bool parallel = true) {
   EngineOptions options;
   options.num_threads = 4;
-  options.min_parallel_rows = 0;  // small test tables still go parallel
-  options.enable_parallel_execution = parallel;
+  // Small test tables still go parallel; the serial engine never does.
+  options.min_parallel_rows =
+      parallel ? 0 : std::numeric_limits<std::size_t>::max();
   options.optimizer.force_patch_rewrites = true;
   return options;
 }
 
 /// Loads a generated NUC table into the engine's catalog.
-Table* LoadNucTable(Engine& engine, const std::string& name,
-                    std::uint64_t rows, double exception_rate = 0.1) {
+const Table* LoadNucTable(Engine& engine, const std::string& name,
+                          std::uint64_t rows, double exception_rate = 0.1) {
   GeneratorConfig config;
   config.num_rows = rows;
   config.exception_rate = exception_rate;
@@ -40,9 +45,9 @@ Table* LoadNucTable(Engine& engine, const std::string& name,
 TEST(EngineTest, SelectChainRunsParallelAndMatchesSerial) {
   Engine parallel_engine(TestOptions());
   Engine serial_engine(TestOptions(/*parallel=*/false));
-  Table* pt = LoadNucTable(parallel_engine, "t", 20'000);
+  const Table* pt = LoadNucTable(parallel_engine, "t", 20'000);
   LoadNucTable(serial_engine, "t", 20'000);
-  Table* st = serial_engine.catalog().FindTable("t");
+  const Table* st = serial_engine.catalog().FindTable("t");
 
   auto make_plan = [](const Table& t) {
     return LSelect(LScan(t, {0, 1}), Lt(Col(0), ConstInt(12'345)), 0.6);
@@ -59,7 +64,7 @@ TEST(EngineTest, SelectChainRunsParallelAndMatchesSerial) {
 
 TEST(EngineTest, GroupingAggregateMergesPartials) {
   Engine engine(TestOptions());
-  Table* t = LoadNucTable(engine, "t", 10'000, 0.4);
+  const Table* t = LoadNucTable(engine, "t", 10'000, 0.4);
   // Group the duplicated exception values; sum/count/min/max over the key.
   LogicalPtr plan = LAggregate(LScan(*t, {1, 0}), {0},
                                {{AggOp::kCount, 0},
@@ -83,8 +88,8 @@ TEST(EngineTest, GroupingAggregateMergesPartials) {
 
 TEST(EngineTest, JoinRunsParallelAndMatchesSerial) {
   Engine engine(TestOptions());
-  Table* a = LoadNucTable(engine, "a", 4'000);
-  Table* b = LoadNucTable(engine, "b", 4'000);
+  const Table* a = LoadNucTable(engine, "a", 4'000);
+  const Table* b = LoadNucTable(engine, "b", 4'000);
   LogicalPtr plan = LJoin(LScan(*a, {0, 1}), LScan(*b, {0, 1}), 0, 0);
   auto result = engine.CreateSession().Execute(plan);
   ASSERT_TRUE(result.ok());
@@ -93,8 +98,8 @@ TEST(EngineTest, JoinRunsParallelAndMatchesSerial) {
   EXPECT_EQ(result.value().rows.num_rows(), 4'000u);
 
   Engine serial(TestOptions(/*parallel=*/false));
-  Table* sa = LoadNucTable(serial, "a", 4'000);
-  Table* sb = LoadNucTable(serial, "b", 4'000);
+  const Table* sa = LoadNucTable(serial, "a", 4'000);
+  const Table* sb = LoadNucTable(serial, "b", 4'000);
   auto reference = serial.CreateSession().Execute(
       LJoin(LScan(*sa, {0, 1}), LScan(*sb, {0, 1}), 0, 0));
   ASSERT_TRUE(reference.ok());
@@ -106,7 +111,7 @@ TEST(EngineTest, SmallTablesStaySerialByDefault) {
   EngineOptions options;
   options.num_threads = 4;  // default min_parallel_rows
   Engine engine(options);
-  Table* t = LoadNucTable(engine, "t", 100);
+  const Table* t = LoadNucTable(engine, "t", 100);
   auto result = engine.CreateSession().Execute(LScan(*t, {0}));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result.value().parallel);
@@ -115,7 +120,7 @@ TEST(EngineTest, SmallTablesStaySerialByDefault) {
 
 TEST(EngineTest, PatchDistinctRunsParallelThroughRewriter) {
   Engine engine(TestOptions());
-  Table* t = LoadNucTable(engine, "t", 20'000, 0.3);
+  const Table* t = LoadNucTable(engine, "t", 20'000, 0.3);
   Session session = engine.CreateSession();
   ASSERT_TRUE(
       session.CreatePatchIndex("t", 1, ConstraintKind::kNearlyUnique).ok());
@@ -129,7 +134,7 @@ TEST(EngineTest, PatchDistinctRunsParallelThroughRewriter) {
 
   Engine serial(TestOptions(/*parallel=*/false));
   LoadNucTable(serial, "t", 20'000, 0.3);
-  Table* st = serial.catalog().FindTable("t");
+  const Table* st = serial.catalog().FindTable("t");
   auto reference =
       serial.CreateSession().Execute(LDistinct(LScan(*st, {1}), {0}));
   ASSERT_TRUE(reference.ok());
@@ -138,7 +143,7 @@ TEST(EngineTest, PatchDistinctRunsParallelThroughRewriter) {
 
 TEST(EngineTest, UpdateQueriesRoundTripThroughSession) {
   Engine engine(TestOptions());
-  Table* t = LoadNucTable(engine, "t", 5'000);
+  const Table* t = LoadNucTable(engine, "t", 5'000);
   Session session = engine.CreateSession();
   ASSERT_TRUE(
       session.CreatePatchIndex("t", 1, ConstraintKind::kNearlyUnique).ok());
@@ -211,10 +216,9 @@ TEST(EngineTest, UpdateValidation) {
 
 TEST(EngineTest, CreatePatchIndexValidation) {
   Engine engine(TestOptions());
-  Table* t = engine.catalog()
-                 .CreateTable("s", Schema({{"name", ColumnType::kString}}))
-                 .value();
+  auto t = std::make_unique<Table>(Schema({{"name", ColumnType::kString}}));
   t->AppendRow(Row{{Value(std::string("x"))}});
+  ASSERT_TRUE(engine.catalog().AddTable("s", std::move(t)).ok());
   Session session = engine.CreateSession();
   EXPECT_EQ(
       session.CreatePatchIndex("s", 0, ConstraintKind::kNearlyUnique).code(),
@@ -284,6 +288,33 @@ TEST(EngineTest, ConcurrentReadersInterleaveWithUpdateQueries) {
       engine.catalog().manager().IndexesOn(*engine.catalog().FindTable("t"));
   ASSERT_EQ(indexes.size(), 1u);
   EXPECT_TRUE(indexes[0]->CheckInvariant());
+}
+
+TEST(EngineTest, ReadsSeeOnlyPublishedVersions) {
+  Engine engine(TestOptions());
+  LoadNucTable(engine, "t", 1'000);
+  const Catalog::TableRef ref = engine.catalog().Ref("t");
+  ASSERT_TRUE(ref);
+  auto count = [&engine] {
+    Result<QueryResult> r =
+        engine.CreateSession().Sql("SELECT COUNT(*) FROM t");
+    return r.ok() ? r.value().rows.columns[0].i64[0] : std::int64_t{-1};
+  };
+
+  std::unique_lock<std::shared_mutex> exclusive(*ref.lock);
+  // A delta buffered on the head but never committed or published.
+  ref.ptable->BufferInsert(MakeGeneratorRow(1'000, 7));
+  // (a) A reader on another thread neither waits for the writer's lock
+  // nor sees the buffered delta.
+  std::future<std::int64_t> during = std::async(std::launch::async, count);
+  const bool ready = during.wait_for(std::chrono::seconds(30)) ==
+                     std::future_status::ready;
+  exclusive.unlock();
+  ASSERT_TRUE(ready) << "the reader waited on the writer's lock";
+  EXPECT_EQ(during.get(), 1'000);
+  // (b) The lock is released with no publish: the published version is
+  // still the table's state.
+  EXPECT_EQ(count(), 1'000);
 }
 
 }  // namespace

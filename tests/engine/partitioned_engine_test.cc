@@ -56,7 +56,7 @@ TEST(PartitionedEngineTest, SqlCreateTableWithPartitionsRoutesDml) {
 
   ASSERT_TRUE(
       session.Sql("CREATE TABLE t (k INT64, v INT64) PARTITIONS 4").ok());
-  PartitionedTable* pt = engine.catalog().FindPartitionedTable("t");
+  const PartitionedTable* pt = engine.catalog().FindPartitionedTable("t");
   ASSERT_NE(pt, nullptr);
   EXPECT_EQ(pt->num_partitions(), 4u);
   // The single-table view refuses multi-partition entries.
@@ -270,7 +270,7 @@ TEST(PartitionedEngineTest, PerPartitionIndexesServeDistinctQueries) {
   ASSERT_TRUE(
       session.CreatePatchIndex("t", 0, ConstraintKind::kNearlyUnique).ok());
   EXPECT_EQ(engine.catalog().manager().num_indexes(), 3u);
-  PartitionedTable* pt = engine.catalog().FindPartitionedTable("t");
+  const PartitionedTable* pt = engine.catalog().FindPartitionedTable("t");
   for (const PatchIndex* idx : engine.catalog().manager().IndexesOn(*pt)) {
     EXPECT_EQ(idx->NumRows(), idx->table().num_rows());
     EXPECT_TRUE(idx->CheckInvariant());
@@ -357,7 +357,7 @@ TEST(PartitionedEngineTest, CreatePatchIndexRepairsPartialCoverage) {
 
   // Simulate a commit-failure drop of one partition's index; re-creating
   // must fill exactly the gap instead of failing forever.
-  PartitionedTable* pt = engine.catalog().FindPartitionedTable("t");
+  const PartitionedTable* pt = engine.catalog().FindPartitionedTable("t");
   std::vector<PatchIndex*> indexes = engine.catalog().manager().IndexesOn(*pt);
   ASSERT_EQ(indexes.size(), 3u);
   ASSERT_TRUE(engine.catalog().manager().DropIndex(indexes[1]));

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <regex>
 #include <string>
@@ -136,7 +137,7 @@ TEST(ExplainAnalyzeTest, GoldenPatchSortOverPrunedKeyRange) {
 
 TEST(ExplainAnalyzeTest, SerialFallbackRendersSerial) {
   EngineOptions options;
-  options.enable_parallel_execution = false;
+  options.min_parallel_rows = std::numeric_limits<std::size_t>::max();
   Engine engine(options);
   Session session = engine.CreateSession();
   LoadJoinTables(session);

@@ -134,7 +134,7 @@ TEST(ServerConcurrencyTest, MixedDmlManyClientsKeepsCommitAtomicity) {
             ++failures;
             return;
           }
-          // Reads run under the table's shared lock: they may interleave
+          // Reads see published versions only: they may interleave
           // anywhere between commits but never inside one, so the count
           // can never drop below the initial load.
           if (r.value().rows.columns[0].i64[0] < kInitialRows) ++failures;

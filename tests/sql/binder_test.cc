@@ -17,26 +17,24 @@ namespace {
 class BinderTest : public ::testing::Test {
  protected:
   BinderTest() : session_(engine_.CreateSession()) {
-    Table* orders = engine_.catalog()
-                        .CreateTable("orders",
-                                     Schema({{"id", ColumnType::kInt64},
-                                             {"customer", ColumnType::kInt64},
-                                             {"total", ColumnType::kDouble},
-                                             {"status", ColumnType::kString}}))
-                        .value();
+    auto orders = std::make_unique<Table>(
+        Schema({{"id", ColumnType::kInt64},
+                {"customer", ColumnType::kInt64},
+                {"total", ColumnType::kDouble},
+                {"status", ColumnType::kString}}));
     for (std::int64_t i = 0; i < 100; ++i) {
       orders->AppendRow(Row{{Value(i), Value(i % 10),
                              Value(static_cast<double>(i) * 1.5),
                              Value(i % 2 == 0 ? "open" : "done")}});
     }
-    Table* customers =
-        engine_.catalog()
-            .CreateTable("customers", Schema({{"id", ColumnType::kInt64},
-                                              {"name", ColumnType::kString}}))
-            .value();
+    EXPECT_TRUE(engine_.catalog().AddTable("orders", std::move(orders)).ok());
+    auto customers = std::make_unique<Table>(Schema(
+        {{"id", ColumnType::kInt64}, {"name", ColumnType::kString}}));
     for (std::int64_t i = 0; i < 10; ++i) {
       customers->AppendRow(Row{{Value(i), Value("c" + std::to_string(i))}});
     }
+    EXPECT_TRUE(
+        engine_.catalog().AddTable("customers", std::move(customers)).ok());
   }
 
   std::string Explain(const std::string& sql) {

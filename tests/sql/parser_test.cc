@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace patchindex::sql {
 namespace {
 
@@ -140,6 +142,41 @@ TEST(ParserTest, MultiLineErrorsPointAtTheOffendingToken) {
   EXPECT_NE(eoi.find("expected an expression, got 'end of input'"),
             std::string::npos);
   EXPECT_NE(eoi.find("line 1, column 22"), std::string::npos);
+}
+
+TEST(ParserTest, DeepNestingFailsInsteadOfOverflowingTheStack) {
+  const std::string parens = "SELECT " + std::string(10'000, '(') + "a" +
+                             std::string(10'000, ')') + " FROM t";
+  const std::string deep = ParseError(parens);
+  EXPECT_NE(deep.find("nested deeper than 256 levels"), std::string::npos)
+      << deep;
+  // The select item is level 1 and each '(' one more, so the expression
+  // inside the 256th '(' fails; the error points at the 257th.
+  EXPECT_NE(deep.find("line 1, column 264"), std::string::npos) << deep;
+
+  std::string minus = "SELECT ";
+  for (int i = 0; i < 100'000; ++i) minus += "- ";
+  EXPECT_NE(ParseError(minus + "a FROM t").find("nested deeper"),
+            std::string::npos);
+  std::string nots = "SELECT a FROM t WHERE ";
+  for (int i = 0; i < 100'000; ++i) nots += "NOT ";
+  EXPECT_NE(ParseError(nots + "a = 1").find("nested deeper"),
+            std::string::npos);
+  // Left-associative chains build trees as deep as they are long.
+  std::string ands = "SELECT a FROM t WHERE a = 1";
+  for (int i = 0; i < 100'000; ++i) ands += " AND a = 1";
+  EXPECT_NE(ParseError(ands).find("nested deeper"), std::string::npos);
+  std::string sums = "SELECT a";
+  for (int i = 0; i < 100'000; ++i) sums += " + a * a";
+  EXPECT_NE(ParseError(sums + " FROM t").find("nested deeper"),
+            std::string::npos);
+
+  // One level inside the limit still parses.
+  const std::size_t ok = kMaxExprDepth - 1;
+  const Statement shallow = Parse("SELECT " + std::string(ok, '(') + "a" +
+                                  std::string(ok, ')') + " FROM t");
+  ASSERT_NE(shallow.select, nullptr);
+  EXPECT_EQ(shallow.select->items.size(), 1u);
 }
 
 TEST(ParserTest, CreateTableWithPartitions) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -486,7 +487,7 @@ TEST_F(SqlEquivalenceTest, ParallelAndSerialSqlAgree) {
   parallel_opts.min_parallel_rows = 0;
   Engine parallel(parallel_opts);
   EngineOptions serial_opts;
-  serial_opts.enable_parallel_execution = false;
+  serial_opts.min_parallel_rows = std::numeric_limits<std::size_t>::max();
   Engine serial(serial_opts);
 
   GeneratorConfig cfg;
