@@ -66,18 +66,17 @@ Status PiClient::Connect(const std::string& host, std::uint16_t port) {
   if (fd_ < 0) return last;
 
   // Handshake.
-  WireWriter w;
-  w.PutU32(kProtocolVersion);
-  Status st = WriteFrame(fd_, FrameType::kHello, w.payload());
+  std::string hello;
+  PutU32(&hello, kProtocolVersion);
+  Status st = WriteFrame(fd_, FrameType::kHello, hello);
   if (!st.ok()) return Fail(std::move(st));
   std::string payload;
   st = ReadResponse(static_cast<std::uint8_t>(FrameType::kWelcome),
                     &payload);
   if (!st.ok()) return Fail(std::move(st));
-  WireReader r(payload);
-  std::uint32_t version = 0;
-  st = r.GetU32(&version);
-  if (!st.ok()) return Fail(std::move(st));
+  ByteReader r(payload);
+  const std::uint32_t version = r.GetU32();
+  if (!r.ok()) return Fail(DecodeStatus(r));
   if (version != kProtocolVersion) {
     return Fail(Status::InvalidArgument(
         "server answered protocol version " + std::to_string(version) +
@@ -120,7 +119,7 @@ Status PiClient::ReadResponse(std::uint8_t expect, std::string* payload) {
   Status st = ReadFrame(fd_, &type, payload);
   if (!st.ok()) return Fail(std::move(st));
   if (type == FrameType::kError) {
-    WireReader r(*payload);
+    ByteReader r(*payload);
     Status remote;
     st = DecodeError(&r, &remote, &last_error_line_, &last_error_column_);
     if (!st.ok()) return Fail(std::move(st));
@@ -141,7 +140,7 @@ Result<QueryResult> PiClient::ReadResultResponse() {
       static_cast<std::uint8_t>(FrameType::kResultHeader), &payload));
   QueryResult result;
   {
-    WireReader r(payload);
+    ByteReader r(payload);
     Status st = DecodeResultHeader(&r, &result);
     if (!st.ok()) return Fail(std::move(st));
   }
@@ -150,16 +149,15 @@ Result<QueryResult> PiClient::ReadResultResponse() {
     Status st = ReadFrame(fd_, &type, &payload);
     if (!st.ok()) return Fail(std::move(st));
     if (type == FrameType::kRowBatch) {
-      WireReader r(payload);
+      ByteReader r(payload);
       st = DecodeRowBatch(&r, &result.rows);
       if (!st.ok()) return Fail(std::move(st));
       continue;
     }
     if (type == FrameType::kResultEnd) {
-      WireReader r(payload);
-      std::uint64_t total = 0;
-      st = r.GetU64(&total);
-      if (!st.ok()) return Fail(std::move(st));
+      ByteReader r(payload);
+      const std::uint64_t total = r.GetU64();
+      if (!r.ok()) return Fail(DecodeStatus(r));
       if (total != result.rows.num_rows()) {
         return Fail(Status::Internal(
             "result stream inconsistent: server announced " +
@@ -176,62 +174,61 @@ Result<QueryResult> PiClient::ReadResultResponse() {
 
 Result<QueryResult> PiClient::Sql(std::string_view sql,
                                   std::vector<Value> params) {
-  WireWriter w;
-  w.PutString(sql);
-  EncodeParams(&w, params);
+  std::string request;
+  PutString(&request, sql);
+  EncodeParams(&request, params);
   PIDX_RETURN_NOT_OK(
-      SendRequest(static_cast<std::uint8_t>(FrameType::kQuery), w.payload()));
+      SendRequest(static_cast<std::uint8_t>(FrameType::kQuery), request));
   return ReadResultResponse();
 }
 
 Result<RemoteStatement> PiClient::Prepare(std::string_view sql) {
-  WireWriter w;
-  w.PutString(sql);
+  std::string request;
+  PutString(&request, sql);
   PIDX_RETURN_NOT_OK(SendRequest(
-      static_cast<std::uint8_t>(FrameType::kPrepare), w.payload()));
+      static_cast<std::uint8_t>(FrameType::kPrepare), request));
   std::string payload;
   PIDX_RETURN_NOT_OK(ReadResponse(
       static_cast<std::uint8_t>(FrameType::kPrepared), &payload));
-  WireReader r(payload);
+  ByteReader r(payload);
   RemoteStatement stmt;
-  Status st = r.GetU64(&stmt.id);
-  if (st.ok()) st = r.GetU32(&stmt.num_params);
-  if (!st.ok()) return Fail(std::move(st));
+  stmt.id = r.GetU64();
+  stmt.num_params = r.GetU32();
+  if (!r.ok()) return Fail(DecodeStatus(r));
   return stmt;
 }
 
 Result<QueryResult> PiClient::Execute(const RemoteStatement& stmt,
                                       std::vector<Value> params) {
-  WireWriter w;
-  w.PutU64(stmt.id);
-  EncodeParams(&w, params);
+  std::string request;
+  PutU64(&request, stmt.id);
+  EncodeParams(&request, params);
   PIDX_RETURN_NOT_OK(SendRequest(
-      static_cast<std::uint8_t>(FrameType::kExecute), w.payload()));
+      static_cast<std::uint8_t>(FrameType::kExecute), request));
   return ReadResultResponse();
 }
 
 Status PiClient::CloseStatement(const RemoteStatement& stmt) {
-  WireWriter w;
-  w.PutU64(stmt.id);
+  std::string request;
+  PutU64(&request, stmt.id);
   PIDX_RETURN_NOT_OK(SendRequest(
-      static_cast<std::uint8_t>(FrameType::kCloseStmt), w.payload()));
+      static_cast<std::uint8_t>(FrameType::kCloseStmt), request));
   std::string payload;
   return ReadResponse(static_cast<std::uint8_t>(FrameType::kStmtClosed),
                       &payload);
 }
 
 Result<std::string> PiClient::Meta(const std::string& line) {
-  WireWriter w;
-  w.PutString(line);
+  std::string request;
+  PutString(&request, line);
   PIDX_RETURN_NOT_OK(
-      SendRequest(static_cast<std::uint8_t>(FrameType::kMeta), w.payload()));
+      SendRequest(static_cast<std::uint8_t>(FrameType::kMeta), request));
   std::string payload;
   PIDX_RETURN_NOT_OK(ReadResponse(
       static_cast<std::uint8_t>(FrameType::kMetaResult), &payload));
-  WireReader r(payload);
-  std::string out;
-  Status st = r.GetString(&out);
-  if (!st.ok()) return Fail(std::move(st));
+  ByteReader r(payload);
+  std::string out = r.GetString();
+  if (!r.ok()) return Fail(DecodeStatus(r));
   return out;
 }
 

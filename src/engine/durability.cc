@@ -12,6 +12,7 @@
 #include "common/timer.h"
 #include "obs/mem_tracker.h"
 #include "patchindex/checkpoint.h"
+#include "storage/codec.h"
 #include "storage/snapshot.h"
 #include "storage/wal.h"
 
@@ -22,34 +23,6 @@ namespace {
 /// Catalog-log record kinds.
 constexpr std::uint8_t kDdlCreateTable = 1;
 constexpr std::uint8_t kDdlCreateIndex = 2;
-
-std::uint8_t ColumnTypeTag(ColumnType type) {
-  switch (type) {
-    case ColumnType::kInt64:
-      return 1;
-    case ColumnType::kDouble:
-      return 2;
-    case ColumnType::kString:
-      return 3;
-  }
-  return 0;
-}
-
-bool TagToColumnType(std::uint8_t tag, ColumnType* out) {
-  switch (tag) {
-    case 1:
-      *out = ColumnType::kInt64;
-      return true;
-    case 2:
-      *out = ColumnType::kDouble;
-      return true;
-    case 3:
-      *out = ColumnType::kString;
-      return true;
-    default:
-      return false;
-  }
-}
 
 /// Table names become file names; refuse anything that could escape the
 /// data directory or collide with our suffix scheme.
@@ -185,7 +158,7 @@ Status DurabilityManager::LogCreateTable(const std::string& name,
   PutU32(&payload, static_cast<std::uint32_t>(schema.num_fields()));
   for (const Field& f : schema.fields()) {
     PutString(&payload, f.name);
-    PutU8(&payload, ColumnTypeTag(f.type));
+    PutColumnType(&payload, f.type);
   }
   // WAL files first, the catalog record last: the fsynced catalog append
   // is the commit point of the DDL. A failure (or crash) before it leaves
@@ -471,8 +444,8 @@ Status DurabilityManager::Recover(Catalog* catalog, ThreadPool* pool) {
       for (std::uint32_t c = 0; c < n_cols && r.ok(); ++c) {
         Field f;
         f.name = r.GetString();
-        if (!TagToColumnType(r.GetU8(), &f.type)) break;
-        fields.push_back(std::move(f));
+        f.type = r.GetColumnType();
+        if (r.ok()) fields.push_back(std::move(f));
       }
       if (!r.done() || fields.size() != n_cols || !SafeTableName(name) ||
           tables_.count(name) != 0) {

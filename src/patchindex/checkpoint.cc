@@ -1,30 +1,18 @@
 #include "patchindex/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
-#include <vector>
+#include <string_view>
+
+#include "storage/codec.h"
 
 namespace patchindex {
 
 namespace {
 
-constexpr char kMagic[8] = {'P', 'I', 'D', 'X', 'C', 'K', 'P', '1'};
+constexpr std::string_view kMagic = std::string_view("PIDXCKP2", 8);
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-template <typename T>
-void PutOne(std::string* out, const T& v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadOne(std::FILE* f, T* v) {
-  return std::fread(v, sizeof(T), 1, f) == 1;
+Status Corrupt(const std::string& path, const char* what) {
+  return Status::InvalidArgument("corrupted PatchIndex checkpoint " + path +
+                                 ": " + what);
 }
 
 }  // namespace
@@ -33,85 +21,77 @@ Status SavePatchIndexCheckpoint(const PatchIndex& index,
                                 const std::string& path,
                                 const FaultHook& hook) {
   // Serialize into memory, then write + fsync through DurableFile so the
-  // crash-injection harness covers this path ("pidx_ckpt.*" points). The
-  // byte format is unchanged from the historical fwrite-based writer.
+  // crash-injection harness covers this path ("pidx_ckpt.*" points).
   const PatchIndexState state = index.ExportState();
-  std::string buf;
-  buf.append(kMagic, sizeof(kMagic));
-  PutOne(&buf, static_cast<std::uint8_t>(state.constraint));
-  PutOne(&buf, static_cast<std::uint64_t>(state.column));
-  PutOne(&buf, static_cast<std::uint8_t>(index.patches().design()));
-  PutOne(&buf, static_cast<std::uint8_t>(index.ascending()));
-  PutOne(&buf, static_cast<std::uint8_t>(state.has_tail));
-  PutOne(&buf, state.tail_value);
-  PutOne(&buf, static_cast<std::uint8_t>(state.has_constant));
-  PutOne(&buf, state.constant_value);
-  PutOne(&buf, state.num_rows);
-  PutOne(&buf, static_cast<std::uint64_t>(state.patches.size()));
+  std::string payload;
+  PutU8(&payload, static_cast<std::uint8_t>(state.constraint));
+  PutU64(&payload, state.column);
+  PutU8(&payload, static_cast<std::uint8_t>(index.patches().design()));
+  PutU8(&payload, index.ascending() ? 1 : 0);
+  PutU8(&payload, state.has_tail ? 1 : 0);
+  PutI64(&payload, state.tail_value);
+  PutU8(&payload, state.has_constant ? 1 : 0);
+  PutI64(&payload, state.constant_value);
+  PutU64(&payload, state.num_rows);
+  PutU64(&payload, state.patches.size());
   // Delta encoding keeps the file small for clustered patches.
   std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < state.patches.size(); ++i) {
-    const std::uint64_t delta = i == 0 ? state.patches[0]
-                                       : state.patches[i] - prev;
-    prev = state.patches[i];
-    PutOne(&buf, delta);
+  for (const RowId row : state.patches) {
+    PutU64(&payload, row - prev);
+    prev = row;
   }
+  std::string file(kMagic);
+  AppendFrame(&file, payload);
+
   auto f = DurableFile::Create(path, hook);
   if (!f.ok()) return f.status();
-  PIDX_RETURN_NOT_OK(f.value().Append("pidx_ckpt.write", buf.data(),
-                                      buf.size()));
+  PIDX_RETURN_NOT_OK(f.value().Append("pidx_ckpt.write", file.data(),
+                                      file.size()));
   return f.value().Fsync("pidx_ckpt.fsync");
 }
 
 Result<std::unique_ptr<PatchIndex>> LoadPatchIndexCheckpoint(
     const std::string& path, const Table& table, PatchIndexOptions options) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return Status::NotFound("checkpoint file not found: " + path);
-  }
-  char magic[8];
-  if (std::fread(magic, sizeof(magic), 1, f.get()) != 1 ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  std::string data;
+  PIDX_RETURN_NOT_OK(ReadFileBytes(path, &data));
+  if (std::string_view(data).substr(0, kMagic.size()) != kMagic) {
     return Status::InvalidArgument("not a PatchIndex checkpoint: " + path);
   }
+  std::size_t offset = kMagic.size();
+  std::string_view payload;
+  if (!NextFrame(data, &offset, &payload)) {
+    return Corrupt(path, "unreadable frame");
+  }
+  if (offset != data.size()) return Corrupt(path, "trailing bytes");
+
+  ByteReader r(payload);
   PatchIndexState state;
-  std::uint8_t constraint_u8 = 0, design_u8 = 0, ascending_u8 = 0,
-               has_tail_u8 = 0, has_constant_u8 = 0;
-  std::uint64_t column_u64 = 0, num_patches = 0;
-  bool ok = ReadOne(f.get(), &constraint_u8);
-  ok = ok && ReadOne(f.get(), &column_u64);
-  ok = ok && ReadOne(f.get(), &design_u8);
-  ok = ok && ReadOne(f.get(), &ascending_u8);
-  ok = ok && ReadOne(f.get(), &has_tail_u8);
-  ok = ok && ReadOne(f.get(), &state.tail_value);
-  ok = ok && ReadOne(f.get(), &has_constant_u8);
-  ok = ok && ReadOne(f.get(), &state.constant_value);
-  ok = ok && ReadOne(f.get(), &state.num_rows);
-  ok = ok && ReadOne(f.get(), &num_patches);
-  if (!ok || constraint_u8 > 2 || design_u8 > 1) {
-    return Status::InvalidArgument("corrupted checkpoint header: " + path);
+  const std::uint8_t constraint = r.GetU8();
+  state.column = static_cast<std::size_t>(r.GetU64());
+  const std::uint8_t design = r.GetU8();
+  options.ascending = r.GetU8() != 0;
+  state.has_tail = r.GetU8() != 0;
+  state.tail_value = r.GetI64();
+  state.has_constant = r.GetU8() != 0;
+  state.constant_value = r.GetI64();
+  state.num_rows = r.GetU64();
+  const std::uint64_t num_patches = r.GetU64();
+  if (!r.ok() || constraint > 2 || design > 1) {
+    return Corrupt(path, "bad header");
   }
-  if (num_patches > state.num_rows) {
-    return Status::InvalidArgument("corrupted checkpoint: more patches "
-                                   "than rows");
+  if (num_patches > state.num_rows || num_patches > r.remaining() / 8) {
+    return Corrupt(path, "patch count exceeds the rows or the payload");
   }
-  state.constraint = static_cast<ConstraintKind>(constraint_u8);
-  state.column = static_cast<std::size_t>(column_u64);
-  state.has_tail = has_tail_u8 != 0;
-  state.has_constant = has_constant_u8 != 0;
-  options.design = static_cast<PatchSetDesign>(design_u8);
-  options.ascending = ascending_u8 != 0;
+  state.constraint = static_cast<ConstraintKind>(constraint);
+  options.design = static_cast<PatchSetDesign>(design);
 
   state.patches.reserve(num_patches);
-  std::uint64_t pos = 0;
+  std::uint64_t row = 0;
   for (std::uint64_t i = 0; i < num_patches; ++i) {
-    std::uint64_t delta = 0;
-    if (!ReadOne(f.get(), &delta)) {
-      return Status::InvalidArgument("truncated checkpoint: " + path);
-    }
-    pos = i == 0 ? delta : pos + delta;
-    state.patches.push_back(pos);
+    row += r.GetU64();
+    state.patches.push_back(row);
   }
+  if (!r.done()) return Corrupt(path, "trailing bytes in the frame");
   return PatchIndex::Restore(table, state, options);
 }
 

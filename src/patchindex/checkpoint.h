@@ -17,12 +17,17 @@ namespace patchindex {
 /// a small binary file holding the constraint metadata and the patch
 /// rowIDs (run-length friendly: rowIDs are delta-encoded).
 ///
-/// Format (little endian): magic "PIDXCKP1", then
+/// Format: magic "PIDXCKP2", then exactly one CRC frame
+/// (storage/codec.h: u32 len | u32 crc32c | payload) whose payload, in
+/// the shared codec, is
 ///   u8 constraint, u64 column, u8 design, u8 ascending,
 ///   u8 has_tail, i64 tail, u8 has_constant, i64 constant,
 ///   u64 num_rows, u64 num_patches, u64 deltas[num_patches]
 /// where deltas[0] is the first patch rowID and deltas[i] the distance to
-/// the previous one.
+/// the previous one. The CRC makes every torn write and every flipped bit
+/// a load error instead of a silently wrong patch set; recovery then
+/// rebuilds the index by discovery. Files of the earlier unframed format
+/// ("PIDXCKP1") fail the magic check the same way.
 /// `hook` injects write/fsync faults at the "pidx_ckpt.write" and
 /// "pidx_ckpt.fsync" crash points (storage/fault_fs.h); the engine's
 /// checkpoint path passes DurabilityOptions::fault_hook through.
@@ -31,7 +36,8 @@ Status SavePatchIndexCheckpoint(const PatchIndex& index,
                                 const FaultHook& hook = nullptr);
 
 /// Restores an index from a checkpoint against `table`. Fails with
-/// kInvalidArgument on format errors and with kConstraintViolation when
+/// kInvalidArgument on a bad magic, a bad frame, trailing bytes or a
+/// malformed payload, and with kConstraintViolation when
 /// the checkpointed cardinality does not match the table (the table
 /// changed after the checkpoint; per §3.4 the caller must then replay the
 /// logged updates or recreate the index).

@@ -121,19 +121,12 @@ Status PatchIndex::HandleUpdateQuery() {
   if (options_.maintenance_fault_hook) {
     PIDX_RETURN_NOT_OK(options_.maintenance_fault_hook("handle"));
   }
+  // PatchIndexManager validated the single delta kind before calling.
   const PositionalDelta& pdt = table_->pdt();
-  const int kinds = (pdt.inserts().empty() ? 0 : 1) +
-                    (pdt.deletes().empty() ? 0 : 1) +
-                    (pdt.modifies().empty() ? 0 : 1);
-  if (kinds == 0) return Status::OK();
-  if (kinds > 1) {
-    return Status::InvalidArgument(
-        "update query must contain exactly one delta kind (one SQL "
-        "statement inserts, modifies or deletes)");
-  }
   if (!pdt.inserts().empty()) return HandleInsert();
   if (!pdt.modifies().empty()) return HandleModify();
-  return HandleDelete();
+  if (!pdt.deletes().empty()) return HandleDelete();
+  return Status::OK();
 }
 
 Status PatchIndex::HandleInsert() {

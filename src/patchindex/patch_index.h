@@ -120,9 +120,10 @@ class PatchIndex : public RowIdFilter {
   bool has_constant() const { return has_constant_; }
 
   /// Processes the update query currently buffered in the table's PDT
-  /// (before Table::Checkpoint()). The PDT must contain exactly one kind
+  /// (before Table::Checkpoint()). The PDT must contain at most one kind
   /// of delta — one SQL statement inserts, modifies or deletes, never a
-  /// mix (paper §5, Table 1).
+  /// mix (paper §5, Table 1); PatchIndexManager's commit entry points
+  /// reject a mix before any index runs, and this does not check again.
   Status HandleUpdateQuery();
 
   /// Call after Table::Checkpoint(): triggers a global recomputation if

@@ -169,9 +169,9 @@ Status MakeListenSocket(const std::string& host, std::uint16_t port,
 /// frame — nothing sent after it would parse). Handshake/greeting
 /// callers ignore it, as those connections are being dropped anyway.
 Status SendErrorFrame(int fd, const Status& status) {
-  WireWriter w;
-  EncodeError(&w, status);
-  return WriteFrame(fd, FrameType::kError, w.payload());
+  std::string payload;
+  EncodeError(&payload, status);
+  return WriteFrame(fd, FrameType::kError, payload);
 }
 
 /// Best-effort accounting of result bytes streamed to a client: charges
@@ -206,32 +206,34 @@ class ScopedResultBytes {
 Status SendResult(int fd, const QueryResult& result,
                   obs::MemoryTracker* mem) {
   ScopedResultBytes bytes(mem);
-  {
-    WireWriter w;
-    EncodeResultHeader(&w, result);
-    bytes.Add(w.payload().size());
-    PIDX_RETURN_NOT_OK(WriteFrame(fd, FrameType::kResultHeader, w.payload()));
-  }
+  std::string payload;
+  EncodeResultHeader(&payload, result);
+  bytes.Add(payload.size());
+  PIDX_RETURN_NOT_OK(WriteFrame(fd, FrameType::kResultHeader, payload));
   const std::size_t total = result.rows.num_rows();
   std::size_t begin = 0;
   while (begin < total) {
-    WireWriter body;
+    // The u32 row count leads the batch; its slot is written once the
+    // batch closes, so the rows are encoded straight into the one
+    // (reused) payload buffer.
+    payload.clear();
+    PutU32(&payload, 0);
     std::size_t end = begin;
     while (end < total && end - begin < kRowsPerWireBatch &&
-           body.payload().size() < kWireBatchSoftBytes) {
-      EncodeRow(&body, result.rows, end);
+           payload.size() < kWireBatchSoftBytes) {
+      EncodeRow(&payload, result.rows, end);
       ++end;
     }
-    WireWriter w;
-    w.PutU32(static_cast<std::uint32_t>(end - begin));
-    w.PutRaw(body.payload());
-    bytes.Add(w.payload().size());
-    PIDX_RETURN_NOT_OK(WriteFrame(fd, FrameType::kRowBatch, w.payload()));
+    std::string count;
+    PutU32(&count, static_cast<std::uint32_t>(end - begin));
+    payload.replace(0, count.size(), count);
+    bytes.Add(payload.size());
+    PIDX_RETURN_NOT_OK(WriteFrame(fd, FrameType::kRowBatch, payload));
     begin = end;
   }
-  WireWriter w;
-  w.PutU64(total);
-  return WriteFrame(fd, FrameType::kResultEnd, w.payload());
+  payload.clear();
+  PutU64(&payload, total);
+  return WriteFrame(fd, FrameType::kResultEnd, payload);
 }
 
 }  // namespace
@@ -535,13 +537,12 @@ void PiServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
   bool handshook = false;
   Status st = ReadFrame(conn->fd, &type, &payload);
   if (st.ok() && type == FrameType::kHello) {
-    WireReader r(payload);
-    std::uint32_t version = 0;
-    if (r.GetU32(&version).ok() && version == kProtocolVersion) {
-      WireWriter w;
-      w.PutU32(kProtocolVersion);
-      handshook =
-          WriteFrame(conn->fd, FrameType::kWelcome, w.payload()).ok();
+    ByteReader r(payload);
+    const std::uint32_t version = r.GetU32();
+    if (r.ok() && version == kProtocolVersion) {
+      std::string welcome;
+      PutU32(&welcome, kProtocolVersion);
+      handshook = WriteFrame(conn->fd, FrameType::kWelcome, welcome).ok();
       if (handshook && options_.handshake_timeout_seconds > 0) {
         // Handshake done: drop the receive timeout — idle sessions are
         // legitimate and must not be disconnected.
@@ -579,31 +580,34 @@ void PiServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
       break;
     }
     Task task;
-    WireReader r(payload);
+    ByteReader r(payload);
     Status decode = Status::OK();
     bool goodbye = false;
     switch (type) {
       case FrameType::kQuery:
         task.kind = Task::Kind::kQuery;
-        decode = r.GetString(&task.text);
-        if (decode.ok()) decode = DecodeParams(&r, &task.params);
+        task.text = r.GetString();
+        decode = DecodeParams(&r, &task.params);
         break;
       case FrameType::kPrepare:
         task.kind = Task::Kind::kPrepare;
-        decode = r.GetString(&task.text);
+        task.text = r.GetString();
+        decode = DecodeStatus(r);
         break;
       case FrameType::kExecute:
         task.kind = Task::Kind::kExecute;
-        decode = r.GetU64(&task.stmt_id);
-        if (decode.ok()) decode = DecodeParams(&r, &task.params);
+        task.stmt_id = r.GetU64();
+        decode = DecodeParams(&r, &task.params);
         break;
       case FrameType::kCloseStmt:
         task.kind = Task::Kind::kCloseStmt;
-        decode = r.GetU64(&task.stmt_id);
+        task.stmt_id = r.GetU64();
+        decode = DecodeStatus(r);
         break;
       case FrameType::kMeta:
         task.kind = Task::Kind::kMeta;
-        decode = r.GetString(&task.text);
+        task.text = r.GetString();
+        decode = DecodeStatus(r);
         break;
       case FrameType::kGoodbye:
         goodbye = true;
@@ -615,7 +619,7 @@ void PiServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
         break;
     }
     if (goodbye) break;
-    if (decode.ok() && !r.AtEnd()) {
+    if (decode.ok() && !r.done()) {
       // Reject trailing garbage: a frame that decodes but carries extra
       // bytes means the peer's framing is off — nothing after it can be
       // trusted.
@@ -866,10 +870,10 @@ void PiServer::ProcessTask(const std::shared_ptr<Connection>& conn,
       const std::uint32_t num_params =
           static_cast<std::uint32_t>(prepared.value().num_params());
       conn->stmts.emplace(id, std::move(prepared).value());
-      WireWriter w;
-      w.PutU64(id);
-      w.PutU32(num_params);
-      write = WriteFrame(conn->fd, FrameType::kPrepared, w.payload());
+      std::string reply;
+      PutU64(&reply, id);
+      PutU32(&reply, num_params);
+      write = WriteFrame(conn->fd, FrameType::kPrepared, reply);
       break;
     }
     case Task::Kind::kExecute: {
@@ -907,9 +911,9 @@ void PiServer::ProcessTask(const std::shared_ptr<Connection>& conn,
       }
       const std::string out =
           RunMetaCommand(engine_, conn->session, task.text);
-      WireWriter w;
-      w.PutString(out);
-      write = WriteFrame(conn->fd, FrameType::kMetaResult, w.payload());
+      std::string meta;
+      PutString(&meta, out);
+      write = WriteFrame(conn->fd, FrameType::kMetaResult, meta);
       break;
     }
     case Task::Kind::kFatal:

@@ -7,93 +7,6 @@
 
 namespace patchindex::net {
 
-void WireWriter::PutU32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void WireWriter::PutU64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void WireWriter::PutF64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof v);
-  std::memcpy(&bits, &v, sizeof bits);
-  PutU64(bits);
-}
-
-void WireWriter::PutString(std::string_view s) {
-  PutU32(static_cast<std::uint32_t>(s.size()));
-  buf_.append(s.data(), s.size());
-}
-
-namespace {
-
-Status Truncated() {
-  return Status::InvalidArgument("malformed frame: truncated payload");
-}
-
-}  // namespace
-
-Status WireReader::GetU8(std::uint8_t* v) {
-  if (buf_.size() - pos_ < 1) return Truncated();
-  *v = static_cast<std::uint8_t>(buf_[pos_++]);
-  return Status::OK();
-}
-
-Status WireReader::GetU32(std::uint32_t* v) {
-  if (buf_.size() - pos_ < 4) return Truncated();
-  std::uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(buf_[pos_ + i]))
-           << (8 * i);
-  }
-  pos_ += 4;
-  *v = out;
-  return Status::OK();
-}
-
-Status WireReader::GetU64(std::uint64_t* v) {
-  if (buf_.size() - pos_ < 8) return Truncated();
-  std::uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(buf_[pos_ + i]))
-           << (8 * i);
-  }
-  pos_ += 8;
-  *v = out;
-  return Status::OK();
-}
-
-Status WireReader::GetI64(std::int64_t* v) {
-  std::uint64_t u;
-  PIDX_RETURN_NOT_OK(GetU64(&u));
-  *v = static_cast<std::int64_t>(u);
-  return Status::OK();
-}
-
-Status WireReader::GetF64(double* v) {
-  std::uint64_t bits;
-  PIDX_RETURN_NOT_OK(GetU64(&bits));
-  std::memcpy(v, &bits, sizeof *v);
-  return Status::OK();
-}
-
-Status WireReader::GetString(std::string* s) {
-  std::uint32_t len;
-  PIDX_RETURN_NOT_OK(GetU32(&len));
-  if (len > kMaxFrameBytes || buf_.size() - pos_ < len) return Truncated();
-  s->assign(buf_.data() + pos_, len);
-  pos_ += len;
-  return Status::OK();
-}
-
 // ------------------------------------------------------------- frame I/O
 
 namespace {
@@ -163,11 +76,8 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload) {
     return Status::InvalidArgument("frame exceeds kMaxFrameBytes");
   }
   std::string head;
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size() + 1);
-  for (int i = 0; i < 4; ++i) {
-    head.push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-  }
-  head.push_back(static_cast<char>(type));
+  PutU32(&head, static_cast<std::uint32_t>(payload.size() + 1));
+  PutU8(&head, static_cast<std::uint8_t>(type));
   // One send for the header keeps small frames in one TCP segment; the
   // payload follows separately to avoid copying result batches.
   PIDX_RETURN_NOT_OK(SendAll(fd, head.data(), head.size()));
@@ -178,11 +88,8 @@ Status ReadFrame(int fd, FrameType* type, std::string* payload) {
   char head[4];
   bool eof = false;
   PIDX_RETURN_NOT_OK(RecvAll(fd, head, sizeof head, &eof));
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(head[i]))
-           << (8 * i);
-  }
+  const std::uint32_t len =
+      ByteReader(std::string_view(head, sizeof head)).GetU32();
   if (len == 0 || len > kMaxFrameBytes) {
     return Status::InvalidArgument("malformed frame: bad length prefix");
   }
@@ -203,149 +110,101 @@ Status ReadFrame(int fd, FrameType* type, std::string* payload) {
 
 // --------------------------------------------------- typed payload parts
 
-void EncodeValue(WireWriter* w, const Value& v) {
-  w->PutU8(static_cast<std::uint8_t>(v.type()));
-  switch (v.type()) {
-    case ColumnType::kInt64:
-      w->PutI64(v.AsInt64());
-      break;
-    case ColumnType::kDouble:
-      w->PutF64(v.AsDouble());
-      break;
-    case ColumnType::kString:
-      w->PutString(v.AsString());
-      break;
-  }
+Status DecodeStatus(const ByteReader& r) {
+  if (r.ok()) return Status::OK();
+  return Status::InvalidArgument(
+      "malformed frame: truncated payload or bad type tag");
 }
 
-Status DecodeValue(WireReader* r, Value* v) {
-  std::uint8_t tag;
-  PIDX_RETURN_NOT_OK(r->GetU8(&tag));
-  switch (static_cast<ColumnType>(tag)) {
-    case ColumnType::kInt64: {
-      std::int64_t i;
-      PIDX_RETURN_NOT_OK(r->GetI64(&i));
-      *v = Value(i);
-      return Status::OK();
-    }
-    case ColumnType::kDouble: {
-      double d;
-      PIDX_RETURN_NOT_OK(r->GetF64(&d));
-      *v = Value(d);
-      return Status::OK();
-    }
-    case ColumnType::kString: {
-      std::string s;
-      PIDX_RETURN_NOT_OK(r->GetString(&s));
-      *v = Value(std::move(s));
-      return Status::OK();
-    }
-  }
-  return Status::InvalidArgument("malformed frame: unknown value type");
+void EncodeParams(std::string* out, const std::vector<Value>& params) {
+  PutU32(out, static_cast<std::uint32_t>(params.size()));
+  for (const Value& p : params) PutValue(out, p);
 }
 
-void EncodeParams(WireWriter* w, const std::vector<Value>& params) {
-  w->PutU32(static_cast<std::uint32_t>(params.size()));
-  for (const Value& p : params) EncodeValue(w, p);
-}
-
-Status DecodeParams(WireReader* r, std::vector<Value>* params) {
-  std::uint32_t count;
-  PIDX_RETURN_NOT_OK(r->GetU32(&count));
+Status DecodeParams(ByteReader* r, std::vector<Value>* params) {
+  const std::uint32_t count = r->GetU32();
   params->clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Value v;
-    PIDX_RETURN_NOT_OK(DecodeValue(r, &v));
-    params->push_back(std::move(v));
+  for (std::uint32_t i = 0; i < count && r->ok(); ++i) {
+    params->push_back(r->GetValue());
   }
-  return Status::OK();
+  return DecodeStatus(*r);
 }
 
-void EncodeResultHeader(WireWriter* w, const QueryResult& result) {
-  w->PutU64(result.rows_affected);
+void EncodeResultHeader(std::string* out, const QueryResult& result) {
+  PutU64(out, result.rows_affected);
   std::uint8_t flags = 0;
   if (result.parallel) flags |= kExecParallel;
   if (result.parallel_join) flags |= kExecParallelJoin;
   if (result.parallel_sort) flags |= kExecParallelSort;
-  w->PutU8(flags);
+  PutU8(out, flags);
   // v2 phase-span block: the per-operator tree stays server-side (EXPLAIN
   // ANALYZE renders it into rows), but the phase breakdown travels so
   // remote `.timing` output matches local output.
   // Layout: the kPhases times in table order, then total_ms.
   if (result.profile != nullptr) {
-    w->PutU8(1);
+    PutU8(out, 1);
     for (const obs::PhaseInfo& p : obs::kPhases) {
-      w->PutF64(result.profile.get()->*p.ms);
+      PutF64(out, result.profile.get()->*p.ms);
     }
-    w->PutF64(result.profile->total_ms);
+    PutF64(out, result.profile->total_ms);
   } else {
-    w->PutU8(0);
+    PutU8(out, 0);
   }
-  w->PutU32(static_cast<std::uint32_t>(result.rows.columns.size()));
+  PutU32(out, static_cast<std::uint32_t>(result.rows.columns.size()));
   for (std::size_t c = 0; c < result.rows.columns.size(); ++c) {
     // DML results have no column names; SELECTs name every column.
-    w->PutString(c < result.column_names.size() ? result.column_names[c]
-                                                : std::string());
-    w->PutU8(static_cast<std::uint8_t>(result.rows.columns[c].type));
+    PutString(out, c < result.column_names.size() ? result.column_names[c]
+                                                  : std::string());
+    PutColumnType(out, result.rows.columns[c].type);
   }
 }
 
-Status DecodeResultHeader(WireReader* r, QueryResult* result) {
-  PIDX_RETURN_NOT_OK(r->GetU64(&result->rows_affected));
-  std::uint8_t flags;
-  PIDX_RETURN_NOT_OK(r->GetU8(&flags));
+Status DecodeResultHeader(ByteReader* r, QueryResult* result) {
+  result->rows_affected = r->GetU64();
+  const std::uint8_t flags = r->GetU8();
   result->parallel = (flags & kExecParallel) != 0;
   result->parallel_join = (flags & kExecParallelJoin) != 0;
   result->parallel_sort = (flags & kExecParallelSort) != 0;
-  std::uint8_t has_profile;
-  PIDX_RETURN_NOT_OK(r->GetU8(&has_profile));
   result->profile.reset();
-  if (has_profile != 0) {
+  if (r->GetU8() != 0) {
     auto profile = std::make_shared<obs::QueryProfile>();
     for (const obs::PhaseInfo& p : obs::kPhases) {
-      PIDX_RETURN_NOT_OK(r->GetF64(&(profile.get()->*p.ms)));
+      profile.get()->*p.ms = r->GetF64();
     }
-    PIDX_RETURN_NOT_OK(r->GetF64(&profile->total_ms));
+    profile->total_ms = r->GetF64();
     result->profile = std::move(profile);
   }
-  std::uint32_t ncols;
-  PIDX_RETURN_NOT_OK(r->GetU32(&ncols));
+  const std::uint32_t ncols = r->GetU32();
   result->column_names.clear();
   std::vector<ColumnType> types;
-  for (std::uint32_t c = 0; c < ncols; ++c) {
-    std::string name;
-    PIDX_RETURN_NOT_OK(r->GetString(&name));
-    result->column_names.push_back(std::move(name));
-    std::uint8_t tag;
-    PIDX_RETURN_NOT_OK(r->GetU8(&tag));
-    if (tag > static_cast<std::uint8_t>(ColumnType::kString)) {
-      return Status::InvalidArgument("malformed frame: unknown column type");
-    }
-    types.push_back(static_cast<ColumnType>(tag));
+  for (std::uint32_t c = 0; c < ncols && r->ok(); ++c) {
+    result->column_names.push_back(r->GetString());
+    types.push_back(r->GetColumnType());
   }
+  PIDX_RETURN_NOT_OK(DecodeStatus(*r));
   result->rows.Reset(types);
   return Status::OK();
 }
 
-void EncodeRow(WireWriter* w, const Batch& rows, std::size_t r) {
+void EncodeRow(std::string* out, const Batch& rows, std::size_t r) {
   for (const ColumnVector& col : rows.columns) {
     switch (col.type) {
       case ColumnType::kInt64:
-        w->PutI64(col.i64[r]);
+        PutI64(out, col.i64[r]);
         break;
       case ColumnType::kDouble:
-        w->PutF64(col.f64[r]);
+        PutF64(out, col.f64[r]);
         break;
       case ColumnType::kString:
-        w->PutString(col.str[r]);
+        PutString(out, col.str[r]);
         break;
     }
   }
 }
 
-Status DecodeRowBatch(WireReader* r, Batch* rows) {
-  std::uint32_t nrows;
-  PIDX_RETURN_NOT_OK(r->GetU32(&nrows));
+Status DecodeRowBatch(ByteReader* r, Batch* rows) {
+  const std::uint32_t nrows = r->GetU32();
+  PIDX_RETURN_NOT_OK(DecodeStatus(*r));
   // Bound the announced row count by the bytes actually present (every
   // cell takes at least its fixed part), so a corrupt count cannot turn
   // a tiny frame into a giant allocation — the same hardening the frame
@@ -362,32 +221,23 @@ Status DecodeRowBatch(WireReader* r, Batch* rows) {
     return Status::InvalidArgument(
         "malformed frame: row count exceeds payload");
   }
-  for (std::uint32_t i = 0; i < nrows; ++i) {
+  for (std::uint32_t i = 0; i < nrows && r->ok(); ++i) {
     for (ColumnVector& col : rows->columns) {
       switch (col.type) {
-        case ColumnType::kInt64: {
-          std::int64_t v;
-          PIDX_RETURN_NOT_OK(r->GetI64(&v));
-          col.i64.push_back(v);
+        case ColumnType::kInt64:
+          col.i64.push_back(r->GetI64());
           break;
-        }
-        case ColumnType::kDouble: {
-          double v;
-          PIDX_RETURN_NOT_OK(r->GetF64(&v));
-          col.f64.push_back(v);
+        case ColumnType::kDouble:
+          col.f64.push_back(r->GetF64());
           break;
-        }
-        case ColumnType::kString: {
-          std::string v;
-          PIDX_RETURN_NOT_OK(r->GetString(&v));
-          col.str.push_back(std::move(v));
+        case ColumnType::kString:
+          col.str.push_back(r->GetString());
           break;
-        }
       }
     }
     rows->row_ids.push_back(rows->row_ids.size());
   }
-  return Status::OK();
+  return DecodeStatus(*r);
 }
 
 bool ExtractSourceLoc(std::string_view message, std::uint32_t* line,
@@ -428,24 +278,22 @@ bool ExtractSourceLoc(std::string_view message, std::uint32_t* line,
   return false;
 }
 
-void EncodeError(WireWriter* w, const Status& status) {
-  w->PutU8(static_cast<std::uint8_t>(status.code()));
+void EncodeError(std::string* out, const Status& status) {
+  PutU8(out, static_cast<std::uint8_t>(status.code()));
   std::uint32_t line = 0, column = 0;
   ExtractSourceLoc(status.message(), &line, &column);
-  w->PutU32(line);
-  w->PutU32(column);
-  w->PutString(status.message());
+  PutU32(out, line);
+  PutU32(out, column);
+  PutString(out, status.message());
 }
 
-Status DecodeError(WireReader* r, Status* status, std::uint32_t* line,
+Status DecodeError(ByteReader* r, Status* status, std::uint32_t* line,
                    std::uint32_t* column) {
-  std::uint8_t code;
-  PIDX_RETURN_NOT_OK(r->GetU8(&code));
-  std::uint32_t l, c;
-  PIDX_RETURN_NOT_OK(r->GetU32(&l));
-  PIDX_RETURN_NOT_OK(r->GetU32(&c));
-  std::string message;
-  PIDX_RETURN_NOT_OK(r->GetString(&message));
+  const std::uint8_t code = r->GetU8();
+  const std::uint32_t l = r->GetU32();
+  const std::uint32_t c = r->GetU32();
+  std::string message = r->GetString();
+  PIDX_RETURN_NOT_OK(DecodeStatus(*r));
   // kOk is no error: decoding it would turn the error frame into success.
   if (code == static_cast<std::uint8_t>(StatusCode::kOk) ||
       code > static_cast<std::uint8_t>(StatusCode::kResourceExhausted)) {

@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "engine/engine.h"
+#include "storage/codec.h"
 #include "storage/value.h"
 
 namespace patchindex::net {
@@ -18,9 +19,11 @@ namespace patchindex::net {
 ///
 ///   u32 LE length | u8 type | payload[length - 1]
 ///
-/// where `length` counts the type byte plus the payload. Integers are
-/// little-endian; doubles travel as their IEEE-754 bit pattern in a u64;
-/// strings are `u32 length + bytes` (no terminator, UTF-8 agnostic).
+/// where `length` counts the type byte plus the payload. Payloads are
+/// written and read with the engine's one byte codec (storage/codec.h):
+/// little-endian integers, doubles as their IEEE-754 bit pattern in a
+/// u64, strings as `u32 length + bytes` (no terminator, UTF-8 agnostic),
+/// values and column types with the codec's type tags.
 ///
 /// A session is: client sends kHello (its protocol version), server
 /// answers kWelcome (the negotiated version) or kError and closes. After
@@ -39,8 +42,10 @@ namespace patchindex::net {
 /// growing without bound.
 /// Version history: v1 = the original frame set; v2 adds the phase-span
 /// block to kResultHeader (u8 has_profile + 7 f64 phase milliseconds) so
-/// remote clients can show the same `.timing` breakdown as local ones.
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// remote clients can show the same `.timing` breakdown as local ones;
+/// v3 moves value and column type bytes to the shared codec tags
+/// (1/2/3 instead of the ColumnType enumerator 0/1/2).
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// Hard ceiling on one frame's size, both directions — a hostile or
 /// corrupt length prefix must not turn into a multi-gigabyte allocation.
@@ -79,51 +84,6 @@ inline constexpr std::uint8_t kExecParallel = 1u << 0;
 inline constexpr std::uint8_t kExecParallelJoin = 1u << 1;
 inline constexpr std::uint8_t kExecParallelSort = 1u << 2;
 
-/// Serializes primitive values into a frame payload.
-class WireWriter {
- public:
-  void PutU8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void PutU32(std::uint32_t v);
-  void PutU64(std::uint64_t v);
-  void PutI64(std::int64_t v) { PutU64(static_cast<std::uint64_t>(v)); }
-  void PutF64(double v);
-  void PutString(std::string_view s);
-  /// Appends pre-encoded bytes (composing a frame from parts).
-  void PutRaw(std::string_view bytes) { buf_.append(bytes); }
-
-  const std::string& payload() const { return buf_; }
-
- private:
-  std::string buf_;
-};
-
-/// Bounds-checked deserialization of a frame payload. Every getter
-/// returns kInvalidArgument on truncation, so a malformed frame surfaces
-/// as a clean error instead of UB.
-class WireReader {
- public:
-  explicit WireReader(std::string_view payload) : buf_(payload) {}
-
-  Status GetU8(std::uint8_t* v);
-  Status GetU32(std::uint32_t* v);
-  Status GetU64(std::uint64_t* v);
-  Status GetI64(std::int64_t* v);
-  Status GetF64(double* v);
-  Status GetString(std::string* s);
-
-  /// True when the whole payload has been consumed — responders check it
-  /// to reject trailing garbage.
-  bool AtEnd() const { return pos_ == buf_.size(); }
-
-  /// Unconsumed payload bytes. Decoders use it to sanity-bound embedded
-  /// element counts before allocating.
-  std::size_t remaining() const { return buf_.size() - pos_; }
-
- private:
-  std::string_view buf_;
-  std::size_t pos_ = 0;
-};
-
 // ------------------------------------------------------------- frame I/O
 
 /// Writes one frame to a connected socket, looping over partial writes.
@@ -137,39 +97,43 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload);
 Status ReadFrame(int fd, FrameType* type, std::string* payload);
 
 // --------------------------------------------------- typed payload parts
+//
+// Encoders append to a payload string; decoders read through the shared
+// ByteReader and return kOk or DecodeStatus's kInvalidArgument
+// "malformed frame: ..." status.
 
-/// One dynamically-typed value: u8 type tag (ColumnType) + payload.
-void EncodeValue(WireWriter* w, const Value& v);
-Status DecodeValue(WireReader* r, Value* v);
+/// kOk while `r` has read nothing short and met no bad type tag;
+/// otherwise the "malformed frame" status every wire decoder returns.
+Status DecodeStatus(const ByteReader& r);
 
-/// A parameter list: u32 count + values.
-void EncodeParams(WireWriter* w, const std::vector<Value>& params);
-Status DecodeParams(WireReader* r, std::vector<Value>* params);
+/// A parameter list: u32 count + values (PutValue/GetValue).
+void EncodeParams(std::string* out, const std::vector<Value>& params);
+Status DecodeParams(ByteReader* r, std::vector<Value>* params);
 
 /// kResultHeader payload from a QueryResult (everything but the rows).
-void EncodeResultHeader(WireWriter* w, const QueryResult& result);
+void EncodeResultHeader(std::string* out, const QueryResult& result);
 /// Fills names/types/rows_affected/flags back in; `result->rows` is reset
-/// to the decoded column types, ready for AppendRowBatch.
-Status DecodeResultHeader(WireReader* r, QueryResult* result);
+/// to the decoded column types, ready for DecodeRowBatch.
+Status DecodeResultHeader(ByteReader* r, QueryResult* result);
 
 /// One row's cells, typed by the batch's own column vectors (the
 /// decoder knows them from the header). The server composes
 /// byte-bounded kRowBatch frames from these: `u32 row count` +
 /// EncodeRow per row (see PiServer's SendResult).
-void EncodeRow(WireWriter* w, const Batch& rows, std::size_t r);
+void EncodeRow(std::string* out, const Batch& rows, std::size_t r);
 /// Appends a kRowBatch's rows onto `rows` (already Reset to the header's
 /// types). Synthesizes sequential rowIDs — server rowIDs are an engine
 /// detail that does not travel.
-Status DecodeRowBatch(WireReader* r, Batch* rows);
+Status DecodeRowBatch(ByteReader* r, Batch* rows);
 
 /// kError payload: u8 StatusCode, u32 line, u32 column (0,0 when the
 /// error carries no source position), string message. The position is
 /// extracted from the trailing "line L, column C" that the SQL front end
 /// embeds in its messages, so structured clients need not parse text.
-void EncodeError(WireWriter* w, const Status& status);
+void EncodeError(std::string* out, const Status& status);
 /// Reconstructs the Status (same code, same message — ToString output is
 /// byte-identical across the wire). `line`/`column` may be null.
-Status DecodeError(WireReader* r, Status* status, std::uint32_t* line,
+Status DecodeError(ByteReader* r, Status* status, std::uint32_t* line,
                    std::uint32_t* column);
 
 /// Finds the last "line L, column C" occurrence in an error message.

@@ -1,8 +1,6 @@
 #include "storage/snapshot.h"
 
-#include <cstring>
-
-#include "storage/wal.h"
+#include "storage/codec.h"
 
 namespace patchindex {
 
@@ -10,34 +8,6 @@ namespace {
 
 constexpr std::string_view kSnapshotMagic = std::string_view("PISNAP01", 8);
 constexpr std::string_view kManifestMagic = std::string_view("PIMANIF1", 8);
-
-std::uint8_t TypeTag(ColumnType type) {
-  switch (type) {
-    case ColumnType::kInt64:
-      return 1;
-    case ColumnType::kDouble:
-      return 2;
-    case ColumnType::kString:
-      return 3;
-  }
-  return 0;
-}
-
-bool TagToType(std::uint8_t tag, ColumnType* out) {
-  switch (tag) {
-    case 1:
-      *out = ColumnType::kInt64;
-      return true;
-    case 2:
-      *out = ColumnType::kDouble;
-      return true;
-    case 3:
-      *out = ColumnType::kString;
-      return true;
-    default:
-      return false;
-  }
-}
 
 Status Corrupt(const std::string& path, const std::string& what) {
   return Status::Internal("snapshot " + path + " is invalid: " + what);
@@ -55,7 +25,7 @@ Status SaveTableSnapshot(const Table& table, const std::string& path,
   PutU32(&payload, static_cast<std::uint32_t>(schema.num_fields()));
   for (const Field& f : schema.fields()) {
     PutString(&payload, f.name);
-    PutU8(&payload, TypeTag(f.type));
+    PutColumnType(&payload, f.type);
   }
   PutU64(&payload, rows);
   AppendFrame(&file, payload);
@@ -66,15 +36,12 @@ Status SaveTableSnapshot(const Table& table, const std::string& path,
     switch (col.type()) {
       case ColumnType::kInt64:
         for (std::uint64_t r = 0; r < rows; ++r) {
-          PutU64(&payload, static_cast<std::uint64_t>(col.GetInt64(r)));
+          PutI64(&payload, col.GetInt64(r));
         }
         break;
       case ColumnType::kDouble:
         for (std::uint64_t r = 0; r < rows; ++r) {
-          std::uint64_t bits = 0;
-          const double d = col.GetDouble(r);
-          std::memcpy(&bits, &d, sizeof bits);
-          PutU64(&payload, bits);
+          PutF64(&payload, col.GetDouble(r));
         }
         break;
       case ColumnType::kString:
@@ -114,10 +81,8 @@ Result<std::unique_ptr<Table>> LoadTableSnapshot(const std::string& path,
   }
   for (std::uint32_t c = 0; c < n_cols; ++c) {
     const std::string name = r.GetString();
-    ColumnType type;
-    if (!TagToType(r.GetU8(), &type) || !r.ok()) {
-      return Corrupt(path, "unreadable schema frame");
-    }
+    const ColumnType type = r.GetColumnType();
+    if (!r.ok()) return Corrupt(path, "unreadable schema frame");
     if (name != expected.field(c).name || type != expected.field(c).type) {
       return Corrupt(path, "schema mismatch on column " + name);
     }
@@ -136,15 +101,12 @@ Result<std::unique_ptr<Table>> LoadTableSnapshot(const std::string& path,
     switch (col.type()) {
       case ColumnType::kInt64:
         for (std::uint64_t i = 0; i < rows; ++i) {
-          col.AppendInt64(static_cast<std::int64_t>(col_reader.GetU64()));
+          col.AppendInt64(col_reader.GetI64());
         }
         break;
       case ColumnType::kDouble:
         for (std::uint64_t i = 0; i < rows; ++i) {
-          const std::uint64_t bits = col_reader.GetU64();
-          double d = 0;
-          std::memcpy(&d, &bits, sizeof d);
-          col.AppendDouble(d);
+          col.AppendDouble(col_reader.GetF64());
         }
         break;
       case ColumnType::kString:

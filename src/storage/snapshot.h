@@ -15,7 +15,7 @@ namespace patchindex {
 /// Durable column snapshots + the checkpoint manifest.
 ///
 /// A snapshot file persists one partition's base columns:
-///   8-byte magic "PISNAP01", then frames (storage/wal.h framing): a schema
+///   8-byte magic "PISNAP01", then CRC frames (storage/codec.h): a schema
 ///   frame (column names/types + row count) followed by one frame per
 ///   column holding its values. Frame CRCs detect torn or bit-flipped
 ///   files; a snapshot that fails validation is ignored by recovery (the

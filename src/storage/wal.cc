@@ -1,141 +1,6 @@
 #include "storage/wal.h"
 
-#include <cstring>
-
-#include "common/crc32.h"
-
 namespace patchindex {
-
-namespace {
-
-/// Value type tags in WAL/snapshot payloads.
-constexpr std::uint8_t kTagInt64 = 1;
-constexpr std::uint8_t kTagDouble = 2;
-constexpr std::uint8_t kTagString = 3;
-
-}  // namespace
-
-void PutU8(std::string* out, std::uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<std::uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-void PutValue(std::string* out, const Value& v) {
-  switch (v.type()) {
-    case ColumnType::kInt64:
-      PutU8(out, kTagInt64);
-      PutU64(out, static_cast<std::uint64_t>(v.AsInt64()));
-      break;
-    case ColumnType::kDouble: {
-      PutU8(out, kTagDouble);
-      std::uint64_t bits = 0;
-      const double d = v.AsDouble();
-      std::memcpy(&bits, &d, sizeof bits);
-      PutU64(out, bits);
-      break;
-    }
-    case ColumnType::kString:
-      PutU8(out, kTagString);
-      PutString(out, v.AsString());
-      break;
-  }
-}
-
-bool ByteReader::Need(std::size_t n) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t ByteReader::GetU8() {
-  if (!Need(1)) return 0;
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint32_t ByteReader::GetU32() {
-  if (!Need(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t ByteReader::GetU64() {
-  if (!Need(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos_++]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::string ByteReader::GetString() {
-  const std::uint32_t len = GetU32();
-  if (!Need(len)) return std::string();
-  std::string s(data_.substr(pos_, len));
-  pos_ += len;
-  return s;
-}
-
-Value ByteReader::GetValue() {
-  switch (GetU8()) {
-    case kTagInt64:
-      return Value(static_cast<std::int64_t>(GetU64()));
-    case kTagDouble: {
-      const std::uint64_t bits = GetU64();
-      double d = 0;
-      std::memcpy(&d, &bits, sizeof d);
-      return Value(d);
-    }
-    case kTagString:
-      return Value(GetString());
-    default:
-      ok_ = false;
-      return Value();
-  }
-}
-
-void AppendFrame(std::string* out, std::string_view payload) {
-  PutU32(out, static_cast<std::uint32_t>(payload.size()));
-  PutU32(out, Crc32c(payload.data(), payload.size()));
-  out->append(payload.data(), payload.size());
-}
-
-bool NextFrame(std::string_view data, std::size_t* offset,
-               std::string_view* payload) {
-  if (data.size() - *offset < 8) return false;
-  ByteReader prefix(data.substr(*offset, 8));
-  const std::uint32_t len = prefix.GetU32();
-  const std::uint32_t crc = prefix.GetU32();
-  if (len > kMaxWalPayloadBytes) return false;
-  if (data.size() - *offset - 8 < len) return false;
-  const std::string_view body = data.substr(*offset + 8, len);
-  if (Crc32c(body.data(), body.size()) != crc) return false;
-  *payload = body;
-  *offset += 8 + len;
-  return true;
-}
 
 std::string EncodeWalHeader(const WalHeader& header) {
   std::string out;

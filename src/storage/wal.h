@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
+#include "storage/codec.h"
 #include "storage/pdt.h"
 #include "storage/value.h"
 
@@ -18,21 +19,17 @@ namespace patchindex {
 ///
 /// File layout:
 ///   8-byte magic ("PIWALOG1" for partition logs, "PICATLG1" for the
-///   catalog log), then a sequence of frames. Each frame is
-///     u32 payload_len | u32 crc32c(payload) | payload
-/// with little-endian integers throughout. The first frame of a partition
-/// log is the header payload (table name, partition index, snapshot csn);
-/// every later frame is one commit record.
+///   catalog log), then a sequence of CRC frames (storage/codec.h:
+///   AppendFrame/NextFrame), payloads in the shared codec. The first
+///   frame of a partition log is the header payload (table name,
+///   partition index, snapshot csn); every later frame is one commit
+///   record.
 ///
 /// Torn-tail rule: a reader consumes frames until the first invalid one
 /// (truncated length/payload, CRC mismatch, oversized length, or a payload
 /// that fails structural decoding) and ignores everything at and after it.
 /// Appends are strictly at the end and bad frames can only be produced by
 /// a crash mid-append, so only the tail is ever discardable.
-
-/// Upper bound on a single frame payload; larger lengths are treated as
-/// corruption rather than attempted allocations (fuzz safety).
-inline constexpr std::uint32_t kMaxWalPayloadBytes = 256u << 20;
 
 /// One modified cell of a commit record (partition-local row position).
 struct WalCell {
@@ -82,48 +79,6 @@ struct WalContents {
   /// target.
   std::uint64_t valid_bytes = 0;
 };
-
-/// Little-endian primitive encoders, shared by the WAL, the catalog log,
-/// snapshots and manifests.
-void PutU8(std::string* out, std::uint8_t v);
-void PutU32(std::string* out, std::uint32_t v);
-void PutU64(std::string* out, std::uint64_t v);
-void PutString(std::string* out, std::string_view s);
-void PutValue(std::string* out, const Value& v);
-
-/// Bounds-checked reader over an encoded payload. All Get* methods return
-/// defaults once `ok()` turns false; callers check ok() at the end (and at
-/// loop boundaries guarding large allocations).
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  std::uint8_t GetU8();
-  std::uint32_t GetU32();
-  std::uint64_t GetU64();
-  std::string GetString();
-  Value GetValue();
-
-  bool ok() const { return ok_; }
-  bool done() const { return ok_ && pos_ == data_.size(); }
-  std::size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  bool Need(std::size_t n);
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-/// Appends a length+CRC frame wrapping `payload` to `out`.
-void AppendFrame(std::string* out, std::string_view payload);
-
-/// Reads the next frame starting at `*offset`. On success advances
-/// `*offset` past the frame and points `payload` into `data`. Returns
-/// false on end of data or the first invalid frame (the torn tail).
-bool NextFrame(std::string_view data, std::size_t* offset,
-               std::string_view* payload);
 
 std::string EncodeWalHeader(const WalHeader& header);
 Status DecodeWalHeader(std::string_view payload, WalHeader* out);

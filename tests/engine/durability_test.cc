@@ -9,11 +9,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/engine_test_util.h"
+#include "storage/fault_fs.h"
 #include "storage/wal.h"
 
 namespace patchindex {
@@ -148,6 +151,99 @@ TEST(DurabilityTest, RestoredIndexCheckpointCountsAsRestored) {
   EXPECT_EQ(report.indexes_restored, 2u);
   EXPECT_EQ(report.indexes_rebuilt, 0u);
   EXPECT_EQ(report.records_replayed, 0u);
+  RemoveDir(dir);
+}
+
+// §3.4 checkpoints are only as good as the bytes read back: a bit-flipped
+// index checkpoint must be refused and the index rebuilt by discovery —
+// restoring it would make the rewrites return wrong results (a flipped
+// patch delta leaves a duplicate unpatched; a flipped NCC constant
+// changes DISTINCT's answer outright).
+TEST(DurabilityTest, CorruptIndexCheckpointIsRebuiltNotRestored) {
+  const std::string dir = FreshDataDir("corruptpidx");
+  {
+    Engine engine(DurableOptions(dir));
+    ASSERT_TRUE(engine.recovery_status().ok());
+    Session session = engine.CreateSession();
+    ASSERT_TRUE(
+        session.Sql("CREATE TABLE t (k INT64, v INT64, c INT64) PARTITIONS 1")
+            .ok());
+    // v is unique but for every tenth row (a duplicate of its
+    // predecessor); c is the constant 7 but for every fiftieth row.
+    std::string values;
+    for (int i = 0; i < 200; ++i) {
+      const int v = i % 10 == 9 ? i - 1 : i;
+      const int c = i % 50 == 0 ? 1000 + i : 7;
+      values += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
+                std::to_string(v) + ", " + std::to_string(c) + ")";
+    }
+    ASSERT_TRUE(session.Sql("INSERT INTO t VALUES " + values).ok());
+    ASSERT_TRUE(
+        session.CreatePatchIndex("t", 1, ConstraintKind::kNearlyUnique).ok());
+    ASSERT_TRUE(
+        session.CreatePatchIndex("t", 2, ConstraintKind::kNearlyConstant)
+            .ok());
+    ASSERT_TRUE(engine.Checkpoint().ok());
+  }
+
+  // Flip one bit in each checkpoint. The offsets are taken from the end
+  // of the file and from the payload's own bytes, so they do not depend
+  // on the file header: the NUC file's last patch delta, and the NCC
+  // file's constant (the only 8-byte little-endian 7 in it).
+  int flipped = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string path = entry.path().string();
+    if (entry.path().extension() != ".pidx") continue;
+    std::string data;
+    ASSERT_TRUE(ReadFileBytes(path, &data).ok());
+    std::size_t at = std::string::npos;
+    if (path.find(".c1.k0.") != std::string::npos) {
+      ASSERT_GE(data.size(), 8u);
+      at = data.size() - 8;
+    } else if (path.find(".c2.k2.") != std::string::npos) {
+      const std::string seven("\x07\0\0\0\0\0\0\0", 8);
+      at = data.find(seven);
+      ASSERT_NE(at, std::string::npos);
+      ASSERT_EQ(data.find(seven, at + 1), std::string::npos);
+    }
+    ASSERT_NE(at, std::string::npos) << path;
+    data[at] = static_cast<char>(data[at] ^ 1);
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+    std::fclose(f);
+    ++flipped;
+  }
+  ASSERT_EQ(flipped, 2);
+
+  EngineOptions options = DurableOptions(dir);
+  options.optimizer.force_patch_rewrites = true;
+  Engine engine(options);
+  ASSERT_TRUE(engine.recovery_status().ok())
+      << engine.recovery_status().ToString();
+  const RecoveryReport& report = engine.durability()->last_recovery();
+  EXPECT_EQ(report.indexes_restored, 0u);
+  EXPECT_EQ(report.indexes_rebuilt, 2u);
+
+  const PartitionedTable* table = engine.catalog().FindPartitionedTable("t");
+  ASSERT_NE(table, nullptr);
+  Session session = engine.CreateSession();
+  OptimizerOptions plain;
+  plain.enable_patch_rewrites = false;
+  for (const std::size_t col : {std::size_t{1}, std::size_t{2}}) {
+    const std::string sql =
+        "SELECT DISTINCT " + std::string(col == 1 ? "v" : "c") + " FROM t";
+    Result<std::string> plan = session.Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan.value().find("PatchDistinct"), std::string::npos)
+        << plan.value();
+    Result<QueryResult> rewritten = session.Sql(sql);
+    Result<QueryResult> reference =
+        session.Execute(LDistinct(LScan(*table, {col}), {0}), plain);
+    ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    ExpectSameRows(reference.value().rows, rewritten.value().rows);
+  }
   RemoveDir(dir);
 }
 

@@ -5,11 +5,13 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bitmap/rle.h"
 #include "common/rng.h"
 #include "patchindex/checkpoint.h"
 #include "patchindex/manager.h"
+#include "storage/fault_fs.h"
 
 namespace patchindex {
 namespace {
@@ -245,6 +247,52 @@ TEST(CheckpointTest, TruncatedFileIsRejected) {
   auto loaded = LoadPatchIndexCheckpoint(path, t);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+}
+
+// The CRC frame makes corruption a load error, never a restored index
+// with a silently wrong patch set, tail or constant: every strict prefix
+// and every single-bit flip of a saved checkpoint is rejected.
+TEST(CheckpointTest, EveryTruncationAndBitFlipIsRejected) {
+  Table t = MakeTable({7, 3, 7, 7, 9, 7, 1, 7, 7, 2, 7, 7});
+  for (const ConstraintKind kind :
+       {ConstraintKind::kNearlyUnique, ConstraintKind::kNearlySorted,
+        ConstraintKind::kNearlyConstant}) {
+    auto original = PatchIndex::Create(t, 1, kind);
+    ASSERT_GT(original->NumPatches(), 0u);
+    const std::string path = TempPath(
+        ("sweep." + std::to_string(static_cast<int>(kind)) + ".pidx")
+            .c_str());
+    ASSERT_TRUE(SavePatchIndexCheckpoint(*original, path).ok());
+    std::string saved;
+    ASSERT_TRUE(ReadFileBytes(path, &saved).ok());
+    const auto load_bytes = [&](const std::string& bytes) {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      EXPECT_NE(f, nullptr);
+      std::fwrite(bytes.data(), 1, bytes.size(), f);
+      std::fclose(f);
+      return LoadPatchIndexCheckpoint(path, t);
+    };
+    ASSERT_TRUE(load_bytes(saved).ok());
+    for (std::size_t cut = 0; cut < saved.size(); ++cut) {
+      auto loaded = load_bytes(saved.substr(0, cut));
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << "kind=" << static_cast<int>(kind) << " cut=" << cut;
+    }
+    for (std::size_t byte = 0; byte < saved.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mangled = saved;
+        mangled[byte] = static_cast<char>(mangled[byte] ^ (1u << bit));
+        auto loaded = load_bytes(mangled);
+        EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+            << "kind=" << static_cast<int>(kind) << " byte=" << byte
+            << " bit=" << bit;
+      }
+    }
+    // Trailing bytes after the frame are corruption too.
+    EXPECT_EQ(load_bytes(saved + "x").status().code(),
+              StatusCode::kInvalidArgument);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(RleTest, RoundTripSparse) {

@@ -1,12 +1,15 @@
-// Fuzz sweeps over the wire payload decoders, in the style of the WAL
-// decoder sweeps: every valid sample is truncated at every byte, has
-// every bit flipped once, and a fixed-seed batch of random payloads is
-// decoded too. A decoder must either fail with a non-OK status or return
-// a well-formed value; it must never crash or read past the payload.
-// Each payload is decoded from a heap buffer of exactly its size, so an
-// over-read is visible to AddressSanitizer.
+// Fuzz sweeps over the wire payload decoders and the socket framing, in
+// the style of the WAL decoder sweeps: every valid sample is truncated at
+// every byte, has every bit flipped once, and a fixed-seed batch of
+// random payloads is decoded too. A decoder must either fail with a
+// non-OK status or return a well-formed value; it must never crash or
+// read past the payload. Each payload is decoded from a heap buffer of
+// exactly its size, so an over-read is visible to AddressSanitizer.
+// ReadFrame gets the same sweep over a socketpair.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -15,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -26,11 +30,11 @@ namespace {
 /// Runs `decode` on a copy of `bytes` in an allocation of exactly that
 /// size. Returns the decoder's status; `*consumed` gets the bytes read.
 Status DecodeExact(const std::string& bytes,
-                   const std::function<Status(WireReader*)>& decode,
+                   const std::function<Status(ByteReader*)>& decode,
                    std::size_t* consumed = nullptr) {
   std::unique_ptr<char[]> exact(new char[bytes.size()]);
   if (!bytes.empty()) std::memcpy(exact.get(), bytes.data(), bytes.size());
-  WireReader r(std::string_view(exact.get(), bytes.size()));
+  ByteReader r(std::string_view(exact.get(), bytes.size()));
   Status st = decode(&r);
   if (consumed != nullptr) *consumed = bytes.size() - r.remaining();
   return st;
@@ -51,29 +55,28 @@ std::vector<ColumnType> BatchTypes() {
 struct Target {
   std::string name;
   std::string sample;
-  std::function<Status(WireReader*)> decode;
+  std::function<Status(ByteReader*)> decode;
 };
 
 std::vector<Target> Targets() {
   std::vector<Target> targets;
 
   {
-    WireWriter w;
-    EncodeValue(&w, Value(std::string("needle")));
-    targets.push_back({"DecodeValue", w.payload(), [](WireReader* r) {
-                         Value v;
-                         Status st = DecodeValue(r, &v);
-                         if (st.ok()) {
+    std::string w;
+    PutValue(&w, Value(std::string("needle")));
+    targets.push_back({"GetValue", w, [](ByteReader* r) {
+                         const Value v = r->GetValue();
+                         if (r->ok()) {
                            EXPECT_TRUE(ValidType(v.type()));
                          }
-                         return st;
+                         return DecodeStatus(*r);
                        }});
   }
   {
-    WireWriter w;
+    std::string w;
     EncodeParams(&w, {Value(std::int64_t{-7}), Value(2.5),
                       Value(std::string("abc")), Value(std::string())});
-    targets.push_back({"DecodeParams", w.payload(), [](WireReader* r) {
+    targets.push_back({"DecodeParams", w, [](ByteReader* r) {
                          std::vector<Value> params;
                          Status st = DecodeParams(r, &params);
                          if (st.ok()) {
@@ -92,10 +95,10 @@ std::vector<Target> Targets() {
     result.profile->execute_ms = 1.5;
     result.column_names = {"key", "score", "name"};
     result.rows.Reset(BatchTypes());
-    WireWriter w;
+    std::string w;
     EncodeResultHeader(&w, result);
     targets.push_back(
-        {"DecodeResultHeader", w.payload(), [](WireReader* r) {
+        {"DecodeResultHeader", w, [](ByteReader* r) {
            QueryResult out;
            Status st = DecodeResultHeader(r, &out);
            if (st.ok()) {
@@ -118,10 +121,10 @@ std::vector<Target> Targets() {
                                                 'x'));
       rows.row_ids.push_back(static_cast<RowId>(i));
     }
-    WireWriter w;
-    w.PutU32(static_cast<std::uint32_t>(rows.num_rows()));
+    std::string w;
+    PutU32(&w, static_cast<std::uint32_t>(rows.num_rows()));
     for (std::size_t r = 0; r < rows.num_rows(); ++r) EncodeRow(&w, rows, r);
-    targets.push_back({"DecodeRowBatch", w.payload(), [](WireReader* r) {
+    targets.push_back({"DecodeRowBatch", w, [](ByteReader* r) {
                          Batch out;
                          out.Reset(BatchTypes());
                          Status st = DecodeRowBatch(r, &out);
@@ -135,10 +138,10 @@ std::vector<Target> Targets() {
                        }});
   }
   {
-    WireWriter w;
+    std::string w;
     EncodeError(&w, Status::InvalidArgument(
                         "unknown column 'x' at line 3, column 14"));
-    targets.push_back({"DecodeError", w.payload(), [](WireReader* r) {
+    targets.push_back({"DecodeError", w, [](ByteReader* r) {
                          Status remote;
                          std::uint32_t line = 0;
                          std::uint32_t column = 0;
@@ -210,6 +213,153 @@ TEST(WireFuzzTest, RandomPayloadsFailOrDecodeWellFormed) {
     std::size_t consumed = 0;
     DecodeExact(junk, t.decode, &consumed);
     EXPECT_LE(consumed, junk.size()) << t.name << " iter=" << iter;
+  }
+}
+
+// ------------------------------------------------------------ ReadFrame
+
+/// Feeds `stream` through a socketpair (written whole, then the writing
+/// end closed) and reads frames until ReadFrame fails. Returns that
+/// final status code; `*frames` gets the number of frames read.
+StatusCode DrainFrames(const std::string& stream, std::size_t* frames) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::size_t sent = 0;
+  while (sent < stream.size()) {
+    const ssize_t n = ::write(fds[0], stream.data() + sent,
+                              stream.size() - sent);
+    EXPECT_GT(n, 0);
+    if (n <= 0) break;
+    sent += static_cast<std::size_t>(n);
+  }
+  ::close(fds[0]);
+  *frames = 0;
+  FrameType type;
+  std::string payload;
+  Status st;
+  while ((st = ReadFrame(fds[1], &type, &payload)).ok()) {
+    EXPECT_LT(payload.size(), kMaxFrameBytes);
+    ++*frames;
+  }
+  ::close(fds[1]);
+  return st.code();
+}
+
+/// A session's worth of frames as WriteFrame puts them on the socket,
+/// plus the offsets where each frame ends.
+std::string SampleStream(std::vector<std::size_t>* boundaries) {
+  std::vector<std::pair<FrameType, std::string>> frames;
+  std::string hello;
+  PutU32(&hello, kProtocolVersion);
+  frames.emplace_back(FrameType::kHello, hello);
+  std::string query;
+  PutString(&query, "SELECT v FROM t WHERE k = ?");
+  EncodeParams(&query, {Value(std::int64_t{7})});
+  frames.emplace_back(FrameType::kQuery, query);
+  frames.emplace_back(FrameType::kGoodbye, std::string());
+  std::string error;
+  EncodeError(&error, Status::InvalidArgument("bad at line 1, column 2"));
+  frames.emplace_back(FrameType::kError, error);
+
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string stream;
+  for (const auto& [type, payload] : frames) {
+    EXPECT_TRUE(WriteFrame(fds[0], type, payload).ok());
+    char buf[256];
+    std::size_t want = 5 + payload.size();
+    while (want > 0) {
+      const ssize_t n = ::read(fds[1], buf, std::min(sizeof buf, want));
+      EXPECT_GT(n, 0);
+      if (n <= 0) break;
+      stream.append(buf, static_cast<std::size_t>(n));
+      want -= static_cast<std::size_t>(n);
+    }
+    boundaries->push_back(stream.size());
+  }
+  ::close(fds[0]);
+  ::close(fds[1]);
+  return stream;
+}
+
+bool Acceptable(StatusCode code) {
+  return code == StatusCode::kInvalidArgument ||
+         code == StatusCode::kUnavailable;
+}
+
+TEST(WireFuzzTest, ReadFrameReadsTheWholeSampleStream) {
+  std::vector<std::size_t> boundaries;
+  const std::string stream = SampleStream(&boundaries);
+  std::size_t frames = 0;
+  EXPECT_EQ(DrainFrames(stream, &frames), StatusCode::kUnavailable);
+  EXPECT_EQ(frames, boundaries.size());
+}
+
+// A cut at a frame boundary is a clean close (kUnavailable); a cut inside
+// a frame is a truncated stream (kInvalidArgument).
+TEST(WireFuzzTest, ReadFrameTruncationAtEveryByte) {
+  std::vector<std::size_t> boundaries;
+  const std::string stream = SampleStream(&boundaries);
+  for (std::size_t cut = 0; cut < stream.size(); ++cut) {
+    std::size_t frames = 0;
+    const StatusCode code = DrainFrames(stream.substr(0, cut), &frames);
+    const std::size_t whole = static_cast<std::size_t>(
+        std::upper_bound(boundaries.begin(), boundaries.end(), cut) -
+        boundaries.begin());
+    const bool at_boundary =
+        cut == 0 || std::find(boundaries.begin(), boundaries.end(), cut) !=
+                        boundaries.end();
+    EXPECT_EQ(code, at_boundary ? StatusCode::kUnavailable
+                                : StatusCode::kInvalidArgument)
+        << "cut=" << cut;
+    EXPECT_EQ(frames, whole) << "cut=" << cut;
+  }
+}
+
+TEST(WireFuzzTest, ReadFrameSingleBitFlipEndsCleanly) {
+  std::vector<std::size_t> boundaries;
+  const std::string stream = SampleStream(&boundaries);
+  for (std::size_t byte = 0; byte < stream.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mangled = stream;
+      mangled[byte] = static_cast<char>(mangled[byte] ^ (1u << bit));
+      std::size_t frames = 0;
+      const StatusCode code = DrainFrames(mangled, &frames);
+      EXPECT_TRUE(Acceptable(code)) << "byte=" << byte << " bit=" << bit;
+    }
+  }
+}
+
+// A length prefix above kMaxFrameBytes is refused before any body is
+// allocated or read.
+TEST(WireFuzzTest, ReadFrameRefusesOversizedLengthPrefix) {
+  for (const std::uint32_t len :
+       {std::uint32_t{0}, kMaxFrameBytes + 1, std::uint32_t{0xffffffffu}}) {
+    std::string stream;
+    PutU32(&stream, len);
+    stream.append(16, 'x');
+    std::size_t frames = 0;
+    EXPECT_EQ(DrainFrames(stream, &frames), StatusCode::kInvalidArgument)
+        << len;
+    EXPECT_EQ(frames, 0u);
+  }
+}
+
+TEST(WireFuzzTest, ReadFrameRandomStreamsEndCleanly) {
+  std::vector<std::size_t> boundaries;
+  const std::string stream = SampleStream(&boundaries);
+  Rng rng(777);
+  for (int iter = 0; iter < 500; ++iter) {
+    const std::size_t len = rng.Uniform(0, 128);
+    std::string junk;
+    for (std::size_t i = 0; i < len; ++i) {
+      junk.push_back(static_cast<char>(rng.Uniform(0, 255)));
+    }
+    // Every other stream starts with the sample's first whole frame, so
+    // the reader gets past one frame boundary before the noise.
+    if (iter % 2 == 0) junk = stream.substr(0, boundaries[0]) + junk;
+    std::size_t frames = 0;
+    EXPECT_TRUE(Acceptable(DrainFrames(junk, &frames))) << "iter=" << iter;
   }
 }
 

@@ -104,7 +104,7 @@ TEST(WalFormatTest, OversizedFrameLengthIsInvalid) {
   // A frame whose length field exceeds the payload cap must read as the
   // torn tail, not as an allocation request.
   std::string data;
-  PutU32(&data, kMaxWalPayloadBytes + 1);
+  PutU32(&data, kMaxFramePayloadBytes + 1);
   PutU32(&data, 0);
   data.append(16, 'x');
   std::size_t offset = 0;
