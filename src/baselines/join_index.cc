@@ -69,22 +69,7 @@ class GatherJoinOperator : public Operator {
       pos_ = end;
       std::size_t oc = 0;
       for (std::size_t c : fact_cols_) {
-        const Column& src = fact_.column(c);
-        ColumnVector& dst = out->columns[oc++];
-        switch (dst.type) {
-          case ColumnType::kInt64:
-            dst.i64.insert(dst.i64.end(), src.i64_data().begin() + begin,
-                           src.i64_data().begin() + end);
-            break;
-          case ColumnType::kDouble:
-            dst.f64.insert(dst.f64.end(), src.f64_data().begin() + begin,
-                           src.f64_data().begin() + end);
-            break;
-          case ColumnType::kString:
-            dst.str.insert(dst.str.end(), src.str_data().begin() + begin,
-                           src.str_data().begin() + end);
-            break;
-        }
+        out->columns[oc++].AppendRange(fact_.column(c), begin, end);
       }
       for (std::size_t c : dim_cols_) {
         ColumnVector& dst = out->columns[oc++];

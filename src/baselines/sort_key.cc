@@ -31,7 +31,6 @@ void SortKey::Materialize() {
   for (std::size_t c = 0; c < table_->schema().num_fields(); ++c) {
     Column& col = table_->column(c);
     Column sorted(col.type());
-    sorted.Reserve(order.size());
     for (std::size_t i : order) sorted.Append(col.Get(i));
     col = std::move(sorted);
   }

@@ -168,10 +168,10 @@ Engine::~Engine() {
 }
 
 std::uint64_t Engine::ApproxResidentBytes() const {
-  // MVCC snapshots share un-mutated base columns with the live head
+  // MVCC snapshots share un-mutated column blocks with the live head
   // (copy-on-write), so summing the heads alone avoids double-counting
-  // the common case; deep-copied PDT clones and un-shared columns held
-  // only by retired versions are missed. An approximation, recomputed on
+  // the common case; deep-copied PDT clones and blocks held only by
+  // retired versions are missed. An approximation, recomputed on
   // every pull (metrics scrape, pi_stats.memory).
   std::uint64_t total = 0;
   for (const std::string& name : catalog_.TableNames()) {

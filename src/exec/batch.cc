@@ -19,6 +19,30 @@ void ColumnVector::AppendFromColumn(const Column& src, RowId row) {
   }
 }
 
+void ColumnVector::AppendRange(const Column& src, RowId begin, RowId end) {
+  PIDX_DCHECK(src.type() == type);
+  switch (type) {
+    case ColumnType::kInt64:
+      src.ForEachSpan<std::int64_t>(
+          begin, end, [this](const std::int64_t* cells, std::size_t n) {
+            i64.insert(i64.end(), cells, cells + n);
+          });
+      break;
+    case ColumnType::kDouble:
+      src.ForEachSpan<double>(begin, end,
+                              [this](const double* cells, std::size_t n) {
+                                f64.insert(f64.end(), cells, cells + n);
+                              });
+      break;
+    case ColumnType::kString:
+      src.ForEachSpan<std::string>(
+          begin, end, [this](const std::string* cells, std::size_t n) {
+            str.insert(str.end(), cells, cells + n);
+          });
+      break;
+  }
+}
+
 void ColumnVector::AppendValue(const Value& v) {
   PIDX_DCHECK(v.type() == type);
   switch (type) {

@@ -49,6 +49,9 @@ struct ColumnVector {
   void AppendFrom(const ColumnVector& src, std::size_t idx);
   /// Copies cell `row` of a storage column (same type), without boxing.
   void AppendFromColumn(const Column& src, RowId row);
+  /// Copies rows [begin, end) of a storage column (same type), one block
+  /// segment at a time.
+  void AppendRange(const Column& src, RowId begin, RowId end);
   Value GetValue(std::size_t idx) const;
 };
 

@@ -6,23 +6,6 @@
 
 namespace patchindex {
 
-namespace {
-// Appends one cell of a storage column to a batch column vector.
-inline void AppendCell(ColumnVector& dst, const Column& src, RowId row) {
-  switch (dst.type) {
-    case ColumnType::kInt64:
-      dst.i64.push_back(src.GetInt64(row));
-      break;
-    case ColumnType::kDouble:
-      dst.f64.push_back(src.GetDouble(row));
-      break;
-    case ColumnType::kString:
-      dst.str.push_back(src.GetString(row));
-      break;
-  }
-}
-}  // namespace
-
 ScanOperator::ScanOperator(const Table& table,
                            std::vector<std::size_t> column_indices,
                            ScanOptions options)
@@ -99,42 +82,29 @@ bool ScanOperator::EmitBaseRows(Batch* out) {
   const auto& deletes = table_.pdt().deletes();
   const auto& modifies = table_.pdt().modifies();
   const bool visible = options_.source == ScanSource::kVisible;
+  const std::uint64_t off = options_.row_id_offset;
+
+  // Copies base rows [begin, end) as column slices, one block segment at
+  // a time — vector-at-a-time scanning as in X100. Their rowIDs are the
+  // base positions minus `shift` (the pending deletes before them).
+  auto copy_range = [&](RowId begin, RowId end, std::uint64_t shift) {
+    if (begin >= end) return;
+    for (std::size_t i = 0; i < cols_.size(); ++i) {
+      out->columns[i].AppendRange(table_.column(cols_[i]), begin, end);
+    }
+    if (options_.append_rowid_column) {
+      auto& rid_col = out->columns[cols_.size()].i64;
+      for (RowId r = begin; r < end; ++r) {
+        rid_col.push_back(static_cast<std::int64_t>(r - shift + off));
+      }
+    }
+    for (RowId r = begin; r < end; ++r) out->row_ids.push_back(r - shift + off);
+  };
 
   // Fast path (the common read-only case): no pending deltas to merge, so
-  // column slices can be copied wholesale instead of row by row —
-  // vector-at-a-time scanning as in X100. The PatchIndex scan's selection
-  // is merged here: the gaps between patches are still bulk slices.
+  // every range is copied as slices. The PatchIndex scan's selection is
+  // merged here: the gaps between patches are still bulk slices.
   if (deletes.empty() && modifies.empty()) {
-    auto copy_range = [&](RowId begin, RowId end) {
-      if (begin >= end) return;
-      for (std::size_t i = 0; i < cols_.size(); ++i) {
-        const Column& src = table_.column(cols_[i]);
-        ColumnVector& dst = out->columns[i];
-        switch (dst.type) {
-          case ColumnType::kInt64:
-            dst.i64.insert(dst.i64.end(), src.i64_data().begin() + begin,
-                           src.i64_data().begin() + end);
-            break;
-          case ColumnType::kDouble:
-            dst.f64.insert(dst.f64.end(), src.f64_data().begin() + begin,
-                           src.f64_data().begin() + end);
-            break;
-          case ColumnType::kString:
-            dst.str.insert(dst.str.end(), src.str_data().begin() + begin,
-                           src.str_data().begin() + end);
-            break;
-        }
-      }
-      const std::uint64_t off = options_.row_id_offset;
-      if (options_.append_rowid_column) {
-        auto& rid_col = out->columns[cols_.size()].i64;
-        for (RowId r = begin; r < end; ++r) {
-          rid_col.push_back(static_cast<std::int64_t>(r + off));
-        }
-      }
-      for (RowId r = begin; r < end; ++r) out->row_ids.push_back(r + off);
-    };
-
     while (out->num_rows() < kBatchSize &&
            range_idx_ < effective_ranges_.size()) {
       const RowRange& range = effective_ranges_[range_idx_];
@@ -150,23 +120,26 @@ bool ScanOperator::EmitBaseRows(Batch* out) {
           range.end, begin + (kBatchSize - out->num_rows()));
       base_pos_ = end;
       if (options_.patch_filter == nullptr) {
-        copy_range(begin, end);
+        copy_range(begin, end, 0);
       } else if (options_.patch_mode == PatchSelectMode::kExcludePatches) {
         RowId cur = begin;
         options_.patch_filter->ForEachPatchInRange(
             begin, end, [&](RowId p) {
-              copy_range(cur, p);
+              copy_range(cur, p, 0);
               cur = p + 1;
             });
-        copy_range(cur, end);
+        copy_range(cur, end, 0);
       } else {
         options_.patch_filter->ForEachPatchInRange(
-            begin, end, [&](RowId p) { copy_range(p, p + 1); });
+            begin, end, [&](RowId p) { copy_range(p, p + 1, 0); });
       }
     }
     return out->num_rows() >= kBatchSize;
   }
 
+  // Pending-delta path: rows with a pending delete or modify (and every
+  // row under a patch filter) are merged one at a time; the runs of rows
+  // between them are still copied as slices.
   while (out->num_rows() < kBatchSize && range_idx_ < effective_ranges_.size()) {
     const RowRange& range = effective_ranges_[range_idx_];
     if (base_pos_ >= range.end) {
@@ -180,14 +153,33 @@ bool ScanOperator::EmitBaseRows(Batch* out) {
       }
       continue;
     }
-    const RowId b = base_pos_++;
+    const RowId b = base_pos_;
     if (visible) {
       while (delete_idx_ < deletes.size() && deletes[delete_idx_] < b) {
         ++delete_idx_;
       }
-      if (delete_idx_ < deletes.size() && deletes[delete_idx_] == b) {
-        continue;  // row pending deletion
+    }
+    if (options_.patch_filter == nullptr) {
+      RowId run_end = std::min<RowId>(
+          range.end, b + (kBatchSize - out->num_rows()));
+      if (visible) {
+        if (delete_idx_ < deletes.size()) {
+          run_end = std::min<RowId>(run_end, deletes[delete_idx_]);
+        }
+        const auto next_modify = modifies.lower_bound(b);
+        if (next_modify != modifies.end()) {
+          run_end = std::min<RowId>(run_end, next_modify->first);
+        }
       }
+      if (run_end > b) {
+        copy_range(b, run_end, visible ? delete_idx_ : 0);
+        base_pos_ = run_end;
+        continue;
+      }
+    }
+    ++base_pos_;
+    if (visible && delete_idx_ < deletes.size() && deletes[delete_idx_] == b) {
+      continue;  // row pending deletion
     }
     // Visible rowID: base position minus preceding deletes.
     const RowId rid = visible ? b - delete_idx_ : b;
@@ -208,13 +200,13 @@ bool ScanOperator::EmitBaseRows(Batch* out) {
           continue;
         }
       }
-      AppendCell(out->columns[i], table_.column(c), b);
+      out->columns[i].AppendFromColumn(table_.column(c), b);
     }
     if (options_.append_rowid_column) {
       out->columns[cols_.size()].i64.push_back(
-          static_cast<std::int64_t>(rid + options_.row_id_offset));
+          static_cast<std::int64_t>(rid + off));
     }
-    out->row_ids.push_back(rid + options_.row_id_offset);
+    out->row_ids.push_back(rid + off);
   }
   return out->num_rows() >= kBatchSize;
 }

@@ -76,10 +76,6 @@ bool HasPendingModify(const Table& part, std::size_t col) {
   return false;
 }
 
-std::uint64_t Blocks(std::uint64_t rows) {
-  return (rows + Column::kSummaryBlockRows - 1) / Column::kSummaryBlockRows;
-}
-
 void AnnotateScan(LogicalNode* scan,
                   const std::vector<const Expr*>& predicates) {
   scan->pruning = nullptr;
@@ -99,8 +95,14 @@ void AnnotateScan(LogicalNode* scan,
 
   auto pruning = std::make_shared<ScanPruning>();
   for (const Table* part : ScanPartitions(*scan)) {
+    // Every column of a partition has the same block boundaries, so any
+    // bound column's summary counts the blocks.
+    std::shared_ptr<const MinMaxIndex> geometry;
     std::vector<RowRange> kept = {{0, part->num_rows()}};
     for (const auto& [col, allowed] : bounds) {
+      const std::shared_ptr<const MinMaxIndex> summary =
+          part->column(col).BlockSummary();
+      if (geometry == nullptr) geometry = summary;
       // The summary holds base values; a pending modify may move a row
       // of this column into the range, so the column cannot prune here.
       if (HasPendingModify(*part, col)) continue;
@@ -108,11 +110,12 @@ void AnnotateScan(LogicalNode* scan,
         kept.clear();
         break;
       }
-      kept = Intersect(kept, part->column(col).BlockSummary()->PruneRanges(
-                                 allowed.lo, allowed.hi));
+      kept = Intersect(kept, summary->PruneRanges(allowed.lo, allowed.hi));
     }
-    pruning->total_blocks += Blocks(part->num_rows());
-    for (const RowRange& r : kept) pruning->kept_blocks += Blocks(r.end - r.begin);
+    pruning->total_blocks += geometry->num_blocks();
+    for (const RowRange& r : kept) {
+      pruning->kept_blocks += geometry->BlocksOverlapping(r);
+    }
     pruning->ranges.push_back(std::move(kept));
   }
   if (pruning->kept_blocks < pruning->total_blocks) {

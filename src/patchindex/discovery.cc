@@ -7,57 +7,32 @@
 
 namespace patchindex {
 
-std::vector<RowId> DiscoverNucPatches(const Column& column) {
+namespace {
+
+/// Calls fn(row, value) for every row of an INT64 column, in row order,
+/// walking the column's block segments.
+template <typename Fn>
+void ForEachValue(const Column& column, Fn&& fn) {
   PIDX_CHECK(column.type() == ColumnType::kInt64);
-  const auto& data = column.i64_data();
-  // First pass: count occurrences. Second pass: every row whose value is
-  // duplicated is a patch (all occurrences, not all-but-one — see header).
-  std::unordered_map<std::int64_t, std::uint32_t> counts;
-  counts.reserve(data.size());
-  for (std::int64_t v : data) ++counts[v];
-  std::vector<RowId> patches;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (counts[data[i]] > 1) patches.push_back(i);
-  }
-  return patches;  // ascending by construction
+  RowId row = 0;
+  column.ForEachSpan<std::int64_t>(
+      0, column.size(), [&](const std::int64_t* cells, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) fn(row++, cells[i]);
+      });
 }
 
-NccDiscovery DiscoverNccPatches(const Column& column) {
-  PIDX_CHECK(column.type() == ColumnType::kInt64);
-  const auto& data = column.i64_data();
-  NccDiscovery out;
-  if (data.empty()) return out;
-  std::unordered_map<std::int64_t, std::uint64_t> counts;
-  counts.reserve(data.size());
-  for (std::int64_t v : data) ++counts[v];
-  std::uint64_t best_count = 0;
-  for (const auto& [v, c] : counts) {
-    if (c > best_count || (c == best_count && v < out.constant)) {
-      out.constant = v;
-      best_count = c;
-    }
-  }
-  out.has_constant = true;
-  out.patches.reserve(data.size() - best_count);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (data[i] != out.constant) out.patches.push_back(i);
-  }
-  return out;
-}
-
-std::vector<std::size_t> LongestSortedSubsequence(
-    const std::vector<std::int64_t>& values, bool ascending) {
-  // Patience sorting over (possibly negated) values; non-decreasing runs
-  // are allowed, so ties extend the subsequence (upper_bound).
-  const std::size_t n = values.size();
+/// Patience sorting over `n` values that `for_each(fn)` feeds to fn in
+/// index order; non-decreasing runs are allowed, so ties extend the
+/// subsequence (upper_bound). Returns the kept indices, ascending.
+template <typename ForEach>
+std::vector<std::size_t> LongestSortedRun(std::size_t n, bool ascending,
+                                          ForEach&& for_each) {
   std::vector<std::size_t> pile_tail_idx;  // index of smallest tail per length
   std::vector<std::int64_t> pile_tail_val;
   std::vector<std::size_t> prev(n, static_cast<std::size_t>(-1));
-  auto key = [&](std::size_t i) {
-    return ascending ? values[i] : -values[i];
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t v = key(i);
+  std::size_t i = 0;
+  for_each([&](std::int64_t value) {
+    const std::int64_t v = ascending ? value : -value;
     const auto it =
         std::upper_bound(pile_tail_val.begin(), pile_tail_val.end(), v);
     const std::size_t pos =
@@ -70,30 +45,74 @@ std::vector<std::size_t> LongestSortedSubsequence(
       pile_tail_val[pos] = v;
       pile_tail_idx[pos] = i;
     }
-  }
+    ++i;
+  });
   std::vector<std::size_t> result;
   if (pile_tail_idx.empty()) return result;
   result.reserve(pile_tail_idx.size());
-  for (std::size_t i = pile_tail_idx.back(); i != static_cast<std::size_t>(-1);
-       i = prev[i]) {
-    result.push_back(i);
+  for (std::size_t k = pile_tail_idx.back(); k != static_cast<std::size_t>(-1);
+       k = prev[k]) {
+    result.push_back(k);
   }
   std::reverse(result.begin(), result.end());
   return result;
 }
 
+}  // namespace
+
+std::vector<RowId> DiscoverNucPatches(const Column& column) {
+  // First pass: count occurrences. Second pass: every row whose value is
+  // duplicated is a patch (all occurrences, not all-but-one — see header).
+  std::unordered_map<std::int64_t, std::uint32_t> counts;
+  counts.reserve(column.size());
+  ForEachValue(column, [&](RowId, std::int64_t v) { ++counts[v]; });
+  std::vector<RowId> patches;
+  ForEachValue(column, [&](RowId row, std::int64_t v) {
+    if (counts[v] > 1) patches.push_back(row);
+  });
+  return patches;  // ascending by construction
+}
+
+NccDiscovery DiscoverNccPatches(const Column& column) {
+  NccDiscovery out;
+  if (column.size() == 0) return out;
+  std::unordered_map<std::int64_t, std::uint64_t> counts;
+  counts.reserve(column.size());
+  ForEachValue(column, [&](RowId, std::int64_t v) { ++counts[v]; });
+  std::uint64_t best_count = 0;
+  for (const auto& [v, c] : counts) {
+    if (c > best_count || (c == best_count && v < out.constant)) {
+      out.constant = v;
+      best_count = c;
+    }
+  }
+  out.has_constant = true;
+  out.patches.reserve(column.size() - best_count);
+  ForEachValue(column, [&](RowId row, std::int64_t v) {
+    if (v != out.constant) out.patches.push_back(row);
+  });
+  return out;
+}
+
+std::vector<std::size_t> LongestSortedSubsequence(
+    const std::vector<std::int64_t>& values, bool ascending) {
+  return LongestSortedRun(values.size(), ascending, [&](auto&& fn) {
+    for (const std::int64_t v : values) fn(v);
+  });
+}
+
 NscDiscovery DiscoverNscPatches(const Column& column, bool ascending) {
-  PIDX_CHECK(column.type() == ColumnType::kInt64);
-  const auto& data = column.i64_data();
   NscDiscovery out;
-  if (data.empty()) return out;
+  if (column.size() == 0) return out;
   const std::vector<std::size_t> keep =
-      LongestSortedSubsequence(data, ascending);
-  out.tail_value = data[keep.back()];
+      LongestSortedRun(column.size(), ascending, [&](auto&& fn) {
+        ForEachValue(column, [&](RowId, std::int64_t v) { fn(v); });
+      });
+  out.tail_value = column.GetInt64(keep.back());
   out.has_tail = true;
-  out.patches.reserve(data.size() - keep.size());
+  out.patches.reserve(column.size() - keep.size());
   std::size_t ki = 0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
+  for (std::size_t i = 0; i < column.size(); ++i) {
     if (ki < keep.size() && keep[ki] == i) {
       ++ki;
     } else {

@@ -22,12 +22,11 @@ namespace {
 /// blocks in addition to the pruning result.
 std::vector<RowRange> PendingModifyBlocks(const Table& table,
                                           std::size_t column,
-                                          std::uint64_t block_rows) {
+                                          const MinMaxIndex& summary) {
   std::vector<RowRange> blocks;
   for (const auto& [row, cols] : table.pdt().modifies()) {
     if (cols.count(column) == 0) continue;
-    const RowId begin = row - row % block_rows;
-    blocks.push_back({begin, std::min(table.num_rows(), begin + block_rows)});
+    blocks.push_back(summary.BlockRange(summary.BlockOf(row)));
   }
   return NormalizeRanges(std::move(blocks));
 }
@@ -50,7 +49,7 @@ Status RunDeltaJoin(const Table& table, std::size_t column,
     range = MakeDynamicRange();
     popt.dynamic_range = range;
     popt.minmax = summary.get();
-    popt.ranges = PendingModifyBlocks(table, column, summary->block_size());
+    popt.ranges = PendingModifyBlocks(table, column, *summary);
   }
   auto probe = std::make_unique<ScanOperator>(
       table, std::vector<std::size_t>{column}, popt);

@@ -68,7 +68,7 @@ std::unique_ptr<PatchIndex> PatchIndex::CloneForSnapshot(
   auto clone = std::unique_ptr<PatchIndex>(
       new PatchIndex(table, column_, constraint_, options_));
   clone->options_.maintenance_fault_hook = nullptr;  // snapshots never commit
-  clone->patches_ = patches_->Clone(options_.bitmap_options);
+  clone->patches_ = patches_->Clone();
   clone->tail_value_ = tail_value_;
   clone->has_tail_ = has_tail_;
   clone->constant_value_ = constant_value_;
@@ -182,37 +182,44 @@ Status PatchIndex::AfterCheckpoint() {
 bool PatchIndex::CheckInvariant() const {
   const Column& col = table_->column(column_);
   if (patches_->NumRows() != col.size()) return false;
+  // Calls fn(row, value) for every row in order, one block segment at a
+  // time; stops at the first fn returning false.
+  auto all_rows = [&col](auto&& fn) {
+    RowId row = 0;
+    bool ok = true;
+    col.ForEachSpan<std::int64_t>(
+        0, col.size(), [&](const std::int64_t* cells, std::size_t n) {
+          for (std::size_t i = 0; i < n && ok; ++i) ok = fn(row++, cells[i]);
+        });
+    return ok;
+  };
   if (constraint_ == ConstraintKind::kNearlyUnique) {
     // Invariant behind the Figure 2 distinct decomposition: a non-patch
     // row's value occurs nowhere else in the column (neither at another
     // non-patch row nor at a patch row).
     std::unordered_map<std::int64_t, std::uint32_t> counts;
-    for (RowId r = 0; r < col.size(); ++r) ++counts[col.GetInt64(r)];
-    for (RowId r = 0; r < col.size(); ++r) {
-      if (!patches_->IsPatch(r) && counts[col.GetInt64(r)] != 1) return false;
-    }
-    return true;
+    all_rows([&](RowId, std::int64_t v) {
+      ++counts[v];
+      return true;
+    });
+    return all_rows([&](RowId r, std::int64_t v) {
+      return patches_->IsPatch(r) || counts[v] == 1;
+    });
   }
   if (constraint_ == ConstraintKind::kNearlyConstant) {
-    for (RowId r = 0; r < col.size(); ++r) {
-      if (!patches_->IsPatch(r) && col.GetInt64(r) != constant_value_) {
-        return false;
-      }
-    }
-    return true;
+    return all_rows([&](RowId r, std::int64_t v) {
+      return patches_->IsPatch(r) || v == constant_value_;
+    });
   }
   bool first = true;
   std::int64_t prev = 0;
-  for (RowId r = 0; r < col.size(); ++r) {
-    if (patches_->IsPatch(r)) continue;
-    const std::int64_t v = col.GetInt64(r);
-    if (!first) {
-      if (options_.ascending ? v < prev : v > prev) return false;
-    }
+  return all_rows([&](RowId r, std::int64_t v) {
+    if (patches_->IsPatch(r)) return true;
+    if (!first && (options_.ascending ? v < prev : v > prev)) return false;
     prev = v;
     first = false;
-  }
-  return true;
+    return true;
+  });
 }
 
 }  // namespace patchindex

@@ -15,13 +15,6 @@ std::unique_ptr<PatchSet> PatchSet::Create(PatchSetDesign design,
   return std::make_unique<IdentifierPatchSet>(num_rows);
 }
 
-std::unique_ptr<PatchSet> PatchSet::Clone(ShardedBitmapOptions options) const {
-  auto copy = Create(design(), NumRows(), options);
-  ForEachPatchInRange(0, NumRows(),
-                      [&copy](RowId r) { copy->MarkPatch(r); });
-  return copy;
-}
-
 BitmapPatchSet::BitmapPatchSet(std::uint64_t num_rows,
                                ShardedBitmapOptions options)
     : bitmap_(num_rows, options) {}

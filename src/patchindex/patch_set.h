@@ -53,10 +53,10 @@ class PatchSet : public RowIdFilter {
                                           std::uint64_t num_rows,
                                           ShardedBitmapOptions options = {});
 
-  /// Deep copy: a fresh set of the same design and cardinality with every
-  /// patch re-marked, O(patches). Used to freeze index state into an MVCC
-  /// version snapshot (the sharded bitmap is not copyable).
-  std::unique_ptr<PatchSet> Clone(ShardedBitmapOptions options = {}) const;
+  /// Deep copy of the design's own container (the sharded bitmap's words
+  /// and start values, or the identifier list), lost bits included. Used
+  /// to freeze index state into an MVCC version snapshot.
+  virtual std::unique_ptr<PatchSet> Clone() const = 0;
 };
 
 /// Bitmap-based design: bit i set <=> row i is a patch. Deletes map to the
@@ -84,6 +84,9 @@ class BitmapPatchSet : public PatchSet {
     return bitmap_.MemoryUsageBytes();
   }
   PatchSetDesign design() const override { return PatchSetDesign::kBitmap; }
+  std::unique_ptr<PatchSet> Clone() const override {
+    return std::make_unique<BitmapPatchSet>(*this);
+  }
 
   const ShardedBitmap& bitmap() const { return bitmap_; }
 
@@ -114,6 +117,9 @@ class IdentifierPatchSet : public PatchSet {
   }
   PatchSetDesign design() const override {
     return PatchSetDesign::kIdentifier;
+  }
+  std::unique_ptr<PatchSet> Clone() const override {
+    return std::make_unique<IdentifierPatchSet>(*this);
   }
 
  private:

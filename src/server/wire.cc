@@ -2,6 +2,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -93,15 +94,24 @@ Status ReadFrame(int fd, FrameType* type, std::string* payload) {
   if (len == 0 || len > kMaxFrameBytes) {
     return Status::InvalidArgument("malformed frame: bad length prefix");
   }
-  std::string body(len, '\0');
-  Status st = RecvAll(fd, body.data(), body.size(), &eof);
-  if (!st.ok()) {
-    // EOF after the header but before the body is a cut-off frame, not
-    // a clean close — a frame boundary is after the body.
-    if (eof) {
-      return Status::InvalidArgument("malformed frame: truncated stream");
+  // The body grows as its bytes arrive, one bounded chunk at a time, so
+  // a length prefix alone never makes the process allocate (and touch)
+  // the whole announced size.
+  constexpr std::size_t kRecvChunkBytes = std::size_t{64} << 10;
+  std::string body;
+  while (body.size() < len) {
+    const std::size_t got = body.size();
+    const std::size_t chunk = std::min<std::size_t>(kRecvChunkBytes, len - got);
+    body.resize(got + chunk);
+    Status st = RecvAll(fd, body.data() + got, chunk, &eof);
+    if (!st.ok()) {
+      // EOF after the header but before the body is a cut-off frame, not
+      // a clean close — a frame boundary is after the body.
+      if (eof) {
+        return Status::InvalidArgument("malformed frame: truncated stream");
+      }
+      return st;
     }
-    return st;
   }
   *type = static_cast<FrameType>(static_cast<std::uint8_t>(body[0]));
   payload->assign(body, 1, body.size() - 1);

@@ -25,9 +25,48 @@ std::vector<RowRange> NormalizeRanges(std::vector<RowRange> ranges) {
 }
 
 MinMaxIndex::MinMaxIndex(const Column& column, std::uint64_t block_size)
-    : block_size_(block_size), num_rows_(0) {
+    : num_rows_(column.size()) {
   PIDX_CHECK(block_size >= 1);
-  ExtendFromColumn(column);
+  PIDX_CHECK(column.type() == ColumnType::kInt64);
+  for (RowId begin = 0; begin < num_rows_; begin += block_size) {
+    std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+    std::int64_t hi = std::numeric_limits<std::int64_t>::min();
+    column.ForEachSpan<std::int64_t>(
+        begin, std::min(num_rows_, begin + block_size),
+        [&](const std::int64_t* cells, std::size_t n) {
+          for (std::size_t i = 0; i < n; ++i) {
+            lo = std::min(lo, cells[i]);
+            hi = std::max(hi, cells[i]);
+          }
+        });
+    starts_.push_back(begin);
+    mins_.push_back(lo);
+    maxs_.push_back(hi);
+  }
+}
+
+MinMaxIndex::MinMaxIndex(std::vector<RowId> starts,
+                         std::vector<std::int64_t> mins,
+                         std::vector<std::int64_t> maxs,
+                         std::uint64_t num_rows)
+    : num_rows_(num_rows),
+      starts_(std::move(starts)),
+      mins_(std::move(mins)),
+      maxs_(std::move(maxs)) {
+  PIDX_CHECK(starts_.size() == mins_.size() && mins_.size() == maxs_.size());
+}
+
+std::uint64_t MinMaxIndex::BlockOf(RowId row) const {
+  PIDX_DCHECK(row < num_rows_);
+  return static_cast<std::uint64_t>(
+             std::upper_bound(starts_.begin(), starts_.end(), row) -
+             starts_.begin()) -
+         1;
+}
+
+std::uint64_t MinMaxIndex::BlocksOverlapping(RowRange range) const {
+  if (range.begin >= range.end) return 0;
+  return BlockOf(range.end - 1) - BlockOf(range.begin) + 1;
 }
 
 std::vector<RowRange> MinMaxIndex::PruneRanges(std::int64_t lo,
@@ -35,41 +74,14 @@ std::vector<RowRange> MinMaxIndex::PruneRanges(std::int64_t lo,
   std::vector<RowRange> out;
   for (std::uint64_t b = 0; b < num_blocks(); ++b) {
     if (maxs_[b] < lo || mins_[b] > hi) continue;
-    const RowId begin = b * block_size_;
-    const RowId end = std::min<RowId>(num_rows_, begin + block_size_);
-    if (!out.empty() && out.back().end == begin) {
-      out.back().end = end;  // coalesce adjacent blocks
+    const RowRange block = BlockRange(b);
+    if (!out.empty() && out.back().end == block.begin) {
+      out.back().end = block.end;  // coalesce adjacent blocks
     } else {
-      out.push_back({begin, end});
+      out.push_back(block);
     }
   }
   return out;
-}
-
-void MinMaxIndex::ExtendFromColumn(const Column& column) {
-  PIDX_CHECK(column.type() == ColumnType::kInt64);
-  PIDX_CHECK(column.size() >= num_rows_);
-  const auto& data = column.i64_data();
-  const std::uint64_t new_rows = column.size();
-  const std::uint64_t nblocks = (new_rows + block_size_ - 1) / block_size_;
-  mins_.resize(nblocks, std::numeric_limits<std::int64_t>::max());
-  maxs_.resize(nblocks, std::numeric_limits<std::int64_t>::min());
-  // Block at a time: the inner loop is a plain min/max reduction with no
-  // per-row division (which dominated the build cost).
-  for (std::uint64_t begin = num_rows_; begin < new_rows;) {
-    const std::uint64_t b = begin / block_size_;
-    const std::uint64_t end = std::min(new_rows, (b + 1) * block_size_);
-    std::int64_t lo = mins_[b];
-    std::int64_t hi = maxs_[b];
-    for (std::uint64_t i = begin; i < end; ++i) {
-      lo = std::min(lo, data[i]);
-      hi = std::max(hi, data[i]);
-    }
-    mins_[b] = lo;
-    maxs_[b] = hi;
-    begin = end;
-  }
-  num_rows_ = new_rows;
 }
 
 }  // namespace patchindex

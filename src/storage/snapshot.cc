@@ -35,19 +35,24 @@ Status SaveTableSnapshot(const Table& table, const std::string& path,
     payload.clear();
     switch (col.type()) {
       case ColumnType::kInt64:
-        for (std::uint64_t r = 0; r < rows; ++r) {
-          PutI64(&payload, col.GetInt64(r));
-        }
+        col.ForEachSpan<std::int64_t>(
+            0, rows, [&](const std::int64_t* cells, std::size_t n) {
+              for (std::size_t i = 0; i < n; ++i) PutI64(&payload, cells[i]);
+            });
         break;
       case ColumnType::kDouble:
-        for (std::uint64_t r = 0; r < rows; ++r) {
-          PutF64(&payload, col.GetDouble(r));
-        }
+        col.ForEachSpan<double>(
+            0, rows, [&](const double* cells, std::size_t n) {
+              for (std::size_t i = 0; i < n; ++i) PutF64(&payload, cells[i]);
+            });
         break;
       case ColumnType::kString:
-        for (std::uint64_t r = 0; r < rows; ++r) {
-          PutString(&payload, col.GetString(r));
-        }
+        col.ForEachSpan<std::string>(
+            0, rows, [&](const std::string* cells, std::size_t n) {
+              for (std::size_t i = 0; i < n; ++i) {
+                PutString(&payload, cells[i]);
+              }
+            });
         break;
     }
     AppendFrame(&file, payload);
@@ -97,7 +102,6 @@ Result<std::unique_ptr<Table>> LoadTableSnapshot(const std::string& path,
     }
     ByteReader col_reader(payload);
     Column& col = table->column(c);
-    col.Reserve(rows);
     switch (col.type()) {
       case ColumnType::kInt64:
         for (std::uint64_t i = 0; i < rows; ++i) {

@@ -15,32 +15,25 @@ int Schema::ColumnIndex(const std::string& name) const {
 
 Table::Table(Schema schema) : schema_(std::move(schema)) {
   columns_.reserve(schema_.num_fields());
-  for (const Field& f : schema_.fields()) {
-    columns_.push_back(std::make_shared<Column>(f.type));
-  }
+  for (const Field& f : schema_.fields()) columns_.emplace_back(f.type);
 }
 
 const Column* Table::ColumnByName(const std::string& name) const {
   const int idx = schema_.ColumnIndex(name);
-  return idx < 0 ? nullptr : columns_[static_cast<std::size_t>(idx)].get();
-}
-
-void Table::EnsureUnshared(std::size_t i) {
-  // use_count() > 1 means a published snapshot still references the
-  // buffer. Publish copies column pointers only under the same writer
-  // lock mutation requires, so the count cannot concurrently grow here.
-  if (columns_[i].use_count() > 1) {
-    columns_[i] = std::make_shared<Column>(*columns_[i]);
-  }
+  return idx < 0 ? nullptr : &columns_[static_cast<std::size_t>(idx)];
 }
 
 void Table::AppendRow(const Row& row) {
   PIDX_CHECK(row.cells.size() == columns_.size());
   for (std::size_t i = 0; i < columns_.size(); ++i) {
-    EnsureUnshared(i);
-    columns_[i]->Append(row.cells[i]);
+    columns_[i].Append(row.cells[i]);
   }
-  BumpMutationSeq();
+  ++mutation_seq_;
+}
+
+void Table::BufferInsert(Row row) {
+  pdt_.AddInsert(std::move(row));
+  ++mutation_seq_;
 }
 
 Status Table::BufferDelete(RowId row) {
@@ -48,7 +41,7 @@ Status Table::BufferDelete(RowId row) {
     return Status::OutOfRange("delete position beyond base table");
   }
   pdt_.AddDelete(row);
-  BumpMutationSeq();
+  ++mutation_seq_;
   return Status::OK();
 }
 
@@ -59,38 +52,22 @@ Status Table::BufferModify(RowId row, std::size_t col, Value v) {
   if (col >= columns_.size()) {
     return Status::InvalidArgument("modify column out of range");
   }
-  if (v.type() != columns_[col]->type()) {
+  if (v.type() != columns_[col].type()) {
     return Status::InvalidArgument("modify value type mismatch");
   }
   pdt_.AddModify(row, col, std::move(v));
-  BumpMutationSeq();
+  ++mutation_seq_;
   return Status::OK();
 }
 
 void Table::Checkpoint() {
   for (const auto& [row, cols] : pdt_.modifies()) {
-    for (const auto& [col, value] : cols) {
-      EnsureUnshared(col);
-      columns_[col]->Set(row, value);
-    }
+    for (const auto& [col, value] : cols) columns_[col].Set(row, value);
   }
-  if (!pdt_.deletes().empty()) {
-    for (std::size_t i = 0; i < columns_.size(); ++i) {
-      EnsureUnshared(i);
-      columns_[i]->DeleteRows(pdt_.deletes());
-    }
-  }
+  for (Column& c : columns_) c.DeleteRows(pdt_.deletes());
   for (const Row& row : pdt_.inserts()) AppendRow(row);
   pdt_.Clear();
-  BumpMutationSeq();
-}
-
-std::unique_ptr<Table> Table::CloneShared() const {
-  auto clone = std::make_unique<Table>(schema_);
-  clone->columns_ = columns_;  // shared buffers; COW isolates future writes
-  clone->pdt_ = pdt_;
-  clone->mutation_seq_.store(mutation_seq(), std::memory_order_relaxed);
-  return clone;
+  ++mutation_seq_;
 }
 
 Value Table::VisibleCell(RowId row, std::size_t col) const {
@@ -113,12 +90,12 @@ Value Table::VisibleCell(RowId row, std::size_t col) const {
     auto cit = mit->second.find(col);
     if (cit != mit->second.end()) return cit->second;
   }
-  return columns_[col]->Get(base);
+  return columns_[col].Get(base);
 }
 
 std::uint64_t Table::MemoryUsageBytes() const {
   std::uint64_t total = 0;
-  for (const auto& c : columns_) total += c->MemoryUsageBytes();
+  for (const Column& c : columns_) total += c.MemoryUsageBytes();
   return total;
 }
 

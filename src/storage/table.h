@@ -1,7 +1,6 @@
 #ifndef PATCHINDEX_STORAGE_TABLE_H_
 #define PATCHINDEX_STORAGE_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -42,44 +41,31 @@ class Schema {
 /// per partition — see PartitionedTable below). Updates are buffered in a
 /// positional delta (PDT) and folded into the base columns by Checkpoint().
 ///
-/// Columns are held by shared_ptr so an MVCC snapshot (CloneShared) can
-/// share the immutable base columns with the live head at zero copy cost;
-/// every mutating entry point un-shares the columns it is about to touch
-/// (copy-on-write), so a published snapshot never observes base-column
-/// mutation. All mutation still requires the caller to hold the table's
-/// writer lock (or exclusive ownership) — COW protects snapshots, it does
-/// not make concurrent writers safe.
+/// Copying a table is cheap: its columns share their blocks with the
+/// copy, and each column copies a block before writing it while another
+/// table still shares it (see Column). An MVCC snapshot (CloneShared) is
+/// such a copy, so a published snapshot never observes base-column
+/// mutation, and a commit copies only the blocks it touches. All mutation
+/// still requires the caller to hold the table's writer lock (or
+/// exclusive ownership) — copy-on-write protects snapshots, it does not
+/// make concurrent writers safe.
 class Table {
  public:
   explicit Table(Schema schema);
-
-  /// Movable (the atomic mutation counter carries its value over);
-  /// callers may only move a table no snapshot or reader still
-  /// references, exactly like any other mutation.
-  Table(Table&& other) noexcept
-      : schema_(std::move(other.schema_)),
-        columns_(std::move(other.columns_)),
-        pdt_(std::move(other.pdt_)),
-        mutation_seq_(other.mutation_seq_.load(std::memory_order_relaxed)) {}
 
   const Schema& schema() const { return schema_; }
 
   /// Base rows, excluding pending PDT deltas.
   std::uint64_t num_rows() const {
-    return columns_.empty() ? 0 : columns_[0]->size();
+    return columns_.empty() ? 0 : columns_[0].size();
   }
   /// Rows visible to a scan: base - pending deletes + pending inserts.
   std::uint64_t num_visible_rows() const {
     return num_rows() - pdt_.deletes().size() + pdt_.inserts().size();
   }
 
-  /// Mutable access un-shares the column first (it may be referenced by a
-  /// published snapshot).
-  Column& column(std::size_t i) {
-    EnsureUnshared(i);
-    return *columns_[i];
-  }
-  const Column& column(std::size_t i) const { return *columns_[i]; }
+  Column& column(std::size_t i) { return columns_[i]; }
+  const Column& column(std::size_t i) const { return columns_[i]; }
   const Column* ColumnByName(const std::string& name) const;
 
   /// Appends a row directly to the base columns (bulk loading path).
@@ -87,10 +73,7 @@ class Table {
 
   /// Update-query API: buffers deltas in the PDT. `row` positions refer to
   /// the current base table.
-  void BufferInsert(Row row) {
-    pdt_.AddInsert(std::move(row));
-    BumpMutationSeq();
-  }
+  void BufferInsert(Row row);
   Status BufferDelete(RowId row);
   Status BufferModify(RowId row, std::size_t col, Value v);
 
@@ -100,7 +83,7 @@ class Table {
   /// abort path (a WAL append that failed before publication).
   void DiscardPdt() {
     pdt_.Clear();
-    BumpMutationSeq();
+    ++mutation_seq_;
   }
 
   /// Merges all pending deltas into the base columns: modifies are applied
@@ -115,34 +98,26 @@ class Table {
 
   std::uint64_t MemoryUsageBytes() const;
 
-  /// Monotonic counter bumped by every mutation (base-column appends, PDT
-  /// buffering, Checkpoint, DiscardPdt). A published MVCC version records
-  /// the value it was taken at, and the next publication reuses every
-  /// partition whose value has not moved. Readable without the table lock.
-  std::uint64_t mutation_seq() const {
-    return mutation_seq_.load(std::memory_order_acquire);
-  }
+  /// Monotonic counter bumped by every mutation through the table (row
+  /// appends, PDT buffering, Checkpoint, DiscardPdt). A published MVCC
+  /// version records the value it was taken at, and the next publication
+  /// reuses every partition whose value has not moved. Read under the
+  /// table's writer lock, like every mutation.
+  std::uint64_t mutation_seq() const { return mutation_seq_; }
 
-  /// Immutable snapshot for MVCC publication: shares the base-column
-  /// buffers with this table (copy-on-write protects them from future
-  /// head mutation) and deep-copies the pending PDT. Caller must hold the
-  /// table's writer lock so the state copied is a committed one.
-  std::unique_ptr<Table> CloneShared() const;
+  /// Immutable snapshot for MVCC publication: a copy sharing every column
+  /// block with this table (O(#blocks) pointer copies) plus a deep copy
+  /// of the pending PDT. Caller must hold the table's writer lock so the
+  /// state copied is a committed one.
+  std::unique_ptr<Table> CloneShared() const {
+    return std::make_unique<Table>(*this);
+  }
 
  private:
-  /// Deep-copies column `i` if a snapshot still shares it. Called before
-  /// any base-column mutation; safe only under the writer lock (publish,
-  /// the only other place column pointers are copied, runs under it too).
-  void EnsureUnshared(std::size_t i);
-
-  void BumpMutationSeq() {
-    mutation_seq_.fetch_add(1, std::memory_order_release);
-  }
-
   Schema schema_;
-  std::vector<std::shared_ptr<Column>> columns_;
+  std::vector<Column> columns_;
   PositionalDelta pdt_;
-  std::atomic<std::uint64_t> mutation_seq_{0};
+  std::uint64_t mutation_seq_ = 0;
 };
 
 /// A horizontally partitioned table: constraint discovery, index creation

@@ -55,7 +55,6 @@ Column SynthesizeColumn(const PublicBiColumnSpec& spec,
                         std::uint64_t num_rows, std::uint64_t seed) {
   Rng rng(seed);
   Column col(ColumnType::kInt64);
-  col.Reserve(num_rows);
   const double e = 1.0 - spec.match_fraction;
   if (spec.constraint == ConstraintKind::kNearlySorted) {
     for (std::uint64_t i = 0; i < num_rows; ++i) {

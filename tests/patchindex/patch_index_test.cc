@@ -236,13 +236,13 @@ TEST_P(NucDrpDifferentialTest, PatchSetMatchesRediscoveryAfterEveryCommit) {
       // pair; a third row takes the value of a row outside its block.
       std::shared_ptr<const MinMaxIndex> summary = col.BlockSummary();
       auto block_covers = [&](RowId r, std::int64_t v) {
-        const std::uint64_t b = r / summary->block_size();
+        const std::uint64_t b = summary->BlockOf(r);
         return v >= summary->BlockMin(b) && v <= summary->BlockMax(b);
       };
       const std::int64_t fresh = domain + step;
       const RowId a = NonPatchRow(*idx, rng);
       RowId b = NonPatchRow(*idx, rng);
-      while (b / summary->block_size() == a / summary->block_size()) {
+      while (summary->BlockOf(b) == summary->BlockOf(a)) {
         b = NonPatchRow(*idx, rng);
       }
       ASSERT_TRUE(t.BufferModify(a, 1, Value(fresh)).ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -61,6 +62,44 @@ TEST_P(PatchSetTest, DeleteAllPatches) {
   ps->OnDeleteRows({0, 1, 2});
   EXPECT_EQ(ps->NumPatches(), 0u);
   EXPECT_EQ(ps->NumRows(), 3u);
+}
+
+TEST_P(PatchSetTest, CloneCopiesTheContainerAndStaysIndependent) {
+  // Small shards and scattered deletes leave lost bits in the bitmap
+  // design; the clone must reproduce the set exactly all the same.
+  auto ps = Make(1000);
+  Rng rng(99);
+  for (int i = 0; i < 150; ++i) ps->MarkPatch(rng.Uniform(0, 999));
+  std::set<RowId> victims;
+  while (victims.size() < 120) victims.insert(rng.Uniform(0, 999));
+  ps->OnDeleteRows(std::vector<RowId>(victims.begin(), victims.end()));
+  ps->OnAppendRows(40);
+  ps->MarkPatch(ps->NumRows() - 1);
+
+  const std::unique_ptr<PatchSet> clone = ps->Clone();
+  ASSERT_EQ(clone->design(), ps->design());
+  ASSERT_EQ(clone->NumRows(), ps->NumRows());
+  EXPECT_EQ(clone->NumPatches(), ps->NumPatches());
+  EXPECT_EQ(clone->PatchRowIds(), ps->PatchRowIds());
+  std::vector<bool> original_bits;
+  for (RowId r = 0; r < ps->NumRows(); ++r) {
+    ASSERT_EQ(clone->IsPatch(r), ps->IsPatch(r)) << "row " << r;
+    original_bits.push_back(ps->IsPatch(r));
+  }
+
+  // Later maintenance on the original leaves the clone as it was.
+  const std::vector<RowId> clone_ids = clone->PatchRowIds();
+  const std::uint64_t clone_rows = clone->NumRows();
+  RowId fresh = 0;
+  while (ps->IsPatch(fresh)) ++fresh;
+  ps->MarkPatch(fresh);
+  ps->OnDeleteRows({0, 1, 2, 500});
+  EXPECT_EQ(clone->NumRows(), clone_rows);
+  EXPECT_EQ(clone->PatchRowIds(), clone_ids);
+  EXPECT_EQ(clone->NumPatches(), clone_ids.size());
+  for (RowId r = 0; r < clone_rows; ++r) {
+    ASSERT_EQ(clone->IsPatch(r), original_bits[r]) << "row " << r;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(BothDesigns, PatchSetTest,

@@ -5,13 +5,16 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -482,6 +485,51 @@ TEST(ServerTest, RejectsProtocolVersionMismatch) {
   // Server closes after the refusal.
   EXPECT_FALSE(ReadFrame(fd, &type, &payload).ok());
   ::close(fd);
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+std::uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size_pages = 0;
+  std::uint64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(ServerTest, LengthPrefixAloneDoesNotAllocateTheBody) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::uint64_t before = ResidentBytes();
+
+  Status read_status;
+  std::thread reader([&] {
+    FrameType type;
+    std::string payload;
+    read_status = ReadFrame(fds[0], &type, &payload);
+  });
+  // A maximal length prefix and a few body bytes, then nothing.
+  std::string head;
+  PutU32(&head, kMaxFrameBytes);
+  head += std::string(4096, 'x');
+  ASSERT_EQ(::send(fds[1], head.data(), head.size(), 0),
+            static_cast<ssize_t>(head.size()));
+  // Once the reader has drained the socket it is blocked on the body.
+  for (int i = 0; i < 2000; ++i) {
+    int unread = 0;
+    ASSERT_EQ(::ioctl(fds[0], FIONREAD, &unread), 0);
+    if (unread == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::uint64_t during = ResidentBytes();
+  EXPECT_LT(during, before + (std::uint64_t{8} << 20))
+      << "RSS grew by " << (during - before) << " bytes";
+
+  ::close(fds[1]);  // EOF mid-body
+  reader.join();
+  ::close(fds[0]);
+  EXPECT_EQ(read_status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(read_status.message(), "malformed frame: truncated stream");
 }
 
 TEST(ServerTest, PipelinedQueriesAnswerInOrder) {

@@ -88,10 +88,10 @@ TEST(TpchTest, GeneratesConsistentTables) {
   EXPECT_GE(db.lineitem->num_rows(), 500u);
   EXPECT_LE(db.lineitem->num_rows(), 3500u);
   // orders sorted by orderkey; lineitem clustered by orderkey.
-  EXPECT_TRUE(std::is_sorted(db.orders->column(0).i64_data().begin(),
-                             db.orders->column(0).i64_data().end()));
-  EXPECT_TRUE(std::is_sorted(db.lineitem->column(0).i64_data().begin(),
-                             db.lineitem->column(0).i64_data().end()));
+  const std::vector<std::int64_t> orderkeys = db.orders->column(0).i64_data();
+  const std::vector<std::int64_t> linekeys = db.lineitem->column(0).i64_data();
+  EXPECT_TRUE(std::is_sorted(orderkeys.begin(), orderkeys.end()));
+  EXPECT_TRUE(std::is_sorted(linekeys.begin(), linekeys.end()));
   // Foreign keys resolve.
   for (auto k : db.lineitem->column(0).i64_data()) {
     ASSERT_GE(k, 0);
