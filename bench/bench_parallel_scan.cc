@@ -1,5 +1,5 @@
-// Morsel-driven parallel execution vs. the serial operator tree, through
-// the Engine/Session facade:
+// Morsel-driven execution on N workers vs. one worker, through the
+// Engine/Session facade:
 //   Q1  grouped aggregation over a 3-column table (scan-bound: 256 groups,
 //       so per-worker partial aggregates merge in microseconds),
 //   Q2  filtered grouped aggregation (selection fused into the pipeline),
@@ -10,8 +10,9 @@
 //       the join, and the same with a NUC index on the build key (the
 //       rewriter's annotation lets the build skip duplicate chaining).
 // Reported per thread count: best-of wall time and speedup over the
-// serial tree (min_parallel_rows = SIZE_MAX). Row counts are checked
-// against the serial result so the comparison cannot silently diverge.
+// one-worker engine ("serial": num_threads = 1, every pipeline inline on
+// the calling thread). Row counts are checked against the serial result
+// so the comparison cannot silently diverge.
 //
 // Usage: bench_parallel_scan [num_rows] [join_json_path]
 // With a json path, the join-sweep numbers are written there (the
@@ -19,7 +20,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -95,13 +95,11 @@ void RunSweep(const char* title, std::uint64_t source_rows,
               "time_s", "speedup", "rows");
 
   for (const QuerySpec& query : queries) {
-    // Serial baseline: same engine facade, parallel executor disabled.
-    // Plans reference the shared tables directly; they are not
-    // registered in any catalog, so no locks are taken — the bench is
-    // read-only after setup.
+    // Serial baseline: same engine facade, one worker. Plans reference
+    // the shared tables directly; they are not registered in any catalog,
+    // so no locks are taken — the bench is read-only after setup.
     EngineOptions serial_options;
-    serial_options.min_parallel_rows =
-        std::numeric_limits<std::size_t>::max();
+    serial_options.num_threads = 1;
     serial_options.optimizer.force_patch_rewrites = true;
     Engine serial_engine(serial_options);
 
@@ -145,7 +143,7 @@ void RunSweep(const char* title, std::uint64_t source_rows,
       std::printf("%-22s %-9zu %-12.4f %-10s %-10llu%s\n", query.name,
                   threads, t, speedup,
                   static_cast<unsigned long long>(rows),
-                  parallel ? "" : "  (serial fallback)");
+                  parallel ? "" : "  (one worker)");
       if (record != nullptr) {
         record->push_back({query.name, std::to_string(threads), t,
                            t_serial / t, rows, parallel});

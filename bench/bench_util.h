@@ -3,11 +3,13 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
 #include <functional>
 #include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/timer.h"
@@ -45,6 +47,27 @@ inline double TimeBest(int reps, const std::function<void()>& fn) {
     if (t < best) best = t;
   }
   return best;
+}
+
+/// Median and 10th/90th percentiles (nearest rank) of repeated timings,
+/// seconds.
+struct TimeSpread {
+  double median = 0;
+  double p10 = 0;
+  double p90 = 0;
+};
+
+/// Runs `fn` `reps` times and returns the spread of the wall-clock
+/// seconds — the median plus how far the runs scattered, which best-of
+/// (TimeBest) hides.
+inline TimeSpread TimeMedian(int reps, const std::function<void()>& fn) {
+  std::vector<double> times;
+  for (int i = 0; i < reps; ++i) times.push_back(TimeOnce(fn));
+  std::sort(times.begin(), times.end());
+  const auto at = [&times](double q) {
+    return times[static_cast<std::size_t>(q * (times.size() - 1) + 0.5)];
+  };
+  return {at(0.5), at(0.1), at(0.9)};
 }
 
 /// Drains a freshly built plan, returning the row count (so the work is

@@ -56,7 +56,7 @@ void ShardedBitmap::BulkDelete(const std::vector<std::uint64_t>& positions) {
     work.back().offsets.push_back(pos - start_[s]);
   }
 
-  // Step (b): shard-local shifts, one task per affected shard, processed
+  // Step (b): shard-local shifts, shards spread over the pool, processed
   // in descending offset order so earlier deletes do not invalidate later
   // offsets within the shard.
   auto run_shard = [this](const ShardWork& w) {
@@ -68,10 +68,9 @@ void ShardedBitmap::BulkDelete(const std::vector<std::uint64_t>& positions) {
   };
   if (options_.parallel && work.size() > 1) {
     ThreadPool& pool = options_.pool ? *options_.pool : ThreadPool::Default();
-    for (const ShardWork& w : work) {
-      pool.Submit([&run_shard, &w] { run_shard(w); });
-    }
-    pool.WaitIdle();
+    pool.ParallelFor(work.size(), [&run_shard, &work](std::size_t i) {
+      run_shard(work[i]);
+    });
   } else {
     for (const ShardWork& w : work) run_shard(w);
   }

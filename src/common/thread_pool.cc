@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "common/check.h"
 
@@ -90,16 +91,35 @@ void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
   const std::size_t chunks = std::min(n, num_threads());
+  if (chunks == 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
   const std::size_t per_chunk = (n + chunks - 1) / chunks;
+  // Failures are kept in caller-owned slots, not in the futures, so the
+  // exception is created, read and released without a pool thread holding
+  // the last reference to it.
+  std::vector<std::exception_ptr> errors(chunks);
+  std::vector<std::future<void>> futures;
+  futures.reserve(chunks);
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t begin = c * per_chunk;
     const std::size_t end = std::min(n, begin + per_chunk);
     if (begin >= end) break;
-    Submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    });
+    futures.push_back(SubmitWithFuture([&fn, &errors, c, begin, end] {
+      try {
+        for (std::size_t i = begin; i < end; ++i) fn(i);
+      } catch (...) {
+        errors[c] = std::current_exception();
+      }
+    }));
   }
-  WaitIdle();
+  // Every chunk finishes before the first failure is rethrown: unwinding
+  // while chunks still run would free the caller's state under them.
+  for (std::future<void>& f : futures) f.get();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
 }
 
 void ThreadPool::WorkerLoop() {

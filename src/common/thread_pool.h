@@ -35,10 +35,10 @@ std::optional<std::size_t> ParseThreadCountEnv(const char* value);
 /// recompiling.
 std::size_t DefaultThreadCount();
 
-/// A fixed-size worker pool used by the sharded bitmap's parallel bulk
-/// delete (one task per shard touched) and by partition-parallel index
-/// creation. Tasks are plain std::function<void()>; WaitIdle() provides the
-/// barrier the bulk delete needs before adapting shard start values.
+/// A fixed-size worker pool: the query executor's workers, partition-
+/// parallel index creation and commits, and the sharded bitmap's parallel
+/// bulk delete, all through ParallelFor. Tasks are plain
+/// std::function<void()>; WaitIdle() waits for every task of the pool.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);
@@ -67,7 +67,12 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for i in [0, n), distributing iterations over workers in
-  /// contiguous chunks, and blocks until all iterations are done.
+  /// contiguous chunks, and blocks until all of them are done. Awaits only
+  /// its own chunks (not WaitIdle), so callers sharing the pool do not wait
+  /// for each other's tasks; a single chunk (n == 1, or a one-thread pool)
+  /// runs inline on the calling thread. A
+  /// throwing fn ends its chunk; the first failure is rethrown once every
+  /// chunk has finished. Must not be called from a task of this pool.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   std::size_t num_threads() const { return workers_.size(); }

@@ -8,7 +8,6 @@
 #include "common/check.h"
 #include "common/epoch_gc.h"
 #include "engine/read_pin.h"
-#include "exec/operator.h"
 #include "optimizer/scan_pruning.h"
 
 namespace patchindex {
@@ -339,44 +338,42 @@ Result<QueryResult> Session::ExecuteProfiled(LogicalPtr plan,
   obs::ExecProfile* ops = profile_ops ? &exec_profile : nullptr;
 
   QueryResult result;
-  ParallelExecOptions parallel_options;
-  parallel_options.morsel_rows = engine_->options_.morsel_rows;
-  parallel_options.min_parallel_rows = engine_->options_.min_parallel_rows;
-  parallel_options.profile = ops;
-  parallel_options.trace = sinks.trace;
-  parallel_options.memory = query_mem;
+  ParallelExecOptions exec_options;
+  exec_options.morsel_rows = engine_->options_.morsel_rows;
+  exec_options.profile = ops;
+  exec_options.trace = sinks.trace;
+  exec_options.memory = query_mem;
   ParallelExecReport report;
   obs::PhaseSpan execute_span(sinks, obs::QueryPhase::kExecute);
   try {
-    if (ExecuteParallel(*optimized, engine_->pool(), parallel_options,
-                        &result.rows, &report)) {
-      result.parallel = true;
-      result.parallel_join = report.parallel_join;
-      result.parallel_sort = report.parallel_sort;
-      if (report.parallel_join) counters_->parallel_joins.fetch_add(1);
-      if (report.parallel_sort) counters_->parallel_sorts.fetch_add(1);
-      if (!report.parallel_join && !report.parallel_sort) {
-        counters_->parallel_pipelines.fetch_add(1);
-      }
-    } else {
-      OperatorPtr op = CompilePlan(optimized, optimizer, ops);
-      result.rows = Collect(*op);
-      counters_->serial_fallbacks.fetch_add(1);
-    }
+    result.rows =
+        ExecutePlan(*optimized, engine_->pool(), exec_options, &report);
   } catch (const obs::ResourceExhaustedError& e) {
-    // The statement unwound cleanly: AwaitAll drained every worker
+    // The statement unwound cleanly: the executor drained every worker
     // before rethrowing, so no task still references the result slots or
     // the pinned versions. Session and engine stay fully usable.
     return Status::ResourceExhausted(e.what());
   }
   execute_span.Close();
+  result.parallel = report.workers > 1;
+  result.parallel_join = report.parallel_join;
+  result.parallel_sort = report.parallel_sort;
+  if (!result.parallel) {
+    counters_->serial_fallbacks.fetch_add(1);
+  } else {
+    if (report.parallel_join) counters_->parallel_joins.fetch_add(1);
+    if (report.parallel_sort) counters_->parallel_sorts.fetch_add(1);
+    if (!report.parallel_join && !report.parallel_sort) {
+      counters_->parallel_pipelines.fetch_add(1);
+    }
+  }
 
   engine_->m_.read_queries->Add(1);
   obs::QueryProfile* profile = sinks.profile;
   profile->parallel = result.parallel;
   profile->parallel_join = result.parallel_join;
   profile->parallel_sort = result.parallel_sort;
-  profile->pool_workers = engine_->pool().num_threads();
+  profile->pool_workers = report.workers;
   profile->peak_mem_bytes = query_mem->peak();
   if (ops != nullptr) obs::FillOpProfiles(*optimized, exec_profile, profile);
   return result;
@@ -639,7 +636,7 @@ Status Session::CreatePatchIndex(const std::string& table_name,
     // One index per partition, created partition-locally in parallel
     // (paper §3.2); a single-partition table degenerates to one index.
     created = engine_->catalog_.manager().CreatePartitionedIndex(
-        *table, column, constraint, options);
+        *table, column, constraint, options, &engine_->pool());
   } else {
     for (std::size_t p = 0; p < table->num_partitions(); ++p) {
       if (covered[p]) continue;

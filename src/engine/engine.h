@@ -32,14 +32,10 @@ struct EngineOptions {
   /// (see DefaultThreadCount in common/thread_pool.h).
   std::size_t num_threads = 0;
 
-  /// Base rows per morsel.
+  /// Base rows per morsel. A pipeline runs on min(num_threads, morsels
+  /// of its pruned input) workers, so this also sets how much input one
+  /// worker handles before a second one helps.
   std::size_t morsel_rows = kDefaultMorselRows;
-
-  /// Tables below this visible-row count run on the serial operator tree
-  /// even when the plan shape is parallelizable. 0 forces parallelism;
-  /// std::numeric_limits<std::size_t>::max() pins every query to the
-  /// serial tree (A/B comparisons, the equivalence tests).
-  std::size_t min_parallel_rows = 16 * kBatchSize;
 
   /// Partitions a CREATE TABLE statement without a PARTITIONS clause
   /// gets (the session default of the paper's §3.2 partition-local
@@ -96,18 +92,15 @@ struct QueryResult {
   std::vector<std::string> column_names;
   /// Rows inserted/modified/deleted by a SQL DML statement; 0 for reads.
   std::uint64_t rows_affected = 0;
-  /// True when the morsel-driven parallel executor ran the plan; false
-  /// when it fell back to the serial operator tree. Parallel results are
-  /// identical to serial ones modulo row order (a Sort-rooted plan keeps
-  /// the sort order either way; a TopN whose ties straddle the limit may
-  /// keep different tied rows — both are valid top-k answers).
+  /// True when more than one executor worker ran some phase of the plan;
+  /// false when the whole plan ran on one worker, inline on the calling
+  /// thread. Results do not depend on it (except which tied rows a TopN
+  /// keeps at its cutoff — both are valid top-k answers).
   bool parallel = false;
-  /// The plan's join ran as a partitioned parallel build + parallel
-  /// probe (implies `parallel`).
+  /// A join (plain or PatchJoin) probed on more than one worker.
   bool parallel_join = false;
-  /// The plan's order-by ran as per-worker local sorts + k-way merge
-  /// (implies `parallel`). False when the sort was applied serially to
-  /// an already merged aggregate result.
+  /// An order-by (Sort or PatchSort) ran as several per-worker sorted
+  /// runs combined by a k-way merge.
   bool parallel_sort = false;
   /// Phase spans (and, for EXPLAIN ANALYZE, per-operator measurements)
   /// of this query. Set by the SQL path for every executed statement;
@@ -129,11 +122,12 @@ struct ExecPathCounters {
   /// Parallel queries that were plain scan/aggregate pipelines (no
   /// parallel join or sort involved).
   std::atomic<std::uint64_t> parallel_pipelines{0};
-  /// Queries whose join ran the partitioned parallel build + probe.
+  /// Queries whose join (plain or PatchJoin) probed on several workers.
   std::atomic<std::uint64_t> parallel_joins{0};
   /// Queries whose order-by ran as local sorts + k-way merge.
   std::atomic<std::uint64_t> parallel_sorts{0};
-  /// Queries executed entirely on the serial operator tree.
+  /// Queries that ran on one worker throughout (inline on the calling
+  /// thread — small or block-pruned inputs).
   std::atomic<std::uint64_t> serial_fallbacks{0};
 };
 
@@ -169,9 +163,9 @@ void CollectPlanTableRefs(const LogicalNode& plan, const Catalog& catalog,
 
 /// The execution engine: owns the catalog (tables + PatchIndexes) and the
 /// worker pool, and hands out sessions. Queries enter as LogicalNode
-/// plans, run through the PatchIndex rewriter, and execute either on the
-/// morsel-driven parallel executor or — for plan shapes it does not
-/// handle — on the serial operator tree. Read queries scan pinned
+/// plans, run through the PatchIndex rewriter, and execute on the
+/// morsel-driven executor, on as many pool workers as their inputs have
+/// morsels (one runs inline). Read queries scan pinned
 /// immutable table versions lock-free (MVCC snapshot reads); update
 /// queries serialize on per-table writer–writer locks.
 class Engine {
@@ -321,9 +315,8 @@ class Engine {
 class Session {
  public:
   /// Runs a read query: optimizes `plan` against the catalog's indexes,
-  /// then executes it in parallel where supported (serial fallback
-  /// otherwise — see ParallelPlanSupported in engine/executor.h for the
-  /// supported shapes). Every catalog table the plan scans is protected
+  /// then executes it on the morsel-driven executor (see ExecutePlan in
+  /// engine/executor.h). Every catalog table the plan scans is protected
   /// for the duration of the query by an epoch-pinned immutable version
   /// (lock-free; the passed plan is never mutated).
   Result<QueryResult> Execute(LogicalPtr plan);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <future>
 #include <iterator>
 #include <memory>
 #include <utility>
@@ -12,6 +11,7 @@
 #include "common/timer.h"
 #include "exec/aggregate.h"
 #include "exec/hash_join.h"
+#include "exec/merge_join.h"
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/select.h"
@@ -20,6 +20,7 @@
 #include "obs/profile.h"
 #include "obs/profiled_operator.h"
 #include "obs/trace.h"
+#include "optimizer/scan_pruning.h"
 #include "patchindex/patch_index.h"
 
 namespace patchindex {
@@ -77,224 +78,6 @@ ScanTarget TargetOf(const LogicalNode& scan) {
   return target;
 }
 
-/// Pull-based scan source that repeatedly claims a morsel from the shared
-/// queue and scans it — morsels may come from any partition of the scan
-/// target, so workers flow freely across partitions. Base morsels scan
-/// their partition-local row range with pending inserts suppressed; a
-/// partition's dedicated inserts morsel scans only that partition's PDT
-/// inserts, so each pending insert is emitted exactly once across all
-/// workers. The patch filter (when set) is fused into every morsel's scan,
-/// exactly as in the serial PatchIndex scan.
-class MorselSourceOperator : public Operator {
- public:
-  MorselSourceOperator(const ScanTarget* target,
-                       std::vector<std::size_t> columns,
-                       ScanOptions scan_options, MorselQueue* queue,
-                       obs::NodeStats* stats = nullptr,
-                       obs::TraceBuffer* trace = nullptr,
-                       std::uint32_t trace_tid = 0)
-      : target_(target),
-        cols_(std::move(columns)),
-        options_(scan_options),
-        queue_(queue),
-        stats_(stats),
-        trace_(trace),
-        trace_tid_(trace_tid) {}
-
-  std::vector<ColumnType> OutputTypes() const override {
-    std::vector<ColumnType> types;
-    types.reserve(cols_.size());
-    const Schema& schema = target_->parts[0]->schema();
-    for (std::size_t c : cols_) types.push_back(schema.field(c).type);
-    return types;
-  }
-
-  void Open() override { current_.reset(); }
-
-  bool Next(Batch* out) override {
-    for (;;) {
-      if (current_ == nullptr) {
-        Morsel morsel;
-        if (!queue_->Next(&morsel)) {
-          out->Reset(OutputTypes());
-          return false;
-        }
-        if (stats_ != nullptr) {
-          stats_->morsels.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (trace_ != nullptr) morsel_start_us_ = trace_->NowUs();
-        ScanOptions opts = options_;
-        opts.row_id_offset = target_->bases[morsel.partition];
-        if (morsel.kind == Morsel::Kind::kBase) {
-          opts.source = ScanSource::kVisible;
-          opts.scan_inserts = false;
-          opts.ranges = {morsel.range};
-        } else {
-          opts.source = ScanSource::kInsertsOnly;
-        }
-        current_ = std::make_unique<ScanOperator>(
-            *target_->parts[morsel.partition], cols_, opts);
-        current_->Open();
-      }
-      if (current_->Next(out)) return true;
-      current_->Close();
-      current_.reset();
-      if (trace_ != nullptr) {
-        trace_->Add("morsel", trace_tid_, morsel_start_us_,
-                    trace_->NowUs() - morsel_start_us_);
-      }
-    }
-  }
-
-  void Close() override { current_.reset(); }
-
- private:
-  const ScanTarget* target_;
-  std::vector<std::size_t> cols_;
-  ScanOptions options_;
-  MorselQueue* queue_;
-  obs::NodeStats* stats_;
-  obs::TraceBuffer* trace_;
-  std::uint32_t trace_tid_;
-  std::uint64_t morsel_start_us_ = 0;
-  OperatorPtr current_;
-};
-
-/// Wraps `op` in a ProfiledOperator recording into `node`'s accumulator
-/// when profiling is on; passes it through untouched otherwise. The node
-/// must have been registered (ExecProfile::RegisterPlan) — workers call
-/// this concurrently and may only do read-only lookups.
-OperatorPtr MaybeProfile(OperatorPtr op, obs::ExecProfile* profile,
-                         const LogicalNode* node, bool count_rows = true) {
-  if (profile == nullptr) return op;
-  obs::NodeStats* stats = profile->Find(node);
-  PIDX_CHECK(stats != nullptr);
-  return std::make_unique<obs::ProfiledOperator>(std::move(op), stats,
-                                                 count_rows);
-}
-
-/// A Scan/Select/Project pipeline decomposed for per-worker instantiation:
-/// the scan leaf plus the unary operators above it, bottom-up.
-struct ChainSpec {
-  const LogicalNode* scan = nullptr;
-  std::vector<const LogicalNode*> ops;
-};
-
-bool AnalyzeChain(const LogicalNode& node, bool selects_only,
-                  ChainSpec* spec) {
-  // The selects-only shape is exactly the rewriter's select-chain notion;
-  // delegate the validation so the definition lives in one place.
-  if (selects_only && SelectChainScan(node) == nullptr) return false;
-  const LogicalNode* cur = &node;
-  std::vector<const LogicalNode*> top_down;
-  while (cur->kind == LogicalNode::Kind::kSelect ||
-         (!selects_only && cur->kind == LogicalNode::Kind::kProject)) {
-    top_down.push_back(cur);
-    cur = cur->children[0].get();
-  }
-  if (cur->kind != LogicalNode::Kind::kScan ||
-      (cur->table == nullptr && cur->ptable == nullptr)) {
-    return false;
-  }
-  spec->scan = cur;
-  spec->ops.assign(top_down.rbegin(), top_down.rend());
-  return true;
-}
-
-/// Stacks the given Select/Project nodes (bottom-up order) onto `op`.
-/// Expression trees are shared between workers (they are immutable and
-/// Eval() is const); operator instances are per-worker.
-OperatorPtr ApplyUnaryOps(OperatorPtr op,
-                          const std::vector<const LogicalNode*>& ops,
-                          obs::ExecProfile* profile = nullptr) {
-  for (const LogicalNode* node : ops) {
-    if (node->kind == LogicalNode::Kind::kSelect) {
-      op = std::make_unique<SelectOperator>(std::move(op), node->predicate);
-    } else {
-      op = std::make_unique<ProjectOperator>(std::move(op), node->exprs);
-    }
-    op = MaybeProfile(std::move(op), profile, node);
-  }
-  return op;
-}
-
-/// Instantiates one worker's copy of the pipeline over the shared queue.
-/// `target` must outlive the pipeline (the callers keep it on the stack
-/// for the duration of the parallel phase).
-OperatorPtr BuildWorkerChain(const ChainSpec& spec, const ScanTarget* target,
-                             const ScanOptions& scan_options,
-                             MorselQueue* queue,
-                             obs::ExecProfile* profile = nullptr,
-                             obs::TraceBuffer* trace = nullptr,
-                             std::uint32_t trace_tid = 0) {
-  OperatorPtr scan = std::make_unique<MorselSourceOperator>(
-      target, spec.scan->columns, scan_options, queue,
-      profile != nullptr ? profile->Find(spec.scan) : nullptr, trace,
-      trace_tid);
-  return ApplyUnaryOps(MaybeProfile(std::move(scan), profile, spec.scan),
-                       spec.ops, profile);
-}
-
-/// The full shape the morsel executor handles (PatchDistinct aside): an
-/// optional Sort root, over an optional Aggregate/Distinct, over either a
-/// single scan pipeline or Select/Project operators above an inner equi
-/// join of two scan pipelines.
-struct PlanShape {
-  const LogicalNode* sort = nullptr;  // kSort (limit = TopN)
-  const LogicalNode* agg = nullptr;   // kAggregate / kDistinct
-  const LogicalNode* join = nullptr;  // kJoin
-  std::vector<const LogicalNode*> mid_ops;  // between join and agg/sort
-  ChainSpec left;                           // join children
-  ChainSpec right;
-  ChainSpec chain;  // the single pipeline when there is no join
-};
-
-bool AnalyzeShape(const LogicalNode& plan, PlanShape* shape) {
-  const LogicalNode* cur = &plan;
-  if (cur->kind == LogicalNode::Kind::kSort) {
-    if (cur->sort_keys.empty()) return false;
-    shape->sort = cur;
-    cur = cur->children[0].get();
-  }
-  if (cur->kind == LogicalNode::Kind::kAggregate ||
-      cur->kind == LogicalNode::Kind::kDistinct) {
-    // Global aggregates (no group columns) have no per-worker partial
-    // form here; they fall back to the serial tree.
-    if (cur->group_cols.empty()) return false;
-    shape->agg = cur;
-    cur = cur->children[0].get();
-  }
-  std::vector<const LogicalNode*> top_down;
-  while (cur->kind == LogicalNode::Kind::kSelect ||
-         cur->kind == LogicalNode::Kind::kProject) {
-    top_down.push_back(cur);
-    cur = cur->children[0].get();
-  }
-  if (cur->kind == LogicalNode::Kind::kScan &&
-      (cur->table != nullptr || cur->ptable != nullptr)) {
-    shape->chain.scan = cur;
-    shape->chain.ops.assign(top_down.rbegin(), top_down.rend());
-    return true;
-  }
-  if (cur->kind == LogicalNode::Kind::kJoin) {
-    shape->join = cur;
-    shape->mid_ops.assign(top_down.rbegin(), top_down.rend());
-    if (!AnalyzeChain(*cur->children[0], /*selects_only=*/false,
-                      &shape->left) ||
-        !AnalyzeChain(*cur->children[1], /*selects_only=*/false,
-                      &shape->right)) {
-      return false;
-    }
-    const auto left_types = LogicalOutputTypes(*cur->children[0]);
-    const auto right_types = LogicalOutputTypes(*cur->children[1]);
-    return cur->left_key < left_types.size() &&
-           cur->right_key < right_types.size() &&
-           left_types[cur->left_key] == ColumnType::kInt64 &&
-           right_types[cur->right_key] == ColumnType::kInt64;
-  }
-  return false;
-}
-
 /// Column-wise batch concatenation (string payloads are moved).
 void AppendBatch(Batch* dst, Batch&& src) {
   PIDX_DCHECK(dst->columns.size() == src.columns.size());
@@ -318,94 +101,44 @@ void AppendBatch(Batch* dst, Batch&& src) {
                       src.row_ids.end());
 }
 
-/// Drains `op` with column-wise accumulation (Collect() copies row by
-/// row, which would dominate wide parallel scans). Every incoming batch
-/// is charged to `mem` before it is appended, so a worker materializing
-/// an over-budget result aborts mid-drain rather than after the damage.
-Batch DrainColumnwise(Operator& op, obs::OpMemory* mem = nullptr) {
-  op.Open();
+/// Drains an opened `op` with column-wise accumulation (Collect() copies
+/// row by row, which would dominate wide scans). Every incoming batch is
+/// charged to `mem` before it is appended, so a worker materializing an
+/// over-budget result aborts mid-drain rather than after the damage.
+Batch DrainOpened(Operator& op, obs::OpMemory* mem) {
   Batch all;
   all.Reset(op.OutputTypes());
   Batch in;
   while (op.Next(&in)) {
-    if (mem != nullptr) mem->Add(ApproxBytes(in));
+    mem->Add(ApproxBytes(in));
     AppendBatch(&all, std::move(in));
   }
+  return all;
+}
+
+Batch DrainColumnwise(Operator& op, obs::OpMemory* mem) {
+  op.Open();
+  Batch all = DrainOpened(op, mem);
   op.Close();
   return all;
 }
 
-/// Awaits every future before rethrowing the first failure: unwinding
-/// while workers still reference shared state (result slots, the morsel
-/// queue, partition tables) would be use-after-free.
-void AwaitAll(std::vector<std::future<void>>& futures) {
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Runs one pipeline instance per pool worker and returns the per-worker
-/// results; `post` (when set) runs on each worker's drained part inside
-/// the worker task — the parallel sort fuses its local sort here.
-/// Futures (not WaitIdle) so concurrent queries sharing the pool only
-/// await their own tasks.
-std::vector<Batch> RunWorkers(
-    ThreadPool& pool,
-    const std::function<OperatorPtr(std::size_t)>& make_pipeline,
-    const std::function<void(Batch*)>& post = nullptr,
-    obs::TraceBuffer* trace = nullptr,
-    obs::MemoryTracker* memory = nullptr,
-    const char* mem_label = "Materialize",
-    obs::NodeStats* mem_stats = nullptr) {
-  const std::size_t workers = pool.num_threads();
-  std::vector<Batch> parts(workers);
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    futures.push_back(pool.SubmitWithFuture(
-        [&parts, &make_pipeline, &post, trace, memory, mem_label, mem_stats,
-         w] {
-          obs::TraceSpan span(trace, "worker",
-                              static_cast<std::uint32_t>(w + 1));
-          // The query tracker rides the task, not the thread: pipeline
-          // construction below may allocate accounted structures
-          // (aggregate tables), and an over-budget charge unwinds into
-          // this task's future, surfacing through AwaitAll.
-          obs::ScopedQueryTracker query_mem(memory);
-          obs::OpMemory mem(mem_label, mem_stats);
-          OperatorPtr pipeline = make_pipeline(w);
-          parts[w] = DrainColumnwise(*pipeline, &mem);
-          if (post) post(&parts[w]);
-        }));
-  }
-  AwaitAll(futures);
-  return parts;
-}
-
+/// Appends `parts` in order. The first part is moved rather than copied
+/// when it holds more than half of the rows (one worker's drain holds all
+/// of them); an unordered caller swaps its biggest part to the front.
 Batch ConcatParts(std::vector<Batch>&& parts,
                   const std::vector<ColumnType>& types) {
-  // Largest part is moved instead of copied when it dwarfs the rest
-  // (common under work stealing skew); everything else is appended.
   std::size_t total = 0;
-  std::size_t biggest = 0;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    total += parts[i].num_rows();
-    if (parts[i].num_rows() > parts[biggest].num_rows()) biggest = i;
-  }
+  for (const Batch& part : parts) total += part.num_rows();
   Batch out;
-  if (!parts.empty() && parts[biggest].num_rows() * 2 > total &&
-      parts[biggest].columns.size() == types.size()) {
-    out = std::move(parts[biggest]);
-    parts[biggest] = Batch{};
+  if (!parts.empty() && parts[0].num_rows() * 2 > total &&
+      parts[0].columns.size() == types.size()) {
+    out = std::move(parts[0]);
+    parts[0] = Batch{};
   } else {
     out.Reset(types);
   }
+  if (out.num_rows() == total) return out;
   out.row_ids.reserve(total);
   for (std::size_t c = 0; c < out.columns.size(); ++c) {
     switch (out.columns[c].type) {
@@ -427,6 +160,16 @@ Batch ConcatParts(std::vector<Batch>&& parts,
   return out;
 }
 
+/// Moves the part with the most rows to the front, for ConcatParts.
+void BiggestFirst(std::vector<Batch>* parts) {
+  if (parts->empty()) return;
+  std::iter_swap(parts->begin(),
+                 std::max_element(parts->begin(), parts->end(),
+                                  [](const Batch& a, const Batch& b) {
+                                    return a.num_rows() < b.num_rows();
+                                  }));
+}
+
 /// Merge aggregation over concatenated per-worker partial aggregates:
 /// group keys re-group on their own positions; partial counts merge by
 /// summation, sums/mins/maxs by their own operator.
@@ -434,6 +177,7 @@ Batch MergeAggregateParts(std::vector<Batch>&& parts,
                           const std::vector<ColumnType>& partial_types,
                           std::size_t num_group_cols,
                           const std::vector<AggSpec>& aggs) {
+  BiggestFirst(&parts);
   Batch all = ConcatParts(std::move(parts), partial_types);
   std::vector<std::size_t> group_cols(num_group_cols);
   for (std::size_t g = 0; g < num_group_cols; ++g) group_cols[g] = g;
@@ -450,38 +194,171 @@ Batch MergeAggregateParts(std::vector<Batch>&& parts,
   return Collect(merge);
 }
 
-// --------------------------------------------------------------- join
+// ------------------------------------------------------------ pipelines
 
-/// Streams the probe pipeline against the read-only partition tables and
-/// emits matches in the join's logical left-then-right column layout
-/// (the serial tree reaches the same layout via a reordering Project).
+/// Builds one worker's instance of a streaming operator over its input.
+using OpFactory = std::function<OperatorPtr(OperatorPtr)>;
+
+/// One morsel-driven input of a pipeline: the shared morsel queue, the
+/// leaf operator each claimed morsel opens, and the streaming operators
+/// stacked on the leaves.
+struct Branch {
+  std::shared_ptr<MorselQueue> queue;
+  std::function<OperatorPtr(const Morsel&)> leaf;
+  std::vector<ColumnType> types;  // the leaf's output
+  /// The plan node profiled as the leaf (scans); null for batch sources.
+  const LogicalNode* leaf_node = nullptr;
+  std::vector<OpFactory> ops;  // bottom-up
+};
+
+/// A plan fragment every worker runs a copy of: its branches — one,
+/// except PatchJoin's merge and hash branches, which a worker drains back
+/// to back — then the operators above them, bottom-up. Factories own
+/// what they reference, so pipelines are passed by value.
+struct Pipeline {
+  std::vector<Branch> branches;
+  std::vector<OpFactory> ops;
+};
+
+/// Emits rows `range` of a materialized batch in kBatchSize chunks: the
+/// morsel leaf over an input that was executed first.
+class BatchSliceSource : public Operator {
+ public:
+  BatchSliceSource(const Batch* data, RowRange range)
+      : data_(data), range_(range) {}
+
+  std::vector<ColumnType> OutputTypes() const override {
+    return data_->types();
+  }
+  void Open() override { pos_ = range_.begin; }
+  bool Next(Batch* out) override {
+    out->Reset(OutputTypes());
+    const std::size_t end =
+        std::min<std::size_t>(range_.end, pos_ + kBatchSize);
+    if (pos_ >= end) return false;
+    out->AppendRows(*data_, pos_, end);
+    pos_ = end;
+    return true;
+  }
+
+ private:
+  const Batch* data_;
+  RowRange range_;
+  std::size_t pos_ = 0;
+};
+
+/// Claims morsels from a branch's shared queue and drains, per morsel, the
+/// leaf the branch opens for it — a range scan of one partition (morsels
+/// may come from any partition, so workers flow freely across them) or a
+/// slice of a materialized batch. In one-morsel mode each Open() claims a
+/// single morsel and the stream ends with it: the ordered drain re-opens
+/// the pipeline per morsel and files each morsel's output under its queue
+/// position.
+class MorselSourceOperator : public Operator {
+ public:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  MorselSourceOperator(const Branch* branch, bool one_morsel,
+                       obs::NodeStats* stats, obs::TraceBuffer* trace,
+                       std::uint32_t trace_tid)
+      : branch_(branch),
+        one_morsel_(one_morsel),
+        stats_(stats),
+        trace_(trace),
+        trace_tid_(trace_tid) {}
+
+  std::vector<ColumnType> OutputTypes() const override {
+    return branch_->types;
+  }
+
+  void Open() override {
+    EndMorsel();
+    seq_ = kNone;
+    if (one_morsel_) Claim();
+  }
+
+  bool Next(Batch* out) override {
+    for (;;) {
+      if (current_ == nullptr && (one_morsel_ || !Claim())) {
+        out->Reset(branch_->types);
+        return false;
+      }
+      if (current_->Next(out)) return true;
+      EndMorsel();
+    }
+  }
+
+  void Close() override { EndMorsel(); }
+
+  /// Queue position of the morsel the last Open() claimed in one-morsel
+  /// mode; kNone once the queue is drained.
+  std::size_t seq() const { return seq_; }
+
+ private:
+  bool Claim() {
+    Morsel morsel;
+    if (!branch_->queue->Next(&morsel)) return false;
+    seq_ = morsel.seq;
+    if (stats_ != nullptr) {
+      stats_->morsels.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (trace_ != nullptr) morsel_start_us_ = trace_->NowUs();
+    current_ = branch_->leaf(morsel);
+    current_->Open();
+    return true;
+  }
+
+  void EndMorsel() {
+    if (current_ == nullptr) return;
+    current_->Close();
+    current_.reset();
+    if (trace_ != nullptr) {
+      trace_->Add("morsel", trace_tid_, morsel_start_us_,
+                  trace_->NowUs() - morsel_start_us_);
+    }
+  }
+
+  const Branch* branch_;
+  bool one_morsel_;
+  obs::NodeStats* stats_;
+  obs::TraceBuffer* trace_;
+  std::uint32_t trace_tid_;
+  std::uint64_t morsel_start_us_ = 0;
+  std::size_t seq_ = kNone;
+  OperatorPtr current_;
+};
+
+// --------------------------------------------------------------- joins
+
+/// A join's build side, hash-partitioned on the key; probes are
+/// read-only, so every worker shares it.
+struct HashTables {
+  std::shared_ptr<const std::vector<JoinHashTable>> parts;
+  std::size_t mask = 0;
+  std::vector<ColumnType> types;
+};
+
+/// Streams the probe input against the read-only partition tables and
+/// emits matches in the join's logical left-then-right column layout.
 /// Output rowIDs are the probe side's, and batches are bounded at
 /// ~kBatchSize, both as in HashJoinOperator.
 class PartitionProbeOperator : public Operator {
  public:
-  PartitionProbeOperator(OperatorPtr child,
-                         const std::vector<JoinHashTable>* partitions,
-                         std::size_t mask, std::size_t probe_key,
-                         bool build_is_left,
-                         std::vector<ColumnType> build_types)
+  PartitionProbeOperator(OperatorPtr child, const HashTables* tables,
+                         std::size_t probe_key, bool build_is_left)
       : child_(std::move(child)),
-        partitions_(partitions),
-        mask_(mask),
+        tables_(tables),
         probe_key_(probe_key),
         probe_width_(child_->OutputTypes().size()),
-        build_width_(build_types.size()),
+        build_width_(tables->types.size()),
         build_off_(build_is_left ? 0 : probe_width_),
         probe_off_(build_is_left ? build_width_ : 0) {
-    std::vector<ColumnType> probe_types = child_->OutputTypes();
-    if (build_is_left) {
-      output_types_ = std::move(build_types);
-      output_types_.insert(output_types_.end(), probe_types.begin(),
-                           probe_types.end());
-    } else {
-      output_types_ = std::move(probe_types);
-      output_types_.insert(output_types_.end(), build_types.begin(),
-                           build_types.end());
-    }
+    const std::vector<ColumnType> probe_types = child_->OutputTypes();
+    const std::vector<ColumnType>& build_types = tables->types;
+    const auto& first = build_is_left ? build_types : probe_types;
+    const auto& second = build_is_left ? probe_types : build_types;
+    output_types_ = first;
+    output_types_.insert(output_types_.end(), second.begin(), second.end());
   }
 
   std::vector<ColumnType> OutputTypes() const override {
@@ -509,7 +386,7 @@ class PartitionProbeOperator : public Operator {
       const std::size_t i = probe_pos_++;
       const std::int64_t key = probe_batch_.columns[probe_key_].i64[i];
       const JoinHashTable& table =
-          (*partitions_)[JoinKeyPartition(key, mask_)];
+          (*tables_->parts)[JoinKeyPartition(key, tables_->mask)];
       const Batch& build = table.rows();
       table.ForEachMatch(key, [&](std::size_t b) {
         for (std::size_t c = 0; c < build_width_; ++c) {
@@ -529,8 +406,7 @@ class PartitionProbeOperator : public Operator {
 
  private:
   OperatorPtr child_;
-  const std::vector<JoinHashTable>* partitions_;
-  std::size_t mask_;
+  const HashTables* tables_;
   std::size_t probe_key_;
   std::size_t probe_width_;
   std::size_t build_width_;
@@ -543,411 +419,617 @@ class PartitionProbeOperator : public Operator {
   bool probe_done_ = false;
 };
 
-/// Phases one and two of the parallel join: every worker drains the build
-/// pipeline over a shared morsel queue, hash-partitioning its rows into
-/// per-worker spill batches; after the barrier, one task per partition
-/// assembles that partition's hash table from all workers' spills. When
-/// the rewriter annotated a NUC index on the build key, rows the index
-/// proves unique skip duplicate chaining (exceptions and pending inserts
-/// take the chained path; see JoinHashTable for why this stays exact).
-std::vector<JoinHashTable> BuildJoinPartitions(
-    const ChainSpec& build_spec, const ScanTarget& build_target,
-    std::size_t build_key, const std::vector<ColumnType>& build_types,
-    const PatchIndex* build_nuc, std::size_t mask, ThreadPool& pool,
-    const ParallelExecOptions& options, obs::ExecProfile* profile,
-    obs::NodeStats* join_stats) {
-  const std::size_t workers = pool.num_threads();
-  const std::size_t num_partitions = mask + 1;
-  MorselQueue queue(build_target.FullWork(), options.morsel_rows);
-  const ScanOptions scan_opts;
+/// PatchJoin's merge branch (paper §3.3, Figure 2 right): every input
+/// batch of constraint-satisfying fact rows is a run of the NSC's sorted
+/// order, so it merge-joins (MergeJoinOperator as the kernel) against the
+/// key sub-range of the sorted X it covers, found by binary search.
+/// Output: X columns then fact columns, rowIDs from X.
+class MergeProbeOperator : public Operator {
+ public:
+  MergeProbeOperator(OperatorPtr fact, const Batch* x, std::size_t x_key,
+                     std::size_t fact_key)
+      : fact_(std::move(fact)), x_(x), x_key_(x_key), fact_key_(fact_key) {
+    output_types_ = x_->types();
+    for (ColumnType t : fact_->OutputTypes()) output_types_.push_back(t);
+  }
 
-  std::vector<std::vector<Batch>> spill(workers);
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    futures.push_back(pool.SubmitWithFuture([&, w] {
-      obs::TraceSpan span(options.trace, "join_build",
-                          static_cast<std::uint32_t>(w + 1));
-      obs::ScopedQueryTracker query_mem(options.memory);
-      obs::OpMemory mem("HashJoin build", join_stats);
-      std::vector<Batch>& local = spill[w];
-      local.resize(num_partitions);
-      for (Batch& b : local) b.Reset(build_types);
-      OperatorPtr pipeline = BuildWorkerChain(
-          build_spec, &build_target, scan_opts, &queue, profile, options.trace,
+  std::vector<ColumnType> OutputTypes() const override {
+    return output_types_;
+  }
+
+  void Open() override {
+    fact_->Open();
+    kernel_.reset();
+  }
+
+  bool Next(Batch* out) override {
+    for (;;) {
+      if (kernel_ != nullptr && kernel_->Next(out)) return true;
+      kernel_.reset();
+      Batch fact;
+      if (!fact_->Next(&fact)) {
+        out->Reset(output_types_);
+        return false;
+      }
+      const std::vector<std::int64_t>& keys = fact.columns[fact_key_].i64;
+      if (!std::is_sorted(keys.begin(), keys.end())) {
+        // Pending inserts lie beyond the index's domain and count as
+        // non-patches without being part of its sorted order.
+        SortBatchRows(&fact, {{fact_key_, true}});
+      }
+      const std::vector<std::int64_t>& x_keys = x_->columns[x_key_].i64;
+      const auto lo = std::lower_bound(x_keys.begin(), x_keys.end(),
+                                       fact.columns[fact_key_].i64.front());
+      const auto hi = std::upper_bound(lo, x_keys.end(),
+                                       fact.columns[fact_key_].i64.back());
+      if (lo == hi) continue;
+      kernel_ = std::make_unique<MergeJoinOperator>(
+          std::make_unique<BatchSliceSource>(
+              x_, RowRange{static_cast<RowId>(lo - x_keys.begin()),
+                           static_cast<RowId>(hi - x_keys.begin())}),
+          std::make_unique<InMemorySource>(std::move(fact)), x_key_,
+          fact_key_);
+      kernel_->Open();
+    }
+  }
+
+  void Close() override {
+    kernel_.reset();
+    fact_->Close();
+  }
+
+ private:
+  OperatorPtr fact_;
+  const Batch* x_;
+  std::size_t x_key_;
+  std::size_t fact_key_;
+  std::vector<ColumnType> output_types_;
+  OperatorPtr kernel_;
+};
+
+ScanOptions PatchScan(const PatchIndex* idx, PatchSelectMode mode) {
+  ScanOptions opts;
+  opts.patch_filter = idx;
+  opts.patch_mode = mode;
+  return opts;
+}
+
+// ------------------------------------------------------------ executor
+
+/// Lowers and runs one plan. Everything that materializes — aggregates,
+/// sorts, join builds, non-chain inputs — happens on the calling
+/// (coordinator) thread, which waits only for its own phases' tasks.
+class Executor {
+ public:
+  Executor(ThreadPool& pool, const ParallelExecOptions& options,
+           ParallelExecReport* report)
+      : pool_(pool), options_(options), report_(report) {}
+
+  /// Executes `node` to its materialized rows — in the input's row order
+  /// when `ordered` (PatchJoin's sorted X); a plain result's order is
+  /// whatever its workers produced.
+  Batch Run(const LogicalNode& node, bool ordered = false) {
+    switch (node.kind) {
+      case LogicalNode::Kind::kAggregate:
+      case LogicalNode::Kind::kDistinct:
+        return Aggregate(Lower(*node.children[0]), node);
+      case LogicalNode::Kind::kSort:
+        return MergeRuns(SortedRuns(Lower(*node.children[0]), node), node);
+      case LogicalNode::Kind::kPatchDistinct:
+        return PatchDistinct(node);
+      case LogicalNode::Kind::kPatchSort:
+        return PatchSort(node);
+      default:
+        return Drain(Lower(node), LogicalOutputTypes(node), node, ordered);
+    }
+  }
+
+ private:
+  obs::NodeStats* Stats(const LogicalNode* node) const {
+    return options_.profile != nullptr && node != nullptr
+               ? options_.profile->Find(node)
+               : nullptr;
+  }
+
+  /// Wraps `op` in a ProfiledOperator recording into `node`'s accumulator
+  /// when profiling is on; passes it through untouched otherwise. Workers
+  /// call this concurrently: the plan was registered up front, so the
+  /// lookup is read-only.
+  OperatorPtr MaybeProfile(OperatorPtr op, const LogicalNode* node,
+                           bool count_rows = true) const {
+    obs::NodeStats* stats = Stats(node);
+    if (stats == nullptr) return op;
+    return std::make_unique<obs::ProfiledOperator>(std::move(op), stats,
+                                                   count_rows);
+  }
+
+  std::size_t Workers(const Pipeline& p) const {
+    std::size_t morsels = 0;
+    for (const Branch& b : p.branches) morsels += b.queue->num_morsels();
+    return std::max<std::size_t>(1, std::min(morsels, pool_.num_threads()));
+  }
+
+  /// Runs task(i) for i in [0, n) through ThreadPool::ParallelFor: inline
+  /// when n is 1, else awaiting only this query's own tasks, every one of
+  /// which finishes before a failure is rethrown (workers reference
+  /// coordinator-owned result slots, the morsel queue, partition tables).
+  void RunTasks(std::size_t n, const char* span,
+                const std::function<void(std::size_t)>& task) {
+    report_->workers =
+        std::max(report_->workers, std::min(n, pool_.num_threads()));
+    pool_.ParallelFor(n, [&](std::size_t i) {
+      obs::TraceSpan trace_span(span != nullptr ? options_.trace : nullptr,
+                                span, static_cast<std::uint32_t>(i + 1));
+      // The query tracker rides the task, not the thread: operator
+      // construction may allocate accounted structures, and an
+      // over-budget charge unwinds into this task.
+      obs::ScopedQueryTracker query_mem(options_.memory);
+      task(i);
+    });
+  }
+
+  /// Worker `w`'s copy of `p`'s operator stack. With `source` set, the
+  /// (single) branch runs in one-morsel mode and its source is returned.
+  OperatorPtr Instantiate(const Pipeline& p, std::size_t w,
+                          MorselSourceOperator** source = nullptr) const {
+    std::vector<OperatorPtr> stacks;
+    for (const Branch& b : p.branches) {
+      auto src = std::make_unique<MorselSourceOperator>(
+          &b, source != nullptr, Stats(b.leaf_node), options_.trace,
           static_cast<std::uint32_t>(w + 1));
-      pipeline->Open();
+      if (source != nullptr) *source = src.get();
+      OperatorPtr op = MaybeProfile(std::move(src), b.leaf_node);
+      for (const OpFactory& f : b.ops) op = f(std::move(op));
+      stacks.push_back(std::move(op));
+    }
+    OperatorPtr op = stacks.size() == 1
+                         ? std::move(stacks[0])
+                         : std::make_unique<UnionOperator>(std::move(stacks));
+    for (const OpFactory& f : p.ops) op = f(std::move(op));
+    return op;
+  }
+
+  /// Runs `p` on its workers; `finish` drains a worker's stack (the
+  /// pipeline's sink) into that worker's part.
+  std::vector<Batch> RunPipeline(
+      const Pipeline& p, const std::function<Batch(OperatorPtr)>& finish) {
+    std::vector<Batch> parts(Workers(p));
+    RunTasks(parts.size(), "worker", [&](std::size_t w) {
+      parts[w] = finish(Instantiate(p, w));
+    });
+    return parts;
+  }
+
+  /// The streaming form of `node`: scan chains and join probes stay in the
+  /// pipeline; any other child is executed first — here, on the
+  /// coordinator, never inside a worker task, which could wait on its own
+  /// pool — and read back as a morsel source. `leaf` carries the patch
+  /// filter a rewrite fuses into the chain's scan.
+  Pipeline Lower(const LogicalNode& node, const ScanOptions& leaf = {}) {
+    switch (node.kind) {
+      case LogicalNode::Kind::kScan:
+        return ScanPipeline(node, leaf);
+      case LogicalNode::Kind::kSelect:
+      case LogicalNode::Kind::kProject: {
+        Pipeline p = Lower(*node.children[0], leaf);
+        p.ops.push_back([this, &node](OperatorPtr op) -> OperatorPtr {
+          if (node.kind == LogicalNode::Kind::kSelect) {
+            op = std::make_unique<SelectOperator>(std::move(op),
+                                                  node.predicate);
+          } else {
+            op = std::make_unique<ProjectOperator>(std::move(op), node.exprs);
+          }
+          return MaybeProfile(std::move(op), &node);
+        });
+        return p;
+      }
+      case LogicalNode::Kind::kJoin:
+        return LowerJoin(node);
+      case LogicalNode::Kind::kPatchJoin:
+        return LowerPatchJoin(node);
+      default:
+        return BatchPipeline(std::make_shared<const Batch>(Run(node)));
+    }
+  }
+
+  Pipeline ScanPipeline(const LogicalNode& scan,
+                        const ScanOptions& opts) const {
+    auto target = std::make_shared<const ScanTarget>(TargetOf(scan));
+    Branch b;
+    b.queue = std::make_shared<MorselQueue>(target->FullWork(),
+                                            options_.morsel_rows);
+    b.leaf = [target, opts](const Morsel& m) -> OperatorPtr {
+      // Base morsels scan their partition-local range with pending inserts
+      // suppressed; a partition's inserts morsel scans only its PDT
+      // inserts, so each pending insert is emitted exactly once.
+      ScanOptions o = opts;
+      o.row_id_offset = target->bases[m.partition];
+      if (m.kind == Morsel::Kind::kBase) {
+        o.scan_inserts = false;
+        o.ranges = {m.range};
+      } else {
+        o.source = ScanSource::kInsertsOnly;
+      }
+      return std::make_unique<ScanOperator>(*target->parts[m.partition],
+                                            target->scan->columns, o);
+    };
+    b.types = LogicalOutputTypes(scan);
+    b.leaf_node = &scan;
+    Pipeline p;
+    p.branches.push_back(std::move(b));
+    return p;
+  }
+
+  Pipeline BatchPipeline(std::shared_ptr<const Batch> data) const {
+    Branch b;
+    b.queue = std::make_shared<MorselQueue>(
+        std::vector<RowRange>{{0, data->num_rows()}}, /*with_inserts=*/false,
+        options_.morsel_rows);
+    b.types = data->types();
+    b.leaf = [data](const Morsel& m) -> OperatorPtr {
+      return std::make_unique<BatchSliceSource>(data.get(), m.range);
+    };
+    Pipeline p;
+    p.branches.push_back(std::move(b));
+    return p;
+  }
+
+  /// Phases one and two of a hash join's build: every worker drains the
+  /// build pipeline, hash-partitioning its rows into per-worker spill
+  /// batches; after the barrier, one task per partition assembles that
+  /// partition's hash table from all workers' spills. With a NUC index on
+  /// the build key (annotated by the rewriter), rows the index proves
+  /// unique skip duplicate chaining (exceptions and pending inserts take
+  /// the chained path; see JoinHashTable for why this stays exact).
+  HashTables BuildHashTables(const Pipeline& build,
+                             std::vector<ColumnType> types, std::size_t key,
+                             const PatchIndex* nuc, const LogicalNode& join) {
+    PIDX_CHECK(types.at(key) == ColumnType::kInt64);
+    WallTimer timer;
+    obs::NodeStats* stats = Stats(&join);
+    const std::size_t workers = Workers(build);
+    // A build that fills more than one worker is partitioned for the whole
+    // pool, so table assembly and probes spread over every thread; a
+    // one-worker build stays one partition, assembled inline.
+    std::size_t partitions = 1;
+    while (workers > 1 && partitions < pool_.num_threads()) partitions <<= 1;
+    HashTables out;
+    out.mask = partitions - 1;
+
+    std::vector<std::vector<Batch>> spill(workers);
+    RunTasks(workers, "join_build", [&](std::size_t w) {
+      obs::OpMemory mem("HashJoin build", stats);
+      std::vector<Batch>& local = spill[w];
+      local.resize(partitions);
+      for (Batch& b : local) b.Reset(types);
+      OperatorPtr op = Instantiate(build, w);
+      op->Open();
       Batch in;
-      while (pipeline->Next(&in)) {
+      while (op->Next(&in)) {
         mem.Add(ApproxBytes(in));
-        const auto& keys = in.columns[build_key].i64;
+        const auto& keys = in.columns[key].i64;
         for (std::size_t i = 0; i < in.num_rows(); ++i) {
-          local[JoinKeyPartition(keys[i], mask)].AppendRowFrom(in, i);
+          local[JoinKeyPartition(keys[i], out.mask)].AppendRowFrom(in, i);
         }
       }
-      pipeline->Close();
-    }));
-  }
-  AwaitAll(futures);  // barrier between build scan and table assembly
+      op->Close();
+    });
 
-  std::vector<JoinHashTable> partitions(num_partitions);
-  futures.clear();
-  futures.reserve(num_partitions);
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    futures.push_back(pool.SubmitWithFuture([&, p] {
-      obs::ScopedQueryTracker query_mem(options.memory);
-      obs::OpMemory mem("HashJoin build", join_stats);
-      JoinHashTable& t = partitions[p];
-      t.Reset(build_types);
+    auto tables = std::make_shared<std::vector<JoinHashTable>>(partitions);
+    RunTasks(partitions, nullptr, [&](std::size_t p) {
+      obs::OpMemory mem("HashJoin build", stats);
+      JoinHashTable& t = (*tables)[p];
+      t.Reset(types);
       std::size_t partition_rows = 0;
-      for (std::size_t w = 0; w < workers; ++w) {
-        partition_rows += spill[w][p].num_rows();
+      for (const std::vector<Batch>& local : spill) {
+        partition_rows += local[p].num_rows();
       }
       t.Reserve(partition_rows);
-      for (std::size_t w = 0; w < workers; ++w) {
-        const Batch& b = spill[w][p];
-        const auto& keys = b.columns[build_key].i64;
+      for (const std::vector<Batch>& local : spill) {
+        const Batch& b = local[p];
+        const auto& keys = b.columns[key].i64;
         for (std::size_t i = 0; i < b.num_rows(); ++i) {
-          const bool hint = build_nuc != nullptr &&
-                            b.row_ids[i] < build_nuc->NumRows() &&
-                            !build_nuc->IsPatch(b.row_ids[i]);
+          const bool hint = nuc != nullptr && b.row_ids[i] < nuc->NumRows() &&
+                            !nuc->IsPatch(b.row_ids[i]);
           t.AddRow(b, i, keys[i], hint);
           if ((i & 1023u) == 1023u) mem.GrowTo(t.ApproxBytes());
         }
       }
       mem.GrowTo(t.ApproxBytes());
-    }));
-  }
-  AwaitAll(futures);
-  return partitions;
-}
-
-// ------------------------------------------------------- patch distinct
-
-bool IsSupportedPatchConstraint(const PatchIndex* idx) {
-  return idx != nullptr &&
-         (idx->constraint() == ConstraintKind::kNearlyUnique ||
-          idx->constraint() == ConstraintKind::kNearlyConstant);
-}
-
-/// The PatchDistinct rewrite (paper §3.3 Figure 2 left), morsel-parallel:
-/// phase one streams the constraint-satisfying tuples (unaggregated — the
-/// constraint guarantees uniqueness), phase two aggregates the patches
-/// per worker and merges. For an NCC index the excluded subtree collapses
-/// into the materialized constant instead of a scan phase.
-bool ExecutePatchDistinct(const LogicalNode& node, ThreadPool& pool,
-                          const ParallelExecOptions& options, Batch* out) {
-  const PatchIndex* idx = node.pidx;
-  ChainSpec spec;
-  if (!AnalyzeChain(*node.children[0], /*selects_only=*/true, &spec)) {
-    return false;
-  }
-  // Patch rewrites only fire on single-table scans (FindIndex requires
-  // the plain-table view), so the target is always one partition here.
-  const Table& table = *spec.scan->table;
-  const ScanTarget target = TargetOf(*spec.scan);
-  if (table.num_visible_rows() < options.min_parallel_rows) return false;
-  obs::ExecProfile* profile = options.profile;
-  if (profile != nullptr) profile->RegisterPlan(node);
-  obs::NodeStats* node_stats =
-      profile != nullptr ? profile->Find(&node) : nullptr;
-  WallTimer total_timer;
-  const std::vector<ColumnType> out_types = LogicalOutputTypes(node);
-
-  std::vector<ExprPtr> group_exprs;
-  for (std::size_t c : node.group_cols) group_exprs.push_back(Col(c));
-
-  Batch result;
-  result.Reset(out_types);
-
-  if (idx->constraint() == ConstraintKind::kNearlyConstant) {
-    if (idx->NumRows() > idx->NumPatches() && idx->has_constant()) {
-      result.columns[0].i64.push_back(idx->constant_value());
-      result.row_ids.push_back(0);
+    });
+    out.parts = std::move(tables);
+    out.types = std::move(types);
+    if (stats != nullptr) {
+      stats->build_ns.fetch_add(
+          static_cast<std::uint64_t>(timer.ElapsedNanos()),
+          std::memory_order_relaxed);
     }
-  } else {
-    // Exclude-patches phase: tuples satisfying the NUC are unique, so the
-    // aggregation is dropped and workers stream them straight through.
-    MorselQueue exclude_queue(target.FullWork(), options.morsel_rows);
-    ScanOptions exclude_opts;
-    exclude_opts.patch_filter = idx;
-    exclude_opts.patch_mode = PatchSelectMode::kExcludePatches;
-    std::vector<Batch> parts = RunWorkers(
-        pool,
-        [&spec, &target, &exclude_opts, &exclude_queue, &group_exprs, profile,
-         &options](std::size_t w) -> OperatorPtr {
-          return std::make_unique<ProjectOperator>(
-              BuildWorkerChain(spec, &target, exclude_opts, &exclude_queue,
-                               profile, options.trace,
-                               static_cast<std::uint32_t>(w + 1)),
-              group_exprs);
-        },
-        nullptr, options.trace, options.memory, "PatchDistinct", node_stats);
-    Batch excluded = ConcatParts(std::move(parts), out_types);
-    AppendBatch(&result, std::move(excluded));
+    return out;
   }
 
-  // Use-patches phase: per-worker distinct over the exceptions, merged by
-  // a final distinct.
-  MorselQueue use_queue(target.FullWork(), options.morsel_rows);
-  ScanOptions use_opts;
-  use_opts.patch_filter = idx;
-  use_opts.patch_mode = PatchSelectMode::kUsePatches;
-  std::vector<Batch> parts = RunWorkers(
-      pool,
-      [&spec, &target, &use_opts, &use_queue, &node, profile,
-       &options](std::size_t w) -> OperatorPtr {
-        return std::make_unique<HashAggregateOperator>(
-            BuildWorkerChain(spec, &target, use_opts, &use_queue, profile,
-                             options.trace,
-                             static_cast<std::uint32_t>(w + 1)),
-            node.group_cols, std::vector<AggSpec>{});
-      },
-      nullptr, options.trace, options.memory, "PatchDistinct", node_stats);
-  HashAggregateOperator merge(
-      std::make_unique<InMemorySource>(ConcatParts(std::move(parts),
-                                                   out_types)),
-      std::vector<std::size_t>{0}, std::vector<AggSpec>{});
-  Batch patches = Collect(merge);
-  if (idx->constraint() == ConstraintKind::kNearlyConstant) {
-    // Deduplicate against the constant: a patch row modified back to the
-    // constant may still hold it (mirrors the serial plan's selection).
-    Batch filtered;
-    filtered.Reset(out_types);
-    for (std::size_t i = 0; i < patches.num_rows(); ++i) {
-      if (patches.columns[0].i64[i] != idx->constant_value()) {
-        filtered.AppendRowFrom(patches, i);
-      }
-    }
-    patches = std::move(filtered);
-  }
-  AppendBatch(&result, std::move(patches));
-  if (profile != nullptr) {
-    // The PatchDistinct node itself is the coordinator's merge: final
-    // rows and end-to-end wall time (its scan chain ran twice — once per
-    // phase — so the chain nodes below it accumulate both passes).
-    obs::NodeStats* stats = profile->Find(&node);
-    stats->rows.store(result.num_rows(), std::memory_order_relaxed);
-    stats->workers.store(1, std::memory_order_relaxed);
-    stats->time_ns.store(
-        static_cast<std::uint64_t>(total_timer.ElapsedNanos()),
-        std::memory_order_relaxed);
-  }
-  *out = std::move(result);
-  return true;
-}
-
-}  // namespace
-
-bool ParallelPlanSupported(const LogicalNode& plan) {
-  if (plan.kind == LogicalNode::Kind::kPatchDistinct) {
-    // Single group column only: the rewriter never emits more, and the
-    // final use-patches merge (and the NCC constant row) assume it.
-    ChainSpec spec;
-    return IsSupportedPatchConstraint(plan.pidx) &&
-           plan.group_cols.size() == 1 &&
-           AnalyzeChain(*plan.children[0], /*selects_only=*/true, &spec);
-  }
-  PlanShape shape;
-  return AnalyzeShape(plan, &shape);
-}
-
-bool ExecuteParallel(const LogicalNode& plan, ThreadPool& pool,
-                     const ParallelExecOptions& options, Batch* out,
-                     ParallelExecReport* report) {
-  if (plan.kind == LogicalNode::Kind::kPatchDistinct) {
-    return ParallelPlanSupported(plan) &&
-           ExecutePatchDistinct(plan, pool, options, out);
-  }
-  PlanShape shape;
-  if (!AnalyzeShape(plan, &shape)) return false;
-
-  // Size gating: below the threshold, forking workers costs more than
-  // running the serial tree. For a join, the larger input drives.
-  std::uint64_t driving_rows;
-  if (shape.join != nullptr) {
-    driving_rows = std::max(ScanVisibleRows(*shape.left.scan),
-                            ScanVisibleRows(*shape.right.scan));
-  } else {
-    driving_rows = ScanVisibleRows(*shape.chain.scan);
-  }
-  if (driving_rows < options.min_parallel_rows) return false;
-
-  obs::ExecProfile* profile = options.profile;
-  if (profile != nullptr) profile->RegisterPlan(plan);
-
-  // A Sort directly over the pipeline runs as per-worker local sorts plus
-  // a k-way merge; a Sort over an Aggregate is applied serially to the
-  // merged (small) aggregate result instead.
-  const bool local_sort = shape.sort != nullptr && shape.agg == nullptr;
-  std::function<void(Batch*)> post;
-  if (local_sort) {
-    const LogicalNode* sort = shape.sort;
-    obs::NodeStats* sort_stats =
-        profile != nullptr ? profile->Find(sort) : nullptr;
-    post = [sort, sort_stats](Batch* part) {
-      WallTimer timer;
-      SortBatchRows(part, sort->sort_keys, sort->limit);
-      if (sort_stats != nullptr) {
-        sort_stats->workers.fetch_add(1, std::memory_order_relaxed);
-        sort_stats->AddWorkerTime(
-            static_cast<std::uint64_t>(timer.ElapsedNanos()));
-      }
+  static OpFactory ProbeOp(HashTables tables, std::size_t probe_key,
+                           bool build_is_left) {
+    auto shared = std::make_shared<const HashTables>(std::move(tables));
+    return [shared, probe_key, build_is_left](OperatorPtr op) -> OperatorPtr {
+      return std::make_unique<PartitionProbeOperator>(
+          std::move(op), shared.get(), probe_key, build_is_left);
     };
   }
 
-  // Memory attribution for the per-worker result materialization: sort
-  // buffers belong to the Sort node, partial-aggregate outputs to the
-  // Aggregate node, and a plain pipeline's result to the plan root.
-  const LogicalNode* mat_node = local_sort               ? shape.sort
-                                : shape.agg != nullptr   ? shape.agg
-                                                         : &plan;
-  const char* mat_label = local_sort             ? "Sort"
-                          : shape.agg != nullptr ? "HashAggregate"
-                                                 : "Materialize";
-  obs::NodeStats* mat_stats =
-      profile != nullptr ? profile->Find(mat_node) : nullptr;
-
-  std::vector<Batch> parts;
-  if (shape.join != nullptr) {
-    const LogicalNode& join = *shape.join;
-    // Build on the side with the lower estimated cardinality (§3.3: the
-    // patches/dimension side is typically the smallest). The serial tree
-    // additionally prefers a sorted child as build to preserve probe-side
-    // order — irrelevant here, where worker interleaving loses input
-    // order anyway.
-    const bool build_left = EstimateCardinality(*join.children[0]) <=
-                            EstimateCardinality(*join.children[1]);
-    const ChainSpec& build_spec = build_left ? shape.left : shape.right;
-    const ChainSpec& probe_spec = build_left ? shape.right : shape.left;
-    const std::size_t build_key = build_left ? join.left_key : join.right_key;
-    const std::size_t probe_key = build_left ? join.right_key : join.left_key;
-    const PatchIndex* build_nuc =
-        build_left ? join.left_key_nuc : join.right_key_nuc;
-    const std::vector<ColumnType> build_types =
-        LogicalOutputTypes(*join.children[build_left ? 0 : 1]);
-
-    std::size_t partition_bits = 0;
-    while ((std::size_t{1} << partition_bits) < pool.num_threads()) {
-      ++partition_bits;
-    }
-    const std::size_t mask = (std::size_t{1} << partition_bits) - 1;
-
-    const ScanTarget build_target = TargetOf(*build_spec.scan);
-    WallTimer build_timer;
-    const std::vector<JoinHashTable> partitions = BuildJoinPartitions(
-        build_spec, build_target, build_key, build_types, build_nuc, mask,
-        pool, options, profile,
-        profile != nullptr ? profile->Find(shape.join) : nullptr);
-    if (profile != nullptr) {
-      profile->Find(shape.join)->build_ns.store(
-          static_cast<std::uint64_t>(build_timer.ElapsedNanos()),
-          std::memory_order_relaxed);
-    }
-
-    const ScanTarget probe_target = TargetOf(*probe_spec.scan);
-    MorselQueue probe_queue(probe_target.FullWork(), options.morsel_rows);
-    const ScanOptions scan_opts;
-    parts = RunWorkers(
-        pool,
-        [&](std::size_t w) {
-          OperatorPtr op = BuildWorkerChain(
-              probe_spec, &probe_target, scan_opts, &probe_queue, profile,
-              options.trace, static_cast<std::uint32_t>(w + 1));
-          op = std::make_unique<PartitionProbeOperator>(
-              std::move(op), &partitions, mask, probe_key, build_left,
-              build_types);
-          op = MaybeProfile(std::move(op), profile, shape.join);
-          op = ApplyUnaryOps(std::move(op), shape.mid_ops, profile);
-          if (shape.agg != nullptr) {
-            auto agg = std::make_unique<HashAggregateOperator>(
-                std::move(op), shape.agg->group_cols,
-                shape.agg->kind == LogicalNode::Kind::kAggregate
-                    ? shape.agg->aggs
-                    : std::vector<AggSpec>{});
-            agg->SetMemoryStats(mat_stats);
-            op = std::move(agg);
-            // Per-worker partial-group counts depend on morsel scheduling;
-            // the coordinator stores the merged count below instead.
-            op = MaybeProfile(std::move(op), profile, shape.agg,
-                              /*count_rows=*/false);
-          }
-          return op;
-        },
-        post, options.trace, options.memory, mat_label, mat_stats);
-  } else {
-    const ScanTarget target = TargetOf(*shape.chain.scan);
-    MorselQueue queue(target.FullWork(), options.morsel_rows);
-    const ScanOptions scan_opts;  // plain kVisible scan, as the serial tree
-    parts = RunWorkers(
-        pool,
-        [&](std::size_t w) {
-          OperatorPtr op = BuildWorkerChain(
-              shape.chain, &target, scan_opts, &queue, profile, options.trace,
-              static_cast<std::uint32_t>(w + 1));
-          if (shape.agg != nullptr) {
-            auto agg = std::make_unique<HashAggregateOperator>(
-                std::move(op), shape.agg->group_cols,
-                shape.agg->kind == LogicalNode::Kind::kAggregate
-                    ? shape.agg->aggs
-                    : std::vector<AggSpec>{});
-            agg->SetMemoryStats(mat_stats);
-            op = std::move(agg);
-            op = MaybeProfile(std::move(op), profile, shape.agg,
-                              /*count_rows=*/false);
-          }
-          return op;
-        },
-        post, options.trace, options.memory, mat_label, mat_stats);
+  /// Inner equi join: a partitioned parallel build, then a probe fused
+  /// into the probe side's pipeline.
+  Pipeline LowerJoin(const LogicalNode& join) {
+    // Build on the side with the lower estimated cardinality (§3.3) —
+    // unless the join's output order matters (a sortedness annotation,
+    // which only the probe side's order can carry).
+    const bool build_left = SortedOutputColumn(join) >= 0 ||
+                            EstimateCardinality(*join.children[0]) <=
+                                EstimateCardinality(*join.children[1]);
+    const LogicalNode& build = *join.children[build_left ? 0 : 1];
+    HashTables tables = BuildHashTables(
+        Lower(build), LogicalOutputTypes(build),
+        build_left ? join.left_key : join.right_key,
+        build_left ? join.left_key_nuc : join.right_key_nuc, join);
+    Pipeline probe = Lower(*join.children[build_left ? 1 : 0]);
+    probe.ops.push_back(ProbeOp(std::move(tables),
+                                build_left ? join.right_key : join.left_key,
+                                build_left));
+    probe.ops.push_back([this, &join](OperatorPtr op) {
+      return MaybeProfile(std::move(op), &join);
+    });
+    if (Workers(probe) > 1) report_->parallel_join = true;
+    return probe;
   }
 
-  const std::vector<ColumnType> out_types = LogicalOutputTypes(plan);
-  if (shape.agg != nullptr) {
+  /// The PatchJoin rewrite (paper §3.3, Figure 2 right) as the union of
+  /// two branches every worker drains: the fact side's constraint-
+  /// satisfying morsels merge-join the sorted X, and X's morsels probe a
+  /// hash table built on the fact patches (the lowest cardinality).
+  Pipeline LowerPatchJoin(const LogicalNode& node) {
+    const PatchIndex* idx = node.pidx;
+    const LogicalNode& fact = *node.children[1];
+    // X is executed once, in its sorted order; both branches read it.
+    auto x = std::make_shared<const Batch>(
+        Run(*node.children[0], /*ordered=*/true));
+    const bool no_patches =
+        options_.zero_branch_pruning && idx->NumPatches() == 0;
+
+    Pipeline out;
+    Pipeline merge = Lower(
+        fact, no_patches ? ScanOptions{}
+                         : PatchScan(idx, PatchSelectMode::kExcludePatches));
+    merge.ops.push_back([x, &node](OperatorPtr op) -> OperatorPtr {
+      return std::make_unique<MergeProbeOperator>(std::move(op), x.get(),
+                                                  node.left_key,
+                                                  node.right_key);
+    });
+    out.branches.push_back(std::move(merge.branches[0]));
+    out.branches[0].ops = std::move(merge.ops);
+    if (!no_patches) {
+      HashTables patches = BuildHashTables(
+          Lower(fact, PatchScan(idx, PatchSelectMode::kUsePatches)),
+          LogicalOutputTypes(fact), node.right_key, nullptr, node);
+      Pipeline hash = BatchPipeline(x);
+      out.branches.push_back(std::move(hash.branches[0]));
+      out.branches[1].ops.push_back(ProbeOp(std::move(patches), node.left_key,
+                                            /*build_is_left=*/false));
+    }
+    out.ops.push_back([this, &node](OperatorPtr op) {
+      return MaybeProfile(std::move(op), &node);
+    });
+    if (Workers(out) > 1) report_->parallel_join = true;
+    return out;
+  }
+
+  /// Materializes `p`'s output. One worker claims the morsels in queue
+  /// order and drains them straight into one batch. Several workers
+  /// interleave morsels: when `ordered` (PatchSort's constraint-satisfying
+  /// run, PatchJoin's sorted X) each morsel's output is filed under its
+  /// queue position and concatenated in that order; otherwise each worker
+  /// drains into its own part.
+  Batch Drain(const Pipeline& p, const std::vector<ColumnType>& types,
+              const LogicalNode& node, bool ordered) {
+    obs::NodeStats* stats = Stats(&node);
+    const std::size_t workers = Workers(p);
+    const bool per_morsel = ordered && workers > 1;
+    PIDX_CHECK(!per_morsel || p.branches.size() == 1);
+    std::vector<Batch> parts(
+        per_morsel ? p.branches[0].queue->num_morsels() : workers);
+    RunTasks(workers, "worker", [&](std::size_t w) {
+      obs::OpMemory mem("Materialize", stats);
+      if (!per_morsel) {
+        parts[w] = DrainColumnwise(*Instantiate(p, w), &mem);
+        return;
+      }
+      MorselSourceOperator* source = nullptr;
+      OperatorPtr op = Instantiate(p, w, &source);
+      for (op->Open(); source->seq() != MorselSourceOperator::kNone;
+           op->Open()) {
+        parts[source->seq()] = DrainOpened(*op, &mem);
+        op->Close();
+      }
+      op->Close();
+    });
+    if (!per_morsel) BiggestFirst(&parts);
+    return ConcatParts(std::move(parts), types);
+  }
+
+  /// Per-worker partial aggregation over `input`, then a merge
+  /// aggregation over the partials (skipped when one worker ran).
+  Batch Aggregate(const Pipeline& input, const LogicalNode& node) {
+    const std::vector<AggSpec> aggs = node.kind == LogicalNode::Kind::kAggregate
+                                          ? node.aggs
+                                          : std::vector<AggSpec>{};
+    obs::NodeStats* stats = Stats(&node);
+    std::vector<Batch> parts = RunPipeline(input, [&](OperatorPtr op) {
+      auto agg = std::make_unique<HashAggregateOperator>(
+          std::move(op), node.group_cols, aggs);
+      agg->SetMemoryStats(stats);
+      // Per-worker partial-group counts depend on morsel scheduling; the
+      // merged count is stored below instead.
+      OperatorPtr root = MaybeProfile(std::move(agg), &node,
+                                      /*count_rows=*/false);
+      obs::OpMemory mem("HashAggregate", stats);
+      return DrainColumnwise(*root, &mem);
+    });
     WallTimer merge_timer;
-    Batch merged = MergeAggregateParts(
-        std::move(parts), out_types, shape.agg->group_cols.size(),
-        shape.agg->kind == LogicalNode::Kind::kAggregate
-            ? shape.agg->aggs
-            : std::vector<AggSpec>{});
-    if (profile != nullptr) {
-      obs::NodeStats* agg_stats = profile->Find(shape.agg);
-      agg_stats->rows.store(merged.num_rows(), std::memory_order_relaxed);
-      agg_stats->time_ns.fetch_add(
+    Batch out = parts.size() == 1
+                    ? std::move(parts[0])
+                    : MergeAggregateParts(std::move(parts),
+                                          LogicalOutputTypes(node),
+                                          node.group_cols.size(), aggs);
+    if (stats != nullptr) {
+      stats->rows.store(out.num_rows(), std::memory_order_relaxed);
+      stats->time_ns.fetch_add(
           static_cast<std::uint64_t>(merge_timer.ElapsedNanos()),
           std::memory_order_relaxed);
     }
-    if (shape.sort != nullptr) {
-      WallTimer sort_timer;
-      SortBatchRows(&merged, shape.sort->sort_keys, shape.sort->limit);
-      if (profile != nullptr) {
-        obs::NodeStats* sort_stats = profile->Find(shape.sort);
-        sort_stats->rows.store(merged.num_rows(), std::memory_order_relaxed);
-        sort_stats->workers.store(1, std::memory_order_relaxed);
-        sort_stats->AddWorkerTime(
-            static_cast<std::uint64_t>(sort_timer.ElapsedNanos()));
+    return out;
+  }
+
+  /// Per-worker local sorts of `input` under `sort`'s keys (the TopN
+  /// shortcut under a limit): one sorted run per worker.
+  std::vector<Batch> SortedRuns(const Pipeline& input,
+                                const LogicalNode& sort) {
+    obs::NodeStats* stats = Stats(&sort);
+    std::vector<Batch> runs = RunPipeline(input, [&](OperatorPtr op) {
+      obs::OpMemory mem("Sort", stats);
+      Batch run = DrainColumnwise(*op, &mem);
+      WallTimer timer;
+      SortBatchRows(&run, sort.sort_keys, sort.limit);
+      if (stats != nullptr) {
+        stats->workers.fetch_add(1, std::memory_order_relaxed);
+        stats->AddWorkerTime(static_cast<std::uint64_t>(timer.ElapsedNanos()));
+      }
+      return run;
+    });
+    if (runs.size() > 1) report_->parallel_sort = true;
+    return runs;
+  }
+
+  /// K-way merges sorted runs into `sort`'s result.
+  Batch MergeRuns(std::vector<Batch> runs, const LogicalNode& sort) {
+    WallTimer timer;
+    Batch out = runs.size() == 1 ? std::move(runs[0])
+                                 : MergeSortedBatches(std::move(runs),
+                                                      sort.sort_keys,
+                                                      sort.limit);
+    if (obs::NodeStats* stats = Stats(&sort)) {
+      stats->rows.store(out.num_rows(), std::memory_order_relaxed);
+      stats->time_ns.fetch_add(
+          static_cast<std::uint64_t>(timer.ElapsedNanos()),
+          std::memory_order_relaxed);
+    }
+    return out;
+  }
+
+  /// The PatchDistinct rewrite (paper §3.3 Figure 2 left): the
+  /// constraint-satisfying tuples stream through unaggregated (the
+  /// constraint guarantees uniqueness); the patches are distinct-
+  /// aggregated per worker and merged. For an NCC index the excluded
+  /// subtree collapses into the materialized constant.
+  Batch PatchDistinct(const LogicalNode& node) {
+    const PatchIndex* idx = node.pidx;
+    PIDX_CHECK(node.group_cols.size() == 1);
+    const LogicalNode& chain = *node.children[0];
+    const std::vector<ColumnType> types = LogicalOutputTypes(node);
+    const bool zbp = options_.zero_branch_pruning;
+    const bool no_patches = zbp && idx->NumPatches() == 0;
+    WallTimer total_timer;
+
+    Batch result;
+    result.Reset(types);
+    if (idx->constraint() == ConstraintKind::kNearlyConstant) {
+      if (idx->NumRows() > idx->NumPatches() && idx->has_constant()) {
+        result.columns[0].i64.push_back(idx->constant_value());
+        result.row_ids.push_back(0);
+      }
+    } else if (!(zbp && idx->NumPatches() == idx->NumRows())) {
+      PIDX_CHECK(idx->constraint() == ConstraintKind::kNearlyUnique);
+      Pipeline p = Lower(
+          chain, no_patches
+                     ? ScanOptions{}
+                     : PatchScan(idx, PatchSelectMode::kExcludePatches));
+      const std::size_t col = node.group_cols[0];
+      p.ops.push_back([col](OperatorPtr op) -> OperatorPtr {
+        return std::make_unique<ProjectOperator>(
+            std::move(op), std::vector<ExprPtr>{Col(col)});
+      });
+      result = Drain(p, types, node, /*ordered=*/false);
+    }
+    if (!no_patches) {
+      Batch patches = Aggregate(
+          Lower(chain, PatchScan(idx, PatchSelectMode::kUsePatches)), node);
+      for (std::size_t i = 0; i < patches.num_rows(); ++i) {
+        // NCC: a patch modified back to the constant may still hold it.
+        if (idx->constraint() == ConstraintKind::kNearlyConstant &&
+            patches.columns[0].i64[i] == idx->constant_value()) {
+          continue;
+        }
+        result.AppendRowFrom(patches, i);
       }
     }
-    *out = std::move(merged);
-  } else if (local_sort) {
-    WallTimer merge_timer;
-    *out = MergeSortedBatches(std::move(parts), shape.sort->sort_keys,
-                              shape.sort->limit);
-    if (profile != nullptr) {
-      obs::NodeStats* sort_stats = profile->Find(shape.sort);
-      sort_stats->rows.store(out->num_rows(), std::memory_order_relaxed);
-      sort_stats->time_ns.fetch_add(
-          static_cast<std::uint64_t>(merge_timer.ElapsedNanos()),
+    if (obs::NodeStats* stats = Stats(&node)) {
+      stats->rows.store(result.num_rows(), std::memory_order_relaxed);
+      stats->time_ns.store(
+          static_cast<std::uint64_t>(total_timer.ElapsedNanos()),
           std::memory_order_relaxed);
     }
-  } else {
-    *out = ConcatParts(std::move(parts), out_types);
+    return result;
   }
 
-  if (report != nullptr) {
-    report->parallel_join = shape.join != nullptr;
-    report->parallel_sort = local_sort;
+  /// The PatchSort rewrite (paper §3.3): the sort is dropped for the
+  /// constraint-satisfying rows, which in morsel order already form one
+  /// sorted run; only the patches are sorted, per worker, and the k-way
+  /// merge restores the global order.
+  Batch PatchSort(const LogicalNode& node) {
+    const PatchIndex* idx = node.pidx;
+    const LogicalNode& chain = *node.children[0];
+    const bool zbp = options_.zero_branch_pruning;
+    if (zbp && idx->NumPatches() == idx->NumRows()) {
+      // e = 1: the excluded branch is empty; sort everything plainly.
+      return MergeRuns(SortedRuns(Lower(chain), node), node);
+    }
+    const bool no_patches = zbp && idx->NumPatches() == 0;
+    std::vector<Batch> runs;
+    runs.push_back(Drain(
+        Lower(chain, no_patches
+                         ? ScanOptions{}
+                         : PatchScan(idx, PatchSelectMode::kExcludePatches)),
+        LogicalOutputTypes(chain), node, /*ordered=*/true));
+    if (!no_patches) {
+      for (Batch& run : SortedRuns(
+               Lower(chain, PatchScan(idx, PatchSelectMode::kUsePatches)),
+               node)) {
+        runs.push_back(std::move(run));
+      }
+    }
+    return MergeRuns(std::move(runs), node);
   }
-  return true;
+
+  ThreadPool& pool_;
+  const ParallelExecOptions& options_;
+  ParallelExecReport* report_;
+};
+
+}  // namespace
+
+Batch ExecutePlan(const LogicalNode& plan, ThreadPool& pool,
+                  const ParallelExecOptions& options,
+                  ParallelExecReport* report) {
+  if (options.profile != nullptr) options.profile->RegisterPlan(plan);
+  ParallelExecReport local;
+  Executor executor(pool, options, report != nullptr ? report : &local);
+  return executor.Run(plan);
+}
+
+Batch PlanQuery(LogicalPtr plan, const IndexLookup& indexes,
+                const OptimizerOptions& options, ThreadPool* pool,
+                const ParallelExecOptions& exec) {
+  LogicalPtr optimized = OptimizePlan(std::move(plan), indexes, options);
+  AnnotateScanPruning(optimized.get());
+  return ExecutePlan(*optimized,
+                     pool != nullptr ? *pool : ThreadPool::Default(), exec);
 }
 
 }  // namespace patchindex

@@ -7,6 +7,7 @@
 #include "engine/morsel.h"
 #include "exec/batch.h"
 #include "optimizer/plan.h"
+#include "optimizer/rewriter.h"
 
 namespace patchindex {
 
@@ -20,11 +21,10 @@ struct ParallelExecOptions {
   /// Base rows per morsel.
   std::size_t morsel_rows = kDefaultMorselRows;
 
-  /// Plans whose largest scanned table has fewer visible rows than this
-  /// run on the serial operator tree — forking workers costs more than
-  /// the scan. 0 forces the parallel path (used by the equivalence
-  /// tests).
-  std::size_t min_parallel_rows = 16 * kBatchSize;
+  /// Zero-branch pruning (§6.3): a patch rewrite whose index holds no
+  /// patches (or only patches) when it executes skips the branch known to
+  /// be empty, and the then-no-op patch selection.
+  bool zero_branch_pruning = false;
 
   /// When set, every worker operator is wrapped to record rows, morsel
   /// counts, and per-worker wall time into this accumulator (EXPLAIN
@@ -33,80 +33,74 @@ struct ParallelExecOptions {
 
   /// When set (the statement was trace-sampled), every worker records one
   /// span per lifetime (lane = worker index + 1) and one span per drained
-  /// morsel batch onto this buffer. Null — the default — adds nothing.
+  /// morsel onto this buffer. Null — the default — adds nothing.
   obs::TraceBuffer* trace = nullptr;
 
   /// Per-query memory tracker. Worker tasks install it as their thread's
   /// CurrentQueryTracker and charge materialization points (join builds,
   /// local-sort buffers, aggregate tables, drained result parts) against
-  /// it; an over-budget charge throws and unwinds through AwaitAll. Null
-  /// — the default — disables accounting on the parallel path.
+  /// it; an over-budget charge throws and unwinds once every worker of the
+  /// phase has finished. Null — the default — disables accounting.
   obs::MemoryTracker* memory = nullptr;
 };
 
-/// What the parallel executor did with a plan, for the Session's
-/// execution-path counters and QueryResult reporting. Only meaningful
-/// when ExecuteParallel returned true.
+/// What the executor did with a plan, for the Session's execution-path
+/// counters and QueryResult reporting.
 struct ParallelExecReport {
-  /// The plan contained a join executed as a partitioned parallel build
-  /// plus a morsel-parallel probe.
+  /// Most workers any phase of the plan ran on; 1 means the whole plan
+  /// ran inline on the calling thread.
+  std::size_t workers = 0;
+  /// A join (plain or PatchJoin) probed on more than one worker.
   bool parallel_join = false;
-  /// The plan's order-by ran as per-worker local sorts combined by a
-  /// k-way merge (with the heap-based TopN shortcut when a limit was
-  /// present). False when a sort was applied serially to an already
-  /// merged (small) aggregate result.
+  /// An order-by (Sort or PatchSort) ran as several per-worker sorted
+  /// runs combined by a k-way merge.
   bool parallel_sort = false;
 };
 
-/// True when `plan` (after optimization) has a shape the morsel-driven
-/// executor handles:
-///   - a Scan / Select / Project pipeline over one table — plain or
-///     partitioned (a partitioned scan draws morsels from every
-///     partition through one shared queue, offsetting rowIDs to the
-///     table-global numbering),
-///   - optionally with an inner equi join of two such pipelines at the
-///     bottom (partition-parallel build over the build side's morsels, a
-///     barrier, then a parallel probe fused into the probe pipeline;
-///     further Select / Project operators may sit above the join),
-///   - optionally rooted by a grouping Aggregate or Distinct (executed as
-///     per-worker partial aggregation + final merge aggregation),
-///   - optionally rooted by a Sort / TopN (per-worker local sort, k-way
-///     merge; over an Aggregate the final sort is applied to the merged
-///     result),
-///   - a PatchDistinct rewrite over a NUC or NCC index (the patch-aware
-///     scan: both the exclude-patches and use-patches branches are
-///     morsel-parallel).
-/// Everything else — PatchSort / PatchJoin rewrites, joins of non-chain
-/// inputs (e.g. a join over an aggregate), global aggregates without
-/// group columns — falls back to the serial operator tree.
-bool ParallelPlanSupported(const LogicalNode& plan);
-
-/// Executes an optimized plan with morsel-driven parallelism: base rows
-/// are chopped into morsels, every pool worker runs its own copy of the
-/// pipeline pulling morsels from a shared queue (patch-aware scans fuse
-/// the PatchIndex filter into each morsel's scan), and per-worker results
-/// are merged. Join plans run in two phases — per-worker partitioned
-/// build over the build side's morsels, a barrier, then a parallel probe
-/// against the read-only partition tables; a NUC index on the build key
-/// (annotated by the rewriter) lets the build skip duplicate chaining
-/// for non-exception rows. Unless the plan is rooted by a Sort, row
-/// order differs from the serial tree; row contents are identical. One
-/// exception: a Sort with a limit whose ties straddle the cutoff may
-/// keep different tied rows than the serial tree — both are valid top-k
-/// answers, and fully tie-broken sort keys make the output exact.
-/// Returns false — leaving `out` untouched — when the plan shape is
-/// unsupported or the driving table is below `min_parallel_rows`, in
-/// which case the caller should compile and run the serial tree. When
-/// `report` is non-null it is filled with which parallel paths ran.
+/// Executes an optimized plan of any shape with morsel-driven parallelism
+/// and returns its rows. The plan is cut into pipelines: a scan chain's
+/// base rows are chopped into morsels that every worker pulls from a
+/// shared queue (patch-aware scans fuse the PatchIndex filter into each
+/// morsel's scan), Select/Project and join probes run per worker, and
+/// aggregates, sorts and join builds end a pipeline as per-worker partial
+/// aggregates + merge, local sorts + k-way merge, and a partitioned
+/// parallel build. A child that is not a scan chain (an aggregate, a sort,
+/// PatchJoin's sorted input X) is executed first, on the calling thread,
+/// and read back as a morsel source. The §3.3 rewrites run as:
+///   - PatchDistinct: the constraint-satisfying rows stream through
+///     unaggregated; the patches are distinct-aggregated per worker.
+///   - PatchSort: the constraint-satisfying rows, kept in morsel order,
+///     form one sorted run; the patches are sorted per worker; the k-way
+///     merge combines the runs.
+///   - PatchJoin: X is executed once; each batch of constraint-satisfying
+///     fact rows merge-joins the key sub-range of X it covers (binary
+///     search); the fact patches are the build side of a hash join that
+///     X's morsels probe.
+///
+/// Workers = min(pool threads, morsels of the pipeline's pruned input),
+/// per pipeline; a single worker runs inline on the calling thread with
+/// no pool hand-off and returns rows in input order. On several workers a
+/// result's row order is whatever the workers produced, except where the
+/// plan orders it (sorts) or the executor relies on it: PatchSort's
+/// constraint-satisfying run and PatchJoin's sorted X keep input order.
 ///
 /// Thread-safety: catalog tables must be read through a PinnedReadSet
-/// (Session::Execute does), which points their scans at immutable
-/// snapshots; the executor itself only reads tables. Multiple queries
-/// may execute concurrently on one pool — each awaits only its own
-/// tasks.
-bool ExecuteParallel(const LogicalNode& plan, ThreadPool& pool,
-                     const ParallelExecOptions& options, Batch* out,
-                     ParallelExecReport* report = nullptr);
+/// (Session::Execute does), or under the table's exclusive lock (DML row
+/// finding); the executor itself only reads tables. Multiple queries may
+/// execute concurrently on one pool — each awaits only its own tasks.
+/// Throws obs::ResourceExhaustedError when a memory charge runs over
+/// budget. When `report` is non-null it is filled with what ran.
+Batch ExecutePlan(const LogicalNode& plan, ThreadPool& pool,
+                  const ParallelExecOptions& options = {},
+                  ParallelExecReport* report = nullptr);
+
+/// Convenience for benchmarks, examples and tests: OptimizePlan with
+/// `options` + scan pruning (AnnotateScanPruning) + ExecutePlan with
+/// `exec` on `pool` (ThreadPool::Default() when null).
+Batch PlanQuery(LogicalPtr plan, const IndexLookup& indexes,
+                const OptimizerOptions& options = {},
+                ThreadPool* pool = nullptr,
+                const ParallelExecOptions& exec = {});
 
 }  // namespace patchindex
 

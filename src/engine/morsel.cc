@@ -18,17 +18,18 @@ void MorselQueue::Chop(const std::vector<MorselPartition>& partitions,
         m.kind = Morsel::Kind::kBase;
         m.partition = part.partition;
         m.range = {begin, end};
+        m.seq = morsels_.size();
         morsels_.push_back(m);
         begin = end;
       }
     }
   }
-  num_base_ = morsels_.size();
   for (const MorselPartition& part : partitions) {
     if (!part.with_inserts) continue;
     Morsel m;
     m.kind = Morsel::Kind::kInserts;
     m.partition = part.partition;
+    m.seq = morsels_.size();
     morsels_.push_back(m);
   }
 }

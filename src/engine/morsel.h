@@ -24,6 +24,7 @@ struct Morsel {
   Kind kind = Kind::kBase;
   std::size_t partition = 0;
   RowRange range{0, 0};  // partition-local base-row range; unused for kInserts
+  std::size_t seq = 0;   // position in the queue, i.e. in scan order
 };
 
 /// Scan work of one partition, for MorselQueue construction.
@@ -61,14 +62,13 @@ class MorselQueue {
   /// Claims the next morsel; false when the queue is drained.
   bool Next(Morsel* out);
 
-  std::size_t num_base_morsels() const { return num_base_; }
+  std::size_t num_morsels() const { return morsels_.size(); }
 
  private:
   void Chop(const std::vector<MorselPartition>& partitions,
             std::size_t morsel_rows);
 
   std::vector<Morsel> morsels_;  // base morsels, then inserts morsels
-  std::size_t num_base_ = 0;
   std::atomic<std::size_t> next_{0};
 };
 

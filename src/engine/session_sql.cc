@@ -16,7 +16,6 @@
 #include "engine/read_pin.h"
 #include "engine/system_tables.h"
 #include "optimizer/explain.h"
-#include "optimizer/rewriter.h"
 #include "optimizer/scan_pruning.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
@@ -43,10 +42,8 @@ std::string Indent(const std::string& body) {
 void TruncateBatch(Batch* batch, std::size_t limit) {
   if (batch->num_rows() <= limit) return;
   Batch out;
-  std::vector<ColumnType> types;
-  for (const ColumnVector& c : batch->columns) types.push_back(c.type);
-  out.Reset(types);
-  for (std::size_t r = 0; r < limit; ++r) out.AppendRowFrom(*batch, r);
+  out.Reset(batch->types());
+  out.AppendRows(*batch, 0, limit);
   *batch = std::move(out);
 }
 
@@ -80,15 +77,19 @@ LogicalPtr MatchingRowsPlan(const PartitionedTable& table,
 
 /// The rows of `table` matching `bound.where` (all of them when null),
 /// materialized with every schema column — the row-finding phase of SQL
-/// UPDATE/DELETE. Runs serially: the caller holds the table's exclusive
-/// lock, so no patch rewrites or parallelism are worth the setup. Block
-/// pruning still applies: a key-range WHERE visits only its blocks.
-Batch MatchingRows(const PartitionedTable& table,
+/// UPDATE/DELETE. Row order is the executor's (rowID order on one
+/// worker). The caller holds the table's
+/// exclusive lock, so the executor reads the committed head directly. No
+/// patch rewrites; block pruning applies, so a key-range WHERE visits
+/// only its blocks — a single-row match runs on one worker, inline.
+Batch MatchingRows(Engine& engine, const PartitionedTable& table,
                    const sql::BoundStatement& bound) {
   LogicalPtr plan = MatchingRowsPlan(table, bound);
   AnnotateScanPruning(plan.get());
-  OperatorPtr op = CompilePlan(plan);
-  return Collect(*op);
+  ParallelExecOptions options;
+  options.morsel_rows = engine.options().morsel_rows;
+  options.memory = obs::CurrentQueryTracker();
+  return ExecutePlan(*plan, engine.pool(), options);
 }
 
 /// Wraps `lines` as a result set: one STRING column named `column`, one
@@ -305,7 +306,7 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
       PIDX_RETURN_NOT_OK(session.ExecuteUpdateWithProfiled(
           bound.table,
           [&](const PartitionedTable& table) -> Result<UpdateQuery> {
-            Batch matches = MatchingRows(table, bound);
+            Batch matches = MatchingRows(*session.engine_, table, bound);
             std::vector<CellUpdate> cells;
             for (const auto& [col, expr] : bound.set_exprs) {
               ColumnVector values = expr->Eval(matches);
@@ -325,8 +326,11 @@ Result<QueryResult> PreparedStatement::Execute(std::vector<Value> params) {
       PIDX_RETURN_NOT_OK(session.ExecuteUpdateWithProfiled(
           bound.table,
           [&](const PartitionedTable& table) -> Result<UpdateQuery> {
-            Batch matches = MatchingRows(table, bound);
+            Batch matches = MatchingRows(*session.engine_, table, bound);
             out.rows_affected = matches.num_rows();
+            // Ascending rowIDs append to each partition's sorted delete
+            // list instead of inserting into its middle.
+            std::sort(matches.row_ids.begin(), matches.row_ids.end());
             return UpdateQuery::Delete(std::move(matches.row_ids));
           },
           sinks, &commit_csn));

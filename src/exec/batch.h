@@ -65,6 +65,14 @@ struct Batch {
 
   std::size_t num_rows() const { return row_ids.size(); }
 
+  /// The column types, in order.
+  std::vector<ColumnType> types() const {
+    std::vector<ColumnType> out;
+    out.reserve(columns.size());
+    for (const ColumnVector& c : columns) out.push_back(c.type);
+    return out;
+  }
+
   void Reset(const std::vector<ColumnType>& types) {
     columns.clear();
     for (ColumnType t : types) columns.emplace_back(t);
@@ -83,6 +91,31 @@ struct Batch {
       columns[c].AppendFrom(src.columns[c], idx);
     }
     row_ids.push_back(src.row_ids[idx]);
+  }
+
+  /// Appends rows [begin, end) of `src` (same layout), column-wise.
+  void AppendRows(const Batch& src, std::size_t begin, std::size_t end) {
+    PIDX_DCHECK(columns.size() == src.columns.size());
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      ColumnVector& d = columns[c];
+      const ColumnVector& s = src.columns[c];
+      switch (d.type) {
+        case ColumnType::kInt64:
+          d.i64.insert(d.i64.end(), s.i64.begin() + begin,
+                       s.i64.begin() + end);
+          break;
+        case ColumnType::kDouble:
+          d.f64.insert(d.f64.end(), s.f64.begin() + begin,
+                       s.f64.begin() + end);
+          break;
+        case ColumnType::kString:
+          d.str.insert(d.str.end(), s.str.begin() + begin,
+                       s.str.begin() + end);
+          break;
+      }
+    }
+    row_ids.insert(row_ids.end(), src.row_ids.begin() + begin,
+                   src.row_ids.begin() + end);
   }
 };
 

@@ -1,5 +1,6 @@
 #include "exec/operator.h"
 
+#include "common/check.h"
 #include "obs/mem_tracker.h"
 
 namespace patchindex {
@@ -9,7 +10,7 @@ Batch Collect(Operator& op) {
   Batch all;
   all.Reset(op.OutputTypes());
   // Result materialization is charged to the thread's query tracker (if
-  // any) so serial plans are budgeted too, not just the morsel path.
+  // any), as the executor's own drains are.
   obs::OpMemory mem("Materialize");
   Batch in;
   while (op.Next(&in)) {
@@ -35,6 +36,37 @@ bool InMemorySource::Next(Batch* out) {
     out->AppendRowFrom(data_, pos_++);
   }
   return out->num_rows() > 0;
+}
+
+UnionOperator::UnionOperator(std::vector<OperatorPtr> children)
+    : children_(std::move(children)) {
+  PIDX_CHECK(!children_.empty());
+  const auto types = children_[0]->OutputTypes();
+  for (const auto& c : children_) PIDX_CHECK(c->OutputTypes() == types);
+}
+
+void UnionOperator::Open() {
+  current_ = 0;
+  opened_ = false;
+}
+
+bool UnionOperator::Next(Batch* out) {
+  while (current_ < children_.size()) {
+    if (!opened_) {
+      children_[current_]->Open();
+      opened_ = true;
+    }
+    if (children_[current_]->Next(out)) return true;
+    children_[current_]->Close();
+    ++current_;
+    opened_ = false;
+  }
+  out->Reset(OutputTypes());
+  return false;
+}
+
+void UnionOperator::Close() {
+  for (auto& c : children_) c->Close();
 }
 
 }  // namespace patchindex

@@ -43,10 +43,7 @@ class InMemorySource : public Operator {
   explicit InMemorySource(Batch data) : data_(std::move(data)) {}
 
   std::vector<ColumnType> OutputTypes() const override {
-    std::vector<ColumnType> types;
-    types.reserve(data_.columns.size());
-    for (const auto& c : data_.columns) types.push_back(c.type);
-    return types;
+    return data_.types();
   }
 
   void Open() override { pos_ = 0; }
@@ -56,6 +53,27 @@ class InMemorySource : public Operator {
  private:
   Batch data_;
   std::size_t pos_ = 0;
+};
+
+/// Bag union by concatenation (no ordering guarantees): drains children in
+/// order, opening each only after the previous one is exhausted. Every
+/// child must produce the same column types. Combines the two branches of
+/// the PatchIndex join in each worker (paper §3.3, Figure 2).
+class UnionOperator : public Operator {
+ public:
+  explicit UnionOperator(std::vector<OperatorPtr> children);
+
+  std::vector<ColumnType> OutputTypes() const override {
+    return children_[0]->OutputTypes();
+  }
+  void Open() override;
+  bool Next(Batch* out) override;
+  void Close() override;
+
+ private:
+  std::vector<OperatorPtr> children_;
+  std::size_t current_ = 0;
+  bool opened_ = false;
 };
 
 }  // namespace patchindex

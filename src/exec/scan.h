@@ -63,10 +63,9 @@ struct ScanOptions {
   /// PatchIndex scan (paper §3.3): merge the patch information on-the-fly
   /// into the scan, emitting either only constraint-satisfying tuples
   /// (kExcludePatches) or only the exceptions (kUsePatches). Fused into
-  /// the scan so the gaps between patches move as bulk column slices; the
-  /// standalone PatchSelectOperator implements the same semantics as a
-  /// separate operator. Rows beyond the filter's domain (pending inserts
-  /// not yet covered by the index) are treated as non-patches.
+  /// the scan so the gaps between patches move as bulk column slices.
+  /// Rows beyond the filter's domain (pending inserts not yet covered by
+  /// the index) are treated as non-patches.
   const RowIdFilter* patch_filter = nullptr;
   PatchSelectMode patch_mode = PatchSelectMode::kExcludePatches;
 };

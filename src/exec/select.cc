@@ -1,5 +1,6 @@
 #include "exec/select.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -16,30 +17,17 @@ bool SelectOperator::Next(Batch* out) {
     if (!child_->Next(&in)) return false;
     const ColumnVector mask = predicate_->Eval(in);
     PIDX_DCHECK(mask.type == ColumnType::kInt64);
+    const auto kept = static_cast<std::size_t>(
+        std::count_if(mask.i64.begin(), mask.i64.end(),
+                      [](std::int64_t m) { return m != 0; }));
+    if (kept > 0 && kept == in.num_rows()) {
+      // Every row passes (a range predicate over a block inside the
+      // range): hand the batch on instead of copying it row by row.
+      *out = std::move(in);
+      return true;
+    }
     for (std::size_t i = 0; i < in.num_rows(); ++i) {
       if (mask.i64[i] != 0) out->AppendRowFrom(in, i);
-    }
-  }
-  return true;
-}
-
-PatchSelectOperator::PatchSelectOperator(OperatorPtr child,
-                                         const RowIdFilter* filter,
-                                         PatchSelectMode mode)
-    : child_(std::move(child)), filter_(filter), mode_(mode) {
-  PIDX_CHECK(filter_ != nullptr);
-}
-
-bool PatchSelectOperator::Next(Batch* out) {
-  out->Reset(OutputTypes());
-  Batch in;
-  const bool want_patches = mode_ == PatchSelectMode::kUsePatches;
-  while (out->num_rows() == 0) {
-    if (!child_->Next(&in)) return false;
-    for (std::size_t i = 0; i < in.num_rows(); ++i) {
-      if (filter_->IsPatch(in.row_ids[i]) == want_patches) {
-        out->AppendRowFrom(in, i);
-      }
     }
   }
   return true;

@@ -3,7 +3,6 @@
 
 #include "exec/expression.h"
 #include "exec/operator.h"
-#include "exec/row_filter.h"
 
 namespace patchindex {
 
@@ -23,30 +22,6 @@ class SelectOperator : public Operator {
  private:
   OperatorPtr child_;
   ExprPtr predicate_;
-};
-
-/// The PatchIndex scan's selection operator (paper §3.3): merges the
-/// materialized patch information on-the-fly into the dataflow, passing
-/// either the constraint-satisfying tuples (exclude_patches) or the
-/// exceptions (use_patches). The pass/drop decision is based solely on the
-/// tuple's rowID, so the per-tuple overhead is fixed and independent of
-/// the data types (paper §3.5).
-class PatchSelectOperator : public Operator {
- public:
-  PatchSelectOperator(OperatorPtr child, const RowIdFilter* filter,
-                      PatchSelectMode mode);
-
-  std::vector<ColumnType> OutputTypes() const override {
-    return child_->OutputTypes();
-  }
-  void Open() override { child_->Open(); }
-  bool Next(Batch* out) override;
-  void Close() override { child_->Close(); }
-
- private:
-  OperatorPtr child_;
-  const RowIdFilter* filter_;
-  PatchSelectMode mode_;
 };
 
 }  // namespace patchindex

@@ -27,13 +27,6 @@ int CompareCells(const ColumnVector& ca, std::size_t ra,
   return 0;
 }
 
-std::vector<ColumnType> BatchTypes(const Batch& batch) {
-  std::vector<ColumnType> types;
-  types.reserve(batch.columns.size());
-  for (const ColumnVector& c : batch.columns) types.push_back(c.type);
-  return types;
-}
-
 }  // namespace
 
 bool SortedBatchRowLess(const Batch& a, std::size_t ra, const Batch& b,
@@ -69,7 +62,7 @@ void SortBatchRows(Batch* data, const std::vector<SortKeySpec>& keys,
                    std::size_t limit) {
   const std::vector<std::size_t> order = SortedPermutation(*data, keys, limit);
   Batch sorted;
-  sorted.Reset(BatchTypes(*data));
+  sorted.Reset(data->types());
   for (std::size_t idx : order) sorted.AppendRowFrom(*data, idx);
   *data = std::move(sorted);
 }
@@ -79,7 +72,7 @@ Batch MergeSortedBatches(std::vector<Batch> parts,
                          std::size_t limit) {
   PIDX_CHECK(!parts.empty());
   Batch out;
-  out.Reset(BatchTypes(parts[0]));
+  out.Reset(parts[0].types());
 
   std::vector<std::size_t> pos(parts.size(), 0);
   // Min-heap of part indices ordered by each part's current row. pos[i]
@@ -100,11 +93,23 @@ Batch MergeSortedBatches(std::vector<Batch> parts,
   while (!heap.empty() && (limit == 0 || out.num_rows() < limit)) {
     std::pop_heap(heap.begin(), heap.end(), greater);
     const std::size_t i = heap.back();
-    out.AppendRowFrom(parts[i], pos[i]);
-    if (++pos[i] < parts[i].num_rows()) {
+    heap.pop_back();
+    // Take the popped part's rows up to the next-smallest head in one
+    // copy: a dominant run (PatchSort's constraint-satisfying rows)
+    // merges in bulk instead of row by row through the heap.
+    std::size_t end = pos[i] + 1;
+    while (end < parts[i].num_rows() &&
+           (heap.empty() || !SortedBatchRowLess(parts[heap.front()],
+                                                pos[heap.front()], parts[i],
+                                                end, keys))) {
+      ++end;
+    }
+    if (limit > 0) end = std::min(end, pos[i] + (limit - out.num_rows()));
+    out.AppendRows(parts[i], pos[i], end);
+    pos[i] = end;
+    if (pos[i] < parts[i].num_rows()) {
+      heap.push_back(i);
       std::push_heap(heap.begin(), heap.end(), greater);
-    } else {
-      heap.pop_back();
     }
   }
   return out;

@@ -9,11 +9,10 @@
 
 namespace patchindex {
 
-/// Helpers shared by the serial SortOperator and the morsel-driven
-/// executor's parallel order-by (per-worker local sort followed by a
-/// k-way merge of the sorted per-worker parts). All functions are pure
-/// over their inputs and safe to call from many workers concurrently on
-/// distinct batches.
+/// Helpers shared by SortOperator and the morsel-driven executor's
+/// order-by and PatchSort (per-worker local sorts followed by a k-way
+/// merge of the sorted runs). All functions are pure over their inputs
+/// and safe to call from many workers concurrently on distinct batches.
 
 /// True when row `ra` of `a` orders strictly before row `rb` of `b` under
 /// `keys`. Both batches must share the column layout the keys refer to.

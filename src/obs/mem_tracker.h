@@ -17,9 +17,9 @@ struct NodeStats;
 /// Carries the operator that tripped the limit; the session boundary
 /// catches it and converts it into a kResourceExhausted Status, so the
 /// statement unwinds through the morsel executor's existing error path
-/// (AwaitAll drains every worker future before rethrowing, keeping the
-/// shared state — result slots, morsel queues, pinned versions — alive
-/// until no worker references it).
+/// (every worker task of a phase finishes before the first failure is
+/// rethrown, keeping the shared state — result slots, morsel queues,
+/// pinned versions — alive until no worker references it).
 class ResourceExhaustedError : public std::runtime_error {
  public:
   ResourceExhaustedError(const char* op, std::uint64_t attempted_bytes,
@@ -111,7 +111,7 @@ MemoryTracker& ProcessMemoryRoot();
 
 /// The current thread's per-query tracker (null outside a statement).
 /// Charge points deep in the operator tree — aggregate hash tables, the
-/// serial join build, Collect — read it instead of having a tracker
+/// HashJoinOperator build, Collect — read it instead of having a tracker
 /// plumbed through every constructor.
 MemoryTracker* CurrentQueryTracker();
 

@@ -178,7 +178,8 @@ struct QueryProfile : PhaseTimes {
   bool parallel = false;
   bool parallel_join = false;
   bool parallel_sort = false;
-  /// Worker pool size used by the executor (0 when not profiled).
+  /// Most workers any phase of the plan ran on; 1 renders as
+  /// "execution: serial".
   std::size_t pool_workers = 0;
   /// Statement-wide peak of the per-query MemoryTracker — the figure
   /// QueryRecord::peak_mem_bytes and pi_stats.queries report.

@@ -11,9 +11,10 @@ namespace patchindex::obs {
 /// Wraps an operator to measure it: rows out, inclusive wall time (the
 /// wrapped Next() call, which includes the operator's inputs), and the
 /// number of worker instances. Counts are buffered in plain locals and
-/// flushed to the shared NodeStats on Close() (or destruction on error
-/// paths), so profiling adds two clock reads per batch, not per row, and
-/// no shared-cache traffic until the pipeline finishes.
+/// flushed to the shared NodeStats when the instance is destroyed — a
+/// worker may re-open its pipeline once per morsel — so profiling adds
+/// two clock reads per batch, not per row, and no shared-cache traffic
+/// until the worker finishes.
 class ProfiledOperator : public Operator {
  public:
   /// When `count_rows` is false only time/workers are recorded — used for
@@ -23,14 +24,20 @@ class ProfiledOperator : public Operator {
                    bool count_rows = true)
       : child_(std::move(child)), stats_(stats), count_rows_(count_rows) {}
 
-  ~ProfiledOperator() override { Flush(); }
+  ~ProfiledOperator() override {
+    if (local_rows_ > 0) {
+      stats_->rows.fetch_add(local_rows_, std::memory_order_relaxed);
+    }
+    stats_->AddWorkerTime(local_ns_);
+  }
 
   std::vector<ColumnType> OutputTypes() const override {
     return child_->OutputTypes();
   }
 
   void Open() override {
-    stats_->workers.fetch_add(1, std::memory_order_relaxed);
+    if (!opened_) stats_->workers.fetch_add(1, std::memory_order_relaxed);
+    opened_ = true;
     const auto start = std::chrono::steady_clock::now();
     child_->Open();
     local_ns_ += Elapsed(start);
@@ -48,7 +55,6 @@ class ProfiledOperator : public Operator {
     const auto start = std::chrono::steady_clock::now();
     child_->Close();
     local_ns_ += Elapsed(start);
-    Flush();
   }
 
  private:
@@ -60,21 +66,12 @@ class ProfiledOperator : public Operator {
             .count());
   }
 
-  void Flush() {
-    if (flushed_) return;
-    flushed_ = true;
-    if (local_rows_ > 0) {
-      stats_->rows.fetch_add(local_rows_, std::memory_order_relaxed);
-    }
-    stats_->AddWorkerTime(local_ns_);
-  }
-
   OperatorPtr child_;
   NodeStats* stats_;
   bool count_rows_;
   std::uint64_t local_rows_ = 0;
   std::uint64_t local_ns_ = 0;
-  bool flushed_ = false;
+  bool opened_ = false;
 };
 
 }  // namespace patchindex::obs

@@ -23,8 +23,8 @@ LogicalPtr LScan(const PartitionedTable& table,
   n->kind = LogicalNode::Kind::kScan;
   n->ptable = &table;
   // Single partition: also expose the plain-table view so the whole
-  // single-table machinery (patch rewrites, NUC annotations, serial
-  // scans) applies unchanged.
+  // single-table machinery (patch rewrites, NUC annotations) applies
+  // unchanged.
   if (table.num_partitions() == 1) n->table = &table.partition(0);
   n->columns = std::move(columns);
   n->scan_sorted_col = sorted_col;

@@ -26,7 +26,8 @@ struct ScanPruning {
 
 /// Logical query plan node. Built by query frontends (the TPC-H query
 /// builders, the microbenchmark harness, user code), transformed by the
-/// PatchIndex rewriter, compiled to a physical operator tree.
+/// PatchIndex rewriter, executed by the morsel-driven executor
+/// (engine/executor.h).
 struct LogicalNode {
   enum class Kind {
     kScan,
@@ -38,7 +39,7 @@ struct LogicalNode {
     kSort,
     // Nodes introduced by the PatchIndex rewriter (paper §3.3 Figure 2):
     kPatchDistinct,  // distinct over a NUC: aggregation dropped for non-patches
-    kPatchSort,      // sort over a NSC: sort dropped for non-patches, Merge
+    kPatchSort,      // sort over a NSC: sort dropped for non-patches, merge
     kPatchJoin,      // join on a NSC: MergeJoin for non-patches
   };
 
@@ -82,9 +83,9 @@ struct LogicalNode {
 
   /// kJoin advisory annotations (set by the rewriter; no semantic
   /// change): a NUC index proving the respective join key nearly unique.
-  /// Hash joins — serial and morsel-parallel — use it to skip duplicate
-  /// chaining for non-exception build rows and route the patches through
-  /// the exception path; results are exact with or without it.
+  /// The hash join build uses it to skip duplicate chaining for
+  /// non-exception build rows and route the patches through the exception
+  /// path; results are exact with or without it.
   const PatchIndex* left_key_nuc = nullptr;
   const PatchIndex* right_key_nuc = nullptr;
 
@@ -146,8 +147,8 @@ std::vector<ColumnType> LogicalOutputTypes(const LogicalNode& node);
 /// Descends through a chain of selections (which keep columns and rowIDs
 /// intact) to the scan feeding it; nullptr when the subtree has any other
 /// shape. This is the paper's "arbitrary subtree X without joins or
-/// aggregations" restricted to the common select-chain case. Shared by the
-/// PatchIndex rewriter and the morsel-driven parallel executor.
+/// aggregations" restricted to the common select-chain case, the shape
+/// the PatchIndex rewrites match.
 const LogicalNode* SelectChainScan(const LogicalNode& node);
 
 /// Index of the output column the node's output is sorted by (ascending),

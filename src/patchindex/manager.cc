@@ -1,7 +1,6 @@
 #include "patchindex/manager.h"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 namespace patchindex {
@@ -47,15 +46,19 @@ PatchIndex* PatchIndexManager::Register(std::unique_ptr<PatchIndex> index) {
 
 std::vector<PatchIndex*> PatchIndexManager::CreatePartitionedIndex(
     const PartitionedTable& table, std::size_t column,
-    ConstraintKind constraint, PatchIndexOptions options) {
+    ConstraintKind constraint, PatchIndexOptions options, ThreadPool* pool) {
   // Discovery + creation are independent per partition: run them on the
   // pool and register the results in partition order afterwards.
   std::vector<std::unique_ptr<PatchIndex>> created(table.num_partitions());
-  ThreadPool::Default().ParallelFor(
-      table.num_partitions(), [&](std::size_t p) {
-        created[p] = PatchIndex::Create(table.partition(p), column,
-                                        constraint, options);
-      });
+  const auto create = [&](std::size_t p) {
+    created[p] =
+        PatchIndex::Create(table.partition(p), column, constraint, options);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(created.size(), create);
+  } else {
+    for (std::size_t p = 0; p < created.size(); ++p) create(p);
+  }
   std::vector<PatchIndex*> handles;
   handles.reserve(created.size());
   std::lock_guard<std::mutex> lock(mu_);
@@ -202,23 +205,16 @@ Status PatchIndexManager::CommitUpdateQuery(PartitionedTable& table,
   if (dirty.empty()) return Status::OK();
 
   std::vector<Status> results(dirty.size(), Status::OK());
-  if (pool != nullptr && dirty.size() > 1) {
-    // Partition-local commit in parallel: indexes are per partition, so
-    // the protocols never touch shared index state; the registry's own
-    // lock covers IndexesOn/DropIndex.
-    std::vector<std::future<void>> futures;
-    futures.reserve(dirty.size());
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
-      futures.push_back(pool->SubmitWithFuture([this, &table, &results,
-                                                &dirty, i] {
-        results[i] = CommitValidated(table.partition(dirty[i]));
-      }));
-    }
-    for (auto& f : futures) f.get();
+  // Partition-local commits run in parallel on `pool`: indexes are per
+  // partition, so the protocols never touch shared index state; the
+  // registry's own lock covers IndexesOn/DropIndex.
+  const auto commit = [&](std::size_t i) {
+    results[i] = CommitValidated(table.partition(dirty[i]));
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(dirty.size(), commit);
   } else {
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
-      results[i] = CommitValidated(table.partition(dirty[i]));
-    }
+    for (std::size_t i = 0; i < dirty.size(); ++i) commit(i);
   }
   for (std::size_t i = 0; i < dirty.size(); ++i) {
     if (!results[i].ok()) {

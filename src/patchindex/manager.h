@@ -33,11 +33,12 @@ class PatchIndexManager : public IndexLookup {
                           PatchIndexOptions options = {});
 
   /// Registers one index per partition; returns the handles in partition
-  /// order. Discovery and index creation run partition-locally and in
-  /// parallel on the default thread pool (paper §3.2).
+  /// order. Discovery and index creation run partition-locally (paper
+  /// §3.2), in parallel on `pool` when given.
   std::vector<PatchIndex*> CreatePartitionedIndex(
       const PartitionedTable& table, std::size_t column,
-      ConstraintKind constraint, PatchIndexOptions options = {});
+      ConstraintKind constraint, PatchIndexOptions options = {},
+      ThreadPool* pool = nullptr);
 
   /// Registers an externally constructed index (the checkpoint-restore
   /// path: LoadPatchIndexCheckpoint builds the index, recovery registers

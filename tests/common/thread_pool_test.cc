@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace patchindex {
@@ -38,6 +42,57 @@ TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
 TEST(ThreadPoolTest, ParallelForZeroIterations) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [](std::size_t) { FAIL(); });
+}
+
+TEST(ThreadPoolTest, ParallelForAwaitsOnlyItsOwnTasks) {
+  // An unrelated task holds one of the two threads until released:
+  // ParallelFor must still return, since it waits for its own chunks, not
+  // for the whole pool to go idle.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  pool.Submit([released] { released.wait(); });
+  std::atomic<int> hits{0};
+  std::future<void> done = std::async(std::launch::async, [&pool, &hits] {
+    pool.ParallelFor(4, [&hits](std::size_t) { hits.fetch_add(1); });
+  });
+  const bool returned = done.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  release.set_value();
+  done.wait();
+  pool.WaitIdle();
+  EXPECT_TRUE(returned);
+  EXPECT_EQ(hits.load(), 4);
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsOnceEveryChunkHasFinished) {
+  // Rethrowing while other chunks still run would free the caller's state
+  // under them.
+  ThreadPool pool(4);
+  std::vector<std::atomic<bool>> finished(4);
+  EXPECT_THROW(pool.ParallelFor(4,
+                                [&finished](std::size_t i) {
+                                  if (i == 0) {
+                                    throw std::runtime_error("chunk 0");
+                                  }
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(20));
+                                  finished[i] = true;
+                                }),
+               std::runtime_error);
+  for (std::size_t i = 1; i < finished.size(); ++i) {
+    EXPECT_TRUE(finished[i].load()) << "chunk " << i;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForRunsASingleChunkInline) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> inline_calls{0};
+  pool.ParallelFor(3, [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) inline_calls.fetch_add(1);
+  });
+  EXPECT_EQ(inline_calls.load(), 3);
 }
 
 TEST(ThreadPoolTest, TasksCanBeSubmittedFromMultipleRounds) {

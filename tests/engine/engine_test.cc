@@ -22,10 +22,10 @@ namespace {
 
 EngineOptions TestOptions(bool parallel = true) {
   EngineOptions options;
-  options.num_threads = 4;
-  // Small test tables still go parallel; the serial engine never does.
-  options.min_parallel_rows =
-      parallel ? 0 : std::numeric_limits<std::size_t>::max();
+  // Small morsels so small test tables still go parallel; the one-thread
+  // engine runs every pipeline inline.
+  options.num_threads = parallel ? 4 : 1;
+  options.morsel_rows = 2'048;
   options.optimizer.force_patch_rewrites = true;
   return options;
 }
@@ -109,7 +109,7 @@ TEST(EngineTest, JoinRunsParallelAndMatchesSerial) {
 
 TEST(EngineTest, SmallTablesStaySerialByDefault) {
   EngineOptions options;
-  options.num_threads = 4;  // default min_parallel_rows
+  options.num_threads = 4;  // default morsel_rows: 100 rows are one morsel
   Engine engine(options);
   const Table* t = LoadNucTable(engine, "t", 100);
   auto result = engine.CreateSession().Execute(LScan(*t, {0}));

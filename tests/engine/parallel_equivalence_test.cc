@@ -1,10 +1,12 @@
-// Property tests asserting the morsel-driven parallel executor returns
-// exactly the rows the serial operator tree returns (modulo order), on
-// generated NUC/NSC/NCC tables, across plan shapes, exception rates, and
-// pending PDT inserts/modifies/deletes.
+// Property tests asserting the morsel-driven executor returns the same
+// rows on many workers (small morsels) as on one, and a forced patch
+// rewrite the same rows as its unrewritten plan, on generated
+// NUC/NSC/NCC tables, across plan shapes, exception rates, and pending
+// PDT inserts/modifies/deletes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "engine/engine_test_util.h"
 #include "engine/executor.h"
+#include "obs/profile.h"
 #include "optimizer/rewriter.h"
 #include "patchindex/manager.h"
 #include "workload/generator.h"
@@ -20,30 +23,49 @@
 namespace patchindex {
 namespace {
 
-Batch RunSerial(const LogicalPtr& plan) {
-  OperatorPtr op = CompilePlan(plan);
-  return Collect(*op);
-}
-
-/// Small morsels so even 2K-row test tables produce many of them,
-/// stressing morsel boundaries, range re-anchoring and the inserts morsel.
-ParallelExecOptions StressOptions() {
-  ParallelExecOptions options;
-  options.morsel_rows = 512;
-  options.min_parallel_rows = 0;
-  return options;
-}
-
-void ExpectEquivalent(const LogicalPtr& plan, ThreadPool& pool) {
-  Batch parallel_out;
-  ASSERT_TRUE(ExecuteParallel(*plan, pool, StressOptions(), &parallel_out));
-  ExpectSameRows(RunSerial(plan), parallel_out);
-}
-
 OptimizerOptions Forced() {
   OptimizerOptions options;
   options.force_patch_rewrites = true;
   return options;
+}
+
+/// StressOptions with zero-branch pruning on or off.
+ParallelExecOptions Pruning(bool zero_branch_pruning) {
+  ParallelExecOptions options = StressOptions();
+  options.zero_branch_pruning = zero_branch_pruning;
+  return options;
+}
+
+/// Morsels the scan under a patch rewrite (`plan`'s only child) claims
+/// when `plan` runs on `pool`: each branch of the rewrite scans the
+/// table once, so zero-branch pruning halves the count.
+std::uint64_t ScanMorsels(const LogicalNode& plan, ThreadPool& pool,
+                          bool zero_branch_pruning) {
+  obs::ExecProfile profile;
+  ParallelExecOptions options = Pruning(zero_branch_pruning);
+  options.profile = &profile;
+  ExecutePlan(plan, pool, options);
+  const LogicalNode* scan = plan.children[0].get();
+  EXPECT_EQ(scan->kind, LogicalNode::Kind::kScan);
+  return profile.Find(scan)->morsels.load();
+}
+
+/// Zero-branch pruning skips one branch of `plan`'s rewrite when its
+/// index holds no patches or only patches (`fires`), and changes nothing
+/// otherwise.
+void ExpectPruning(const LogicalNode& plan, ThreadPool& pool, bool fires) {
+  ASSERT_EQ(fires, plan.pidx->NumPatches() == 0 ||
+                       plan.pidx->NumPatches() == plan.pidx->NumRows());
+  const std::uint64_t unpruned = ScanMorsels(plan, pool, false);
+  const std::uint64_t pruned = ScanMorsels(plan, pool, true);
+  ASSERT_GT(pruned, 0u);
+  EXPECT_EQ(fires ? pruned * 2 : pruned, unpruned);
+}
+
+/// Column `col` of `batch` is ascending.
+void ExpectSortedOn(const Batch& batch, std::size_t col) {
+  const std::vector<std::int64_t>& v = batch.columns[col].i64;
+  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
 }
 
 TEST(ParallelEquivalenceTest, ChainShapesOnNucTable) {
@@ -85,40 +107,91 @@ TEST(ParallelEquivalenceTest, PatchDistinctOnNucAcrossExceptionRates) {
     PatchIndexManager manager;
     manager.CreateIndex(t, 1, ConstraintKind::kNearlyUnique);
 
+    // With and without zero-branch pruning (it fires at e = 0 and 1).
     LogicalPtr plan =
         OptimizePlan(LDistinct(LScan(t, {1}), {0}), manager, Forced());
     ASSERT_EQ(plan->kind, LogicalNode::Kind::kPatchDistinct);
-    ExpectEquivalent(plan, pool);
+    const Batch expected = RunOneWorker(*LDistinct(LScan(t, {1}), {0}));
+    for (bool zbp : {false, true}) {
+      ExpectSameRows(expected, ExecutePlan(*plan, pool, Pruning(zbp)));
+    }
+    ExpectPruning(*plan, pool, rate == 0.0 || rate == 1.0);
 
     // Through a selection chain (the PatchIndex scan fuses the filter
     // into every morsel's scan).
-    LogicalPtr filtered = OptimizePlan(
-        LDistinct(
-            LSelect(LScan(t, {1}), Gt(Col(0), ConstInt(-1)), 0.99), {0}),
-        manager, Forced());
+    const auto filtered_distinct = [&t] {
+      return LDistinct(
+          LSelect(LScan(t, {1}), Gt(Col(0), ConstInt(-1)), 0.99), {0});
+    };
+    LogicalPtr filtered =
+        OptimizePlan(filtered_distinct(), manager, Forced());
     ASSERT_EQ(filtered->kind, LogicalNode::Kind::kPatchDistinct);
-    ExpectEquivalent(filtered, pool);
+    ExpectEquivalent(filtered, pool, filtered_distinct());
   }
 }
 
-TEST(ParallelEquivalenceTest, PatchSortFallsBackToSerial) {
+TEST(ParallelEquivalenceTest, PatchSortAcrossExceptionRates) {
   ThreadPool pool(4);
+  for (double rate : {0.0, 0.05, 0.5, 1.0}) {
+    GeneratorConfig config;
+    config.num_rows = 3'000;
+    config.exception_rate = rate;
+    Table t = GenerateNscTable(config);
+    PatchIndexManager manager;
+    manager.CreateIndex(t, 1, ConstraintKind::kNearlySorted);
+
+    // One sort column: tied rows are identical, so the order is exact.
+    // With and without zero-branch pruning (it fires at e = 0 and 1).
+    LogicalPtr sorted =
+        OptimizePlan(LSort(LScan(t, {1}), {{0, true}}), manager, Forced());
+    ASSERT_EQ(sorted->kind, LogicalNode::Kind::kPatchSort);
+    const Batch expected = RunOneWorker(*LSort(LScan(t, {1}), {{0, true}}));
+    for (bool zbp : {false, true}) {
+      ExpectSameOrderedRows(expected,
+                            ExecutePlan(*sorted, pool, Pruning(zbp)));
+    }
+    ExpectSameOrderedRows(expected, RunOneWorker(*sorted));
+    // An NSC keeps a sorted subsequence, so only e = 0 prunes here.
+    ExpectPruning(*sorted, pool, rate == 0.0);
+
+    // A payload column and a selection: same rows, sorted on the key.
+    const auto sort = [&t] {
+      return LSort(LSelect(LScan(t, {1, 0}), Lt(Col(1), ConstInt(2'500)),
+                           0.8),
+                   {{0, true}});
+    };
+    LogicalPtr plan = OptimizePlan(sort(), manager, Forced());
+    ASSERT_EQ(plan->kind, LogicalNode::Kind::kPatchSort);
+    const Batch out = ExecutePlan(*plan, pool, StressOptions());
+    ExpectSortedOn(out, 0);
+    ExpectSameRows(RunOneWorker(*sort()), out);
+  }
+
+  // Only patches: a modified row is a patch, so modifying every row
+  // leaves the constraint-satisfying branch empty and zero-branch pruning
+  // sorts the whole input plainly.
   GeneratorConfig config;
-  config.num_rows = 2'000;
-  config.exception_rate = 0.1;
+  config.num_rows = 3'000;
+  config.exception_rate = 0.05;
   Table t = GenerateNscTable(config);
   PatchIndexManager manager;
   manager.CreateIndex(t, 1, ConstraintKind::kNearlySorted);
-
-  LogicalPtr plan = OptimizePlan(LSort(LScan(t, {1}), {{0, true}}), manager,
-                                 Forced());
-  ASSERT_EQ(plan->kind, LogicalNode::Kind::kPatchSort);
-  Batch out;
-  EXPECT_FALSE(ExecuteParallel(*plan, pool, StressOptions(), &out));
-
-  // Plain chains over the NSC table still parallelize.
-  ExpectEquivalent(
-      LSelect(LScan(t, {0, 1}), Lt(Col(1), ConstInt(1'000)), 0.5), pool);
+  Rng rng(17);
+  for (RowId r = 0; r < t.num_rows(); ++r) {
+    ASSERT_TRUE(t.BufferModify(r, 1,
+                               Value(static_cast<std::int64_t>(
+                                   rng.Uniform(0, 100'000))))
+                    .ok());
+  }
+  ASSERT_TRUE(manager.CommitUpdateQuery(t).ok());
+  LogicalPtr sorted =
+      OptimizePlan(LSort(LScan(t, {1}), {{0, true}}), manager, Forced());
+  ASSERT_EQ(sorted->kind, LogicalNode::Kind::kPatchSort);
+  const Batch expected = RunOneWorker(*LSort(LScan(t, {1}), {{0, true}}));
+  for (bool zbp : {false, true}) {
+    ExpectSameOrderedRows(expected, ExecutePlan(*sorted, pool, Pruning(zbp)));
+  }
+  ExpectPruning(*sorted, pool, true);
 }
 
 TEST(ParallelEquivalenceTest, NccDistinctCollapsesToConstantPlusPatches) {
@@ -136,12 +209,12 @@ TEST(ParallelEquivalenceTest, NccDistinctCollapsesToConstantPlusPatches) {
   LogicalPtr plan =
       OptimizePlan(LDistinct(LScan(t, {1}), {0}), manager, Forced());
   ASSERT_EQ(plan->kind, LogicalNode::Kind::kPatchDistinct);
-  ExpectEquivalent(plan, pool);
+  ExpectEquivalent(plan, pool, LDistinct(LScan(t, {1}), {0}));
 }
 
 /// One pending (buffered, uncommitted) delta kind per round: scans must
-/// merge the PDT on the fly, and the executor's base morsels plus the
-/// dedicated inserts morsel must reproduce the serial merge exactly.
+/// merge the PDT on the fly, and many workers' base morsels plus the
+/// dedicated inserts morsel must reproduce the one-worker merge exactly.
 TEST(ParallelEquivalenceTest, RandomizedPendingDeltaSweep) {
   ThreadPool pool(4);
   Rng rng(23);
@@ -190,19 +263,29 @@ TEST(ParallelEquivalenceTest, RandomizedPendingDeltaSweep) {
                                 {{AggOp::kCount, 0}, {AggOp::kMax, 1}}),
                      pool);
 
-    // Patch-aware scans over the same pending deltas (NUC only: the sort
-    // rewrite is not morsel-parallel).
+    // Patch-aware scans over the same pending deltas. The index covers
+    // committed rows only, so here the rewrite is checked for worker-count
+    // invariance, not against the unrewritten plan — and PatchSort for its
+    // rows only: pending deltas leave its constraint-satisfying run
+    // unsorted, so where the merge places tied keys depends on how the
+    // patches were split into per-worker runs.
     if (round % 2 == 0) {
       LogicalPtr plan =
           OptimizePlan(LDistinct(LScan(t, {1}), {0}), manager, Forced());
       ASSERT_EQ(plan->kind, LogicalNode::Kind::kPatchDistinct);
       ExpectEquivalent(plan, pool);
+    } else {
+      LogicalPtr plan = OptimizePlan(LSort(LScan(t, {1}), {{0, true}}),
+                                     manager, Forced());
+      ASSERT_EQ(plan->kind, LogicalNode::Kind::kPatchSort);
+      ExpectEquivalent(plan, pool);
     }
   }
 }
 
-/// Committed updates through the §5 protocol keep serial and parallel
-/// plans equivalent as well (the index state changes between rounds).
+/// Committed updates through the §5 protocol keep one-worker and
+/// many-worker runs equivalent as well (the index state changes between
+/// rounds).
 TEST(ParallelEquivalenceTest, CommittedUpdateStream) {
   ThreadPool pool(4);
   Rng rng(31);
@@ -241,7 +324,7 @@ TEST(ParallelEquivalenceTest, CommittedUpdateStream) {
     LogicalPtr plan =
         OptimizePlan(LDistinct(LScan(t, {1}), {0}), manager, Forced());
     ASSERT_EQ(plan->kind, LogicalNode::Kind::kPatchDistinct);
-    ExpectEquivalent(plan, pool);
+    ExpectEquivalent(plan, pool, LDistinct(LScan(t, {1}), {0}));
   }
 }
 

@@ -1,9 +1,10 @@
-// Property tests for the morsel executor's parallel hash join and
-// parallel order-by: results must equal the serial operator tree's
-// (exactly for Sort-rooted plans, modulo order otherwise), across join
-// shapes, NUC-indexed build keys, exception rates, TopN limits, and
-// pending PDT inserts/deletes on both join sides. Also covers the
-// Session execution-path counters.
+// Property tests for the morsel executor's joins and order-bys: results
+// on many workers must equal the one-worker run's (exactly for
+// Sort-rooted plans, modulo order otherwise), across join shapes —
+// multi-way joins and joins over non-chain inputs included — NUC-indexed
+// build keys, exception rates, TopN limits, pending PDT inserts/deletes
+// on both join sides, and the PatchJoin rewrite against its unrewritten
+// plan. Also covers the Session execution-path counters.
 
 #include <gtest/gtest.h>
 
@@ -24,43 +25,6 @@
 
 namespace patchindex {
 namespace {
-
-Batch RunSerial(const LogicalPtr& plan) {
-  OperatorPtr op = CompilePlan(plan);
-  return Collect(*op);
-}
-
-/// Small morsels so 2-4K-row test tables still produce many of them,
-/// stressing partition boundaries and the dedicated inserts morsel.
-ParallelExecOptions StressOptions() {
-  ParallelExecOptions options;
-  options.morsel_rows = 512;
-  options.min_parallel_rows = 0;
-  return options;
-}
-
-void ExpectEquivalent(const LogicalPtr& plan, ThreadPool& pool) {
-  Batch parallel_out;
-  ASSERT_TRUE(ExecuteParallel(*plan, pool, StressOptions(), &parallel_out));
-  ExpectSameRows(RunSerial(plan), parallel_out);
-}
-
-/// Exact row-for-row equality, for Sort-rooted plans whose output order
-/// is part of the contract.
-void ExpectSameOrderedRows(const Batch& expected, const Batch& actual) {
-  ASSERT_EQ(expected.columns.size(), actual.columns.size());
-  ASSERT_EQ(expected.num_rows(), actual.num_rows());
-  for (std::size_t c = 0; c < expected.columns.size(); ++c) {
-    ASSERT_EQ(expected.columns[c].type, ColumnType::kInt64);
-    EXPECT_EQ(expected.columns[c].i64, actual.columns[c].i64) << "col " << c;
-  }
-}
-
-void ExpectOrderedEquivalent(const LogicalPtr& plan, ThreadPool& pool) {
-  Batch parallel_out;
-  ASSERT_TRUE(ExecuteParallel(*plan, pool, StressOptions(), &parallel_out));
-  ExpectSameOrderedRows(RunSerial(plan), parallel_out);
-}
 
 OptimizerOptions Forced() {
   OptimizerOptions options;
@@ -154,9 +118,10 @@ TEST(ParallelJoinTest, NucIndexedBuildKeyAcrossExceptionRates) {
 }
 
 /// Pending (buffered, uncommitted) PDT deltas on both join sides: base
-/// morsels plus the dedicated inserts morsel must reproduce the serial
-/// scan merge exactly, and pending inserts on a NUC build side must take
-/// the exception path (their rowIDs are outside the index's domain).
+/// morsels plus the dedicated inserts morsel must reproduce the
+/// one-worker scan merge exactly, and pending inserts on a NUC build side
+/// must take the exception path (their rowIDs are outside the index's
+/// domain).
 TEST(ParallelJoinTest, PendingDeltasOnBothSides) {
   ThreadPool pool(4);
   Rng rng(29);
@@ -259,8 +224,9 @@ TEST(ParallelSortTest, SortOverAggregateAndPendingDeltas) {
   config.exception_rate = 0.4;
   Table t = GenerateNucTable(config);
 
-  // Sort over a grouping aggregate: partial-aggregate parallel, final
-  // sort on the merged result (group keys are unique after the merge).
+  // Sort over a grouping aggregate: partial-aggregate parallel, then the
+  // merged result (group keys are unique after the merge) is read back
+  // as a morsel source and sorted.
   ExpectOrderedEquivalent(
       LSort(LAggregate(LScan(t, {1, 0}), {0},
                        {{AggOp::kCount, 0}, {AggOp::kMax, 1}}),
@@ -294,12 +260,12 @@ TEST(ParallelSortTest, JoinWithOrderByRunsParallelEndToEnd) {
       LSort(LJoin(LScan(dim, {0, 1}), LScan(fact, {0, 1}), 1, 0),
             {{3, true}, {0, true}});
   ParallelExecReport report;
-  Batch parallel_out;
-  ASSERT_TRUE(ExecuteParallel(*plan, pool, StressOptions(), &parallel_out,
-                              &report));
+  const Batch parallel_out =
+      ExecutePlan(*plan, pool, StressOptions(), &report);
+  EXPECT_EQ(report.workers, 4u);
   EXPECT_TRUE(report.parallel_join);
   EXPECT_TRUE(report.parallel_sort);
-  ExpectSameOrderedRows(RunSerial(plan), parallel_out);
+  ExpectSameOrderedRows(RunOneWorker(*plan), parallel_out);
 
   // TopN over the join.
   ExpectOrderedEquivalent(
@@ -308,36 +274,111 @@ TEST(ParallelSortTest, JoinWithOrderByRunsParallelEndToEnd) {
       pool);
 }
 
-TEST(ParallelPlanSupportTest, ShapeClassification) {
+TEST(ParallelJoinTest, MultiWayJoinsAndNonChainInputs) {
+  ThreadPool pool(4);
   GeneratorConfig config;
-  config.num_rows = 64;
-  Table t = GenerateNucTable(config);
-  Table u = GenerateNucTable(config);
+  config.num_rows = 2'000;
+  config.exception_rate = 0.2;
+  Table dim = GenerateNucTable(config);
+  Table fact = MakeFactTable(dim, 1, 6'000, 19);
+  Table other = MakeFactTable(dim, 1, 3'000, 23);
 
-  EXPECT_TRUE(ParallelPlanSupported(
-      *LJoin(LScan(t, {0, 1}), LScan(u, {0, 1}), 0, 0)));
-  EXPECT_TRUE(ParallelPlanSupported(*LSort(LScan(t, {0}), {{0, true}})));
-  EXPECT_TRUE(ParallelPlanSupported(
-      *LSort(LJoin(LScan(t, {0, 1}), LScan(u, {0, 1}), 0, 0), {{1, true}})));
-  EXPECT_TRUE(ParallelPlanSupported(*LSort(
-      LAggregate(LScan(t, {1}), {0}, {{AggOp::kCount, 0}}), {{0, true}})));
+  // Three-way: the inner join's probe pipeline probes the outer build.
+  ExpectEquivalent(
+      LJoin(LJoin(LScan(dim, {0, 1}), LScan(fact, {0, 1}), 1, 0),
+            LScan(other, {0, 1}), 1, 0),
+      pool);
+  // The inner join as the build side of the outer one.
+  ExpectEquivalent(
+      LJoin(LScan(other, {0, 1}),
+            LJoin(LScan(dim, {0, 1}), LScan(fact, {0, 1}), 1, 0), 0, 1),
+      pool);
+  // Aggregate over a three-way join.
+  ExpectEquivalent(
+      LAggregate(LJoin(LJoin(LScan(dim, {0, 1}), LScan(fact, {0, 1}), 1, 0),
+                       LScan(other, {0, 1}), 1, 0),
+                 {0}, {{AggOp::kCount, 0}, {AggOp::kSum, 5}}),
+      pool);
+  // A join over an aggregate and over a TopN (executed first, read back
+  // as morsel sources).
+  ExpectEquivalent(
+      LJoin(LAggregate(LScan(fact, {0, 1}), {0}, {{AggOp::kCount, 0}}),
+            LScan(dim, {0, 1}), 0, 1),
+      pool);
+  ExpectEquivalent(
+      LJoin(LSort(LScan(fact, {0, 1}), {{1, true}}, 700),
+            LScan(dim, {0, 1}), 0, 1),
+      pool);
+}
 
-  // A join over a non-chain input (aggregate below the join) and a
-  // global aggregate stay serial.
-  EXPECT_FALSE(ParallelPlanSupported(*LJoin(
-      LAggregate(LScan(t, {1}), {0}, {{AggOp::kCount, 0}}),
-      LScan(u, {0, 1}), 0, 0)));
-  EXPECT_FALSE(ParallelPlanSupported(
-      *LAggregate(LScan(t, {0}), {}, {{AggOp::kCount, 0}})));
+/// X (orders, sorted on its key) joined with a fact table nearly sorted
+/// on the foreign key, as the PatchJoin rewrite expects.
+struct PatchJoinTables {
+  Table orders{Schema({{"key", ColumnType::kInt64},
+                       {"val", ColumnType::kInt64}})};
+  Table lineitem{Schema({{"fk", ColumnType::kInt64},
+                         {"pos", ColumnType::kInt64}})};
+
+  PatchJoinTables(double exception_rate, std::uint64_t seed) {
+    Rng rng(seed);
+    for (std::int64_t k = 0; k < 1'500; ++k) {
+      orders.AppendRow(Row{{Value(k), Value(k * 100)}});
+    }
+    std::int64_t pos = 0;
+    for (std::int64_t k = 0; k < 1'500; ++k) {
+      const int copies = 1 + static_cast<int>(rng.Uniform(0, 3));
+      for (int c = 0; c < copies; ++c) {
+        const std::int64_t fk =
+            rng.NextBool(exception_rate)
+                ? static_cast<std::int64_t>(rng.Uniform(0, 1'700))
+                : k;
+        lineitem.AppendRow(Row{{Value(fk), Value(pos++)}});
+      }
+    }
+  }
+};
+
+TEST(ParallelJoinTest, PatchJoinAcrossExceptionRates) {
+  ThreadPool pool(4);
+  for (double rate : {0.0, 0.05, 0.5, 1.0}) {
+    PatchJoinTables t(rate, 41);
+    PatchIndexManager manager;
+    manager.CreateIndex(t.lineitem, 0, ConstraintKind::kNearlySorted);
+    const auto join = [&t] {
+      return LJoin(LScan(t.orders, {0, 1}, /*sorted_col=*/0),
+                   LSelect(LScan(t.lineitem, {0, 1}),
+                           Lt(Col(1), ConstInt(3'500)), 0.9),
+                   0, 0);
+    };
+    const auto aggregate = [&join] {
+      return LAggregate(join(), {0}, {{AggOp::kCount, 0}, {AggOp::kSum, 3}});
+    };
+    for (bool zbp : {false, true}) {
+      LogicalPtr plan = OptimizePlan(join(), manager, Forced());
+      ASSERT_EQ(plan->kind, LogicalNode::Kind::kPatchJoin) << rate;
+      ParallelExecOptions exec = StressOptions();
+      exec.zero_branch_pruning = zbp;
+      ParallelExecReport report;
+      ExpectSameRows(RunOneWorker(*join()),
+                     ExecutePlan(*plan, pool, exec, &report));
+      EXPECT_TRUE(report.parallel_join);
+
+      // Aggregate over the PatchJoin: partial aggregates per worker.
+      LogicalPtr agg = OptimizePlan(aggregate(), manager, Forced());
+      ASSERT_EQ(agg->children[0]->kind, LogicalNode::Kind::kPatchJoin);
+      ExpectSameRows(RunOneWorker(*aggregate()),
+                     ExecutePlan(*agg, pool, exec));
+    }
+  }
 }
 
 /// The Session-level counters: one query bumps exactly one of
-/// serial_fallbacks / parallel_pipelines, or the join/sort feature
-/// counters when those paths ran.
+/// serial_fallbacks (one worker throughout) / parallel_pipelines, or the
+/// join/sort feature counters when those paths ran.
 TEST(ExecPathCounterTest, SessionReportsExecutionPaths) {
   EngineOptions options;
   options.num_threads = 4;
-  options.min_parallel_rows = 0;
+  options.morsel_rows = 1'024;  // 2K-row tables -> 2 morsels
   Engine engine(options);
   GeneratorConfig config;
   config.num_rows = 2'000;
@@ -370,12 +411,20 @@ TEST(ExecPathCounterTest, SessionReportsExecutionPaths) {
   EXPECT_EQ(counters.parallel_pipelines.load(), 1u);
   EXPECT_EQ(counters.serial_fallbacks.load(), 0u);
 
-  // Unsupported shape falls back and says so.
-  auto fallback = session.Execute(LJoin(
+  // A join over an aggregate probes on several workers too.
+  auto over_agg = session.Execute(LJoin(
       LAggregate(LScan(*dim, {1}), {0}, {{AggOp::kCount, 0}}),
       LScan(*fact, {0, 1}), 0, 0));
-  ASSERT_TRUE(fallback.ok());
-  EXPECT_FALSE(fallback.value().parallel);
+  ASSERT_TRUE(over_agg.ok());
+  EXPECT_TRUE(over_agg.value().parallel_join);
+  EXPECT_EQ(counters.parallel_joins.load(), 2u);
+
+  // A block-pruned point SELECT reads one morsel: one worker, inline.
+  auto point = session.Execute(
+      LSelect(LScan(*dim, {0, 1}), Eq(Col(0), ConstInt(5)), 0.001));
+  ASSERT_TRUE(point.ok());
+  ASSERT_EQ(point.value().rows.num_rows(), 1u);
+  EXPECT_FALSE(point.value().parallel);
   EXPECT_EQ(counters.serial_fallbacks.load(), 1u);
 }
 

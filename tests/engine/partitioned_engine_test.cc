@@ -1,7 +1,7 @@
 // Partition-local engine tests: PartitionedTable as the catalog's storage
 // unit, SQL `CREATE TABLE ... PARTITIONS n`, global-rowID DML routing,
 // per-partition index creation, per-partition sortedness inference, and
-// parallel-vs-serial equivalence for partitioned scans, aggregates and
+// many-workers-vs-one equivalence for partitioned scans, aggregates and
 // joins — including pending PDT deltas on both join sides (the §3.2
 // "partitioning is transparent to query processing" claim).
 
@@ -28,26 +28,6 @@ Schema KvSchema() {
 
 Row KvRow(std::int64_t key, std::int64_t val) {
   return Row{{Value(key), Value(val)}};
-}
-
-Batch RunSerial(const LogicalPtr& plan) {
-  OperatorPtr op = CompilePlan(plan);
-  return Collect(*op);
-}
-
-/// Small morsels + no size gate: even small test tables cross partition
-/// and morsel boundaries on the parallel path.
-ParallelExecOptions StressOptions() {
-  ParallelExecOptions options;
-  options.morsel_rows = 256;
-  options.min_parallel_rows = 0;
-  return options;
-}
-
-void ExpectEquivalent(const LogicalPtr& plan, ThreadPool& pool) {
-  Batch parallel_out;
-  ASSERT_TRUE(ExecuteParallel(*plan, pool, StressOptions(), &parallel_out));
-  ExpectSameRows(RunSerial(plan), parallel_out);
 }
 
 TEST(PartitionedEngineTest, SqlCreateTableWithPartitionsRoutesDml) {

@@ -66,13 +66,11 @@ const std::vector<Config>& Configs() {
   return configs;
 }
 
-/// One worker runs the serial operator tree; four run the morsel executor
-/// on every table size, with morsels smaller than a partition.
+/// One thread runs every pipeline inline; four run on pool workers, with
+/// morsels smaller than a partition.
 EngineOptions OptionsFor(std::size_t threads) {
   EngineOptions options;
   options.num_threads = threads;
-  options.min_parallel_rows =
-      threads > 1 ? 0 : std::numeric_limits<std::size_t>::max();
   options.morsel_rows = 4096;
   options.optimizer.force_patch_rewrites = true;
   return options;
@@ -272,7 +270,6 @@ TEST(ScanPruningTest, ConjunctsInOneSelectAndStackedSelects) {
   ThreadPool pool(4);
   ParallelExecOptions parallel;
   parallel.morsel_rows = 2048;
-  parallel.min_parallel_rows = 0;
   for (std::size_t partitions : {1, 4}) {
     SCOPED_TRACE("partitions=" + std::to_string(partitions));
     std::unique_ptr<PartitionedTable> t = MakeKvTable(partitions, kRows, 3);
@@ -325,11 +322,8 @@ TEST(ScanPruningTest, ConjunctsInOneSelectAndStackedSelects) {
       const LogicalPtr clone = ClonePlan(c.plan);
       EXPECT_EQ(leaf(clone)->pruning, leaf(c.plan)->pruning);
       const Rows want = Reference(*t, c.match);
-      OperatorPtr serial = CompilePlan(c.plan);
-      EXPECT_EQ(SortedRows(Collect(*serial)), want);
-      Batch out;
-      ASSERT_TRUE(ExecuteParallel(*clone, pool, parallel, &out));
-      EXPECT_EQ(SortedRows(out), want);
+      EXPECT_EQ(SortedRows(RunOneWorker(*c.plan)), want);
+      EXPECT_EQ(SortedRows(ExecutePlan(*clone, pool, parallel)), want);
     }
   }
 }
@@ -345,19 +339,18 @@ TEST(ScanPruningTest, ExecuteLeavesTheCallersPlanUnannotated) {
   EXPECT_EQ(r.value().rows.num_rows(), 100u);
   EXPECT_EQ(plan->children[0]->pruning, nullptr);
   // A row appended afterwards lands in a block that run would have
-  // skipped; compiling the kept plan again still finds it.
+  // skipped; executing the kept plan again still finds it.
   t->AppendRow(KvRow(7, -1));
-  OperatorPtr again = CompilePlan(plan);
-  EXPECT_EQ(Collect(*again).num_rows(), 101u);
+  EXPECT_EQ(RunOneWorker(*plan).num_rows(), 101u);
 }
 
 TEST(ScanPruningTest, PendingDeltasOnThePredicateColumn) {
   // Catalog tables only ever publish committed state, so pending deltas
   // reach a scan only on a free-standing table — as in the §5 handlers'
-  // PDT-aware scans. Both executors run the pruned plans over it.
+  // PDT-aware scans. One worker and the config's pool run the pruned
+  // plans over it.
   ParallelExecOptions parallel;
   parallel.morsel_rows = 4096;
-  parallel.min_parallel_rows = 0;
   for (const Config& config : Configs()) {
     SCOPED_TRACE(Describe(config));
     ThreadPool pool(config.threads);
@@ -409,11 +402,8 @@ TEST(ScanPruningTest, PendingDeltasOnThePredicateColumn) {
       const LogicalPtr plan = LSelect(LScan(*t, {0, 1}), c.predicate);
       AnnotateScanPruning(plan.get());
       const Rows want = Reference(*t, c.match);
-      OperatorPtr serial = CompilePlan(plan);
-      EXPECT_EQ(SortedRows(Collect(*serial)), want);
-      Batch out;
-      ASSERT_TRUE(ExecuteParallel(*plan, pool, parallel, &out));
-      EXPECT_EQ(SortedRows(out), want);
+      EXPECT_EQ(SortedRows(RunOneWorker(*plan)), want);
+      EXPECT_EQ(SortedRows(ExecutePlan(*plan, pool, parallel)), want);
     }
   }
 }
@@ -587,8 +577,7 @@ TEST(ScanPruningTest, PinnedReadersSeeTheirSnapshotUnderConcurrentCommits) {
           LogicalPtr plan = LSelect(
               LSelect(LScan(snapshot, {0, 1}), Ge(Col(0), ConstInt(lo))),
               Lt(Col(0), ConstInt(hi)));
-          OperatorPtr op = PlanQuery(plan, engine.catalog().manager());
-          EXPECT_EQ(SortedRows(Collect(*op)),
+          EXPECT_EQ(SortedRows(PlanQuery(plan, engine.catalog().manager())),
                     Reference(snapshot, [lo, hi](auto k, auto) {
                       return k >= lo && k < hi;
                     }));
@@ -676,8 +665,7 @@ TEST(ScanPruningTest, NucHandlersShareTheSummaryWithPinnedReaders) {
         LogicalPtr plan = LSelect(
             LSelect(LScan(snapshot, {0, 1}), Ge(Col(1), ConstInt(lo))),
             Lt(Col(1), ConstInt(hi)));
-        OperatorPtr op = PlanQuery(plan, engine.catalog().manager());
-        EXPECT_EQ(SortedRows(Collect(*op)),
+        EXPECT_EQ(SortedRows(PlanQuery(plan, engine.catalog().manager())),
                   Reference(snapshot, [lo, hi](auto, auto v) {
                     return v >= lo && v < hi;
                   }));

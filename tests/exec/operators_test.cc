@@ -1,5 +1,6 @@
-// Tests for select/project/sort/aggregate/merge/union/reuse operators and
-// the expression evaluator.
+// Tests for select/project/sort/aggregate/union/reuse operators, the patch
+// filter of the PatchIndex scan, the k-way merge of sorted runs, and the
+// expression evaluator.
 
 #include <gtest/gtest.h>
 
@@ -7,11 +8,12 @@
 
 #include "exec/aggregate.h"
 #include "exec/expression.h"
-#include "exec/merge.h"
 #include "exec/project.h"
 #include "exec/reuse.h"
+#include "exec/scan.h"
 #include "exec/select.h"
 #include "exec/sort.h"
+#include "exec/sort_merge.h"
 #include "exec_test_util.h"
 
 namespace patchindex {
@@ -86,14 +88,18 @@ class EvenRowFilter : public RowIdFilter {
 };
 
 TEST(PatchSelectTest, ExcludeAndUseModesPartitionTheInput) {
+  // The PatchIndex scan: the selection is fused into the scan.
   EvenRowFilter filter;
-  PatchSelectOperator exclude(Source(MakeI64Batch({10, 11, 12, 13, 14})),
-                              &filter, PatchSelectMode::kExcludePatches);
+  const Table t = MakeKvTable({10, 11, 12, 13, 14});
+  ScanOptions options;
+  options.patch_filter = &filter;
+  options.patch_mode = PatchSelectMode::kExcludePatches;
+  ScanOperator exclude(t, {1}, options);
   Batch ex = Collect(exclude);
   EXPECT_EQ(ex.columns[0].i64, (std::vector<std::int64_t>{11, 13}));
 
-  PatchSelectOperator use(Source(MakeI64Batch({10, 11, 12, 13, 14})), &filter,
-                          PatchSelectMode::kUsePatches);
+  options.patch_mode = PatchSelectMode::kUsePatches;
+  ScanOperator use(t, {1}, options);
   Batch us = Collect(use);
   EXPECT_EQ(us.columns[0].i64, (std::vector<std::int64_t>{10, 12, 14}));
 }
@@ -181,29 +187,25 @@ TEST(AggregateTest, DoubleSum) {
   EXPECT_DOUBLE_EQ(out.columns[1].f64[1], 2.5);
 }
 
+/// The k-way merge PatchSort combines its sorted runs with.
+std::vector<std::int64_t> MergeRuns(
+    const std::vector<std::vector<std::int64_t>>& runs) {
+  std::vector<Batch> parts;
+  for (const auto& run : runs) parts.push_back(MakeI64Batch(run));
+  return MergeSortedBatches(std::move(parts), {{0, true}}).columns[0].i64;
+}
+
 TEST(MergeTest, TwoSortedInputs) {
-  std::vector<OperatorPtr> children;
-  children.push_back(Source(MakeI64Batch({1, 4, 6})));
-  children.push_back(Source(MakeI64Batch({2, 3, 5, 7})));
-  MergeOperator merge(std::move(children), 0);
-  EXPECT_EQ(Collect(merge).columns[0].i64,
+  EXPECT_EQ(MergeRuns({{1, 4, 6}, {2, 3, 5, 7}}),
             (std::vector<std::int64_t>{1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(MergeTest, HandlesEmptyChild) {
-  std::vector<OperatorPtr> children;
-  children.push_back(Source(MakeI64Batch({})));
-  children.push_back(Source(MakeI64Batch({1, 2})));
-  MergeOperator merge(std::move(children), 0);
-  EXPECT_EQ(Collect(merge).columns[0].i64, (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(MergeRuns({{}, {1, 2}}), (std::vector<std::int64_t>{1, 2}));
 }
 
 TEST(MergeTest, DuplicateKeysAcrossInputs) {
-  std::vector<OperatorPtr> children;
-  children.push_back(Source(MakeI64Batch({1, 2, 2})));
-  children.push_back(Source(MakeI64Batch({2, 2, 3})));
-  MergeOperator merge(std::move(children), 0);
-  EXPECT_EQ(Collect(merge).columns[0].i64,
+  EXPECT_EQ(MergeRuns({{1, 2, 2}, {2, 2, 3}}),
             (std::vector<std::int64_t>{1, 2, 2, 2, 2, 3}));
 }
 

@@ -10,8 +10,8 @@
 
 #include "baselines/materialized_view.h"
 #include "baselines/sort_key.h"
-#include "exec/merge.h"
-#include "optimizer/rewriter.h"
+#include "engine/executor.h"
+#include "exec/sort_merge.h"
 #include "patchindex/manager.h"
 #include "workload/generator.h"
 
@@ -34,7 +34,7 @@ TEST(MicrobenchIntegrationTest, DistinctAgreesAcrossAllApproaches) {
 
   // Reference: plain distinct.
   PatchIndexManager empty;
-  Batch ref = Collect(*PlanQuery(LDistinct(LScan(t, {1}), {0}), empty));
+  Batch ref = PlanQuery(LDistinct(LScan(t, {1}), {0}), empty);
   std::vector<std::int64_t> expect = ref.columns[0].i64;
   std::sort(expect.begin(), expect.end());
 
@@ -52,8 +52,7 @@ TEST(MicrobenchIntegrationTest, DistinctAgreesAcrossAllApproaches) {
     mgr.CreateIndex(t, 1, ConstraintKind::kNearlyUnique, IdxOptions(design));
     OptimizerOptions forced;
     forced.force_patch_rewrites = true;
-    Batch out =
-        Collect(*PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, forced));
+    Batch out = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, forced);
     std::vector<std::int64_t> vals = out.columns[0].i64;
     std::sort(vals.begin(), vals.end());
     EXPECT_EQ(vals, expect);
@@ -72,8 +71,7 @@ TEST(MicrobenchIntegrationTest, SortAgreesAcrossAllApproaches) {
   mgr.CreateIndex(t, 1, ConstraintKind::kNearlySorted, IdxOptions());
   OptimizerOptions forced;
   forced.force_patch_rewrites = true;
-  Batch out =
-      Collect(*PlanQuery(LSort(LScan(t, {1}), {{0, true}}), mgr, forced));
+  Batch out = PlanQuery(LSort(LScan(t, {1}), {{0, true}}), mgr, forced);
   EXPECT_EQ(out.columns[0].i64, expect);
 
   // SortKey baseline (on a copy, since it physically reorders).
@@ -84,7 +82,7 @@ TEST(MicrobenchIntegrationTest, SortAgreesAcrossAllApproaches) {
 }
 
 TEST(MicrobenchIntegrationTest, PartitionedSortWithFinalMerge) {
-  // Partition-local PatchIndex sort plans combined by a Merge operator
+  // Partition-local PatchIndex sort plans combined by a k-way merge
   // preserve the global order (paper §6.2: "an additional merge step of
   // the tuples from each partition is necessary").
   GeneratorConfig cfg;
@@ -97,18 +95,17 @@ TEST(MicrobenchIntegrationTest, PartitionedSortWithFinalMerge) {
   OptimizerOptions forced;
   forced.force_patch_rewrites = true;
 
-  std::vector<OperatorPtr> partition_plans;
+  std::vector<Batch> partition_runs;
   std::vector<std::int64_t> expect;
   for (std::size_t p = 0; p < pt->num_partitions(); ++p) {
-    partition_plans.push_back(PlanQuery(
+    partition_runs.push_back(PlanQuery(
         LSort(LScan(pt->partition(p), {1}), {{0, true}}), mgr, forced));
     const auto& vals = pt->partition(p).column(1).i64_data();
     expect.insert(expect.end(), vals.begin(), vals.end());
   }
   std::sort(expect.begin(), expect.end());
 
-  MergeOperator merged(std::move(partition_plans), 0);
-  Batch out = Collect(merged);
+  Batch out = MergeSortedBatches(std::move(partition_runs), {{0, true}});
   EXPECT_EQ(out.columns[0].i64, expect);
 }
 
@@ -139,8 +136,8 @@ TEST(MicrobenchIntegrationTest, UpdateStreamKeepsQueriesCorrect) {
 
   // The distinct query over the updated table is still exact.
   PatchIndexManager empty;
-  Batch ref = Collect(*PlanQuery(LDistinct(LScan(t, {1}), {0}), empty));
-  Batch out = Collect(*PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, forced));
+  Batch ref = PlanQuery(LDistinct(LScan(t, {1}), {0}), empty);
+  Batch out = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, forced);
   std::vector<std::int64_t> a = ref.columns[0].i64;
   std::vector<std::int64_t> b = out.columns[0].i64;
   std::sort(a.begin(), a.end());

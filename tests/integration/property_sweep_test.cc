@@ -11,7 +11,8 @@
 #include <tuple>
 
 #include "common/rng.h"
-#include "optimizer/rewriter.h"
+#include "engine/engine_test_util.h"
+#include "engine/executor.h"
 #include "patchindex/manager.h"
 #include "workload/generator.h"
 
@@ -102,13 +103,17 @@ TEST_P(PropertySweepTest, UpdateStreamPreservesAllInvariants) {
     ASSERT_EQ(idx->patches().NumRows(), t.num_rows()) << "query " << q;
     ASSERT_LE(idx->NumPatches(), idx->patches().NumRows());
   }
-  // (c) exact query equivalence, with and without ZBP.
-  Batch plain = Collect(*PlanQuery(QueryFor(kind, t), empty));
-  Batch patched = Collect(*PlanQuery(QueryFor(kind, t), mgr, forced));
+  // (c) exact query equivalence, with and without ZBP: the rewrite on
+  // four workers over small morsels against the plain plan on one.
+  ThreadPool one(1);
+  ThreadPool four(4);
+  Batch plain = PlanQuery(QueryFor(kind, t), empty, {}, &one);
+  LogicalPtr optimized = OptimizePlan(QueryFor(kind, t), mgr, forced);
+  Batch patched = ExecutePlan(*optimized, four, StressOptions());
   EXPECT_EQ(Canonical(std::move(patched)), Canonical(plain));
-  OptimizerOptions zbp = forced;
-  zbp.zero_branch_pruning = true;
-  Batch pruned = Collect(*PlanQuery(QueryFor(kind, t), mgr, zbp));
+  ParallelExecOptions pruning = StressOptions();
+  pruning.zero_branch_pruning = true;
+  Batch pruned = ExecutePlan(*optimized, four, pruning);
   EXPECT_EQ(Canonical(std::move(pruned)), Canonical(std::move(plain)));
 }
 

@@ -9,7 +9,8 @@
 #include <map>
 #include <sstream>
 
-#include "optimizer/rewriter.h"
+#include "engine/engine_test_util.h"
+#include "engine/executor.h"
 #include "patchindex/manager.h"
 #include "workload/tpch.h"
 
@@ -70,21 +71,24 @@ TEST_P(TpchQueryTest, PatchedPlansMatchPlainPlans) {
   const QuerySpec queries[] = {
       {"Q3", &BuildQ3}, {"Q7", &BuildQ7}, {"Q12", &BuildQ12}};
 
+  // The plain plan on one worker against the rewritten plans on four,
+  // over small morsels.
+  ThreadPool one(1);
+  ThreadPool four(4);
   for (const auto& q : queries) {
-    OperatorPtr plain = PlanQuery(q.build(db), empty);
-    const std::string expect = Canonical(Collect(*plain));
+    const std::string expect =
+        Canonical(PlanQuery(q.build(db), empty, {}, &one));
 
     OptimizerOptions forced;
     forced.force_patch_rewrites = true;
     LogicalPtr optimized = OptimizePlan(q.build(db), mgr, forced);
-    OperatorPtr patched = CompilePlan(optimized, forced);
-    EXPECT_EQ(Canonical(Collect(*patched)), expect)
+    EXPECT_EQ(Canonical(ExecutePlan(*optimized, four, StressOptions())),
+              expect)
         << q.name << " e=" << GetParam();
 
-    OptimizerOptions zbp = forced;
-    zbp.zero_branch_pruning = true;
-    OperatorPtr pruned = CompilePlan(OptimizePlan(q.build(db), mgr, zbp), zbp);
-    EXPECT_EQ(Canonical(Collect(*pruned)), expect)
+    ParallelExecOptions pruning = StressOptions();
+    pruning.zero_branch_pruning = true;
+    EXPECT_EQ(Canonical(ExecutePlan(*optimized, four, pruning)), expect)
         << q.name << " ZBP e=" << GetParam();
   }
 }
@@ -154,9 +158,8 @@ TEST(TpchUpdateTest, QueriesStayCorrectAcrossRefreshSets) {
   OptimizerOptions forced;
   forced.force_patch_rewrites = true;
   for (auto* build : {&BuildQ3, &BuildQ7, &BuildQ12}) {
-    OperatorPtr plain = PlanQuery((*build)(db), empty);
-    OperatorPtr patched = PlanQuery((*build)(db), mgr, forced);
-    EXPECT_EQ(Canonical(Collect(*patched)), Canonical(Collect(*plain)));
+    EXPECT_EQ(Canonical(PlanQuery((*build)(db), mgr, forced)),
+              Canonical(PlanQuery((*build)(db), empty)));
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <regex>
 #include <string>
@@ -67,11 +66,12 @@ const char* kJoinAnalyzeSql =
     "GROUP BY dim.name ORDER BY n DESC, dim.name LIMIT 2";
 
 TEST(ExplainAnalyzeTest, GoldenJoinGroupByOrderBy) {
-  // Pinned config so counts are deterministic: 2 workers, no size gate
-  // (the 12-row fact table must still take the parallel path).
+  // Pinned config so counts are deterministic: 2 threads, 8-row morsels
+  // (the 12-row fact table is two morsels, so its pipeline runs on two
+  // workers; the 4-row dim table and the aggregate's 4 groups are one).
   EngineOptions options;
   options.num_threads = 2;
-  options.min_parallel_rows = 0;
+  options.morsel_rows = 8;
   Engine engine(options);
   Session session = engine.CreateSession();
   LoadJoinTables(session);
@@ -83,15 +83,15 @@ TEST(ExplainAnalyzeTest, GoldenJoinGroupByOrderBy) {
 
   EXPECT_EQ(
       MaskTimes(PlanText(r.value())),
-      "Sort(2 keys, limit=2)  [rows=2, workers=1, time=<t>ms]\n"
+      "Sort(2 keys, limit=2)  [rows=2, workers=1, time=<t>ms, mem=<m>]\n"
       "  Aggregate(groups=1, aggs=2)  [rows=4, workers=2, time=<t>ms, "
       "max=<t>ms, mem=<m>]\n"
       "    Join(keys 0=0)  [rows=11, workers=2, time=<t>ms, max=<t>ms, "
       "build=<t>ms, mem=<m>]\n"
-      "      Scan(2 cols, 12 rows)  [rows=12, morsels=1, workers=2, "
+      "      Scan(2 cols, 12 rows)  [rows=12, morsels=2, workers=2, "
       "time=<t>ms, max=<t>ms]\n"
-      "      Scan(2 cols, 4 rows)  [rows=4, morsels=1, workers=2, "
-      "time=<t>ms, max=<t>ms]\n"
+      "      Scan(2 cols, 4 rows)  [rows=4, morsels=1, workers=1, "
+      "time=<t>ms]\n"
       "phases: parse=<t>ms bind=<t>ms optimize=<t>ms execute=<t>ms "
       "total=<t>ms peak_mem=<m>\n"
       "execution: parallel, workers=2, parallel join");
@@ -102,7 +102,7 @@ TEST(ExplainAnalyzeTest, GoldenPatchSortOverPrunedKeyRange) {
   // with an NSC index on val: the key range keeps one block of ten.
   EngineOptions options;
   options.num_threads = 2;
-  options.min_parallel_rows = 0;
+  options.morsel_rows = 256;  // the kept block is four morsels
   options.optimizer.force_patch_rewrites = true;
   Engine engine(options);
   Session session = engine.CreateSession();
@@ -120,25 +120,28 @@ TEST(ExplainAnalyzeTest, GoldenPatchSortOverPrunedKeyRange) {
       "key < 3072 ORDER BY val");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   // The chain runs once per PatchSort branch (exclude / use patches),
-  // so its nodes count two instances whose rows add up to the range.
+  // each on two workers over the four morsels of the kept block, so its
+  // nodes count four instances whose rows add up to the range; the
+  // PatchSort node counts the two workers that sorted patches.
   EXPECT_EQ(
       MaskTimes(PlanText(r.value())),
-      "PatchSort [NSC e=5.00%]  [rows=1024, workers=1, time=<t>ms]\n"
-      "  Select((#0 < 3072), sel=0.30)  [rows=1024, workers=2, time=<t>ms, "
+      "PatchSort [NSC e=5.00%]  [rows=1024, workers=2, time=<t>ms, "
+      "max=<t>ms, mem=<m>]\n"
+      "  Select((#0 < 3072), sel=0.30)  [rows=1024, workers=4, time=<t>ms, "
       "max=<t>ms]\n"
-      "    Select((#0 >= 2048), sel=0.30)  [rows=1024, workers=2, "
+      "    Select((#0 >= 2048), sel=0.30)  [rows=1024, workers=4, "
       "time=<t>ms, max=<t>ms]\n"
-      "      Scan(2 cols, 10240 rows)  [rows=1024, blocks=1/10, workers=2, "
-      "time=<t>ms, max=<t>ms]\n"
+      "      Scan(2 cols, 10240 rows)  [rows=1024, morsels=8, blocks=1/10, "
+      "workers=4, time=<t>ms, max=<t>ms]\n"
       "phases: parse=<t>ms bind=<t>ms optimize=<t>ms execute=<t>ms "
       "total=<t>ms peak_mem=<m>\n"
-      "execution: serial");
+      "execution: parallel, workers=2, parallel sort");
 }
 
 TEST(ExplainAnalyzeTest, SerialFallbackRendersSerial) {
-  EngineOptions options;
-  options.min_parallel_rows = std::numeric_limits<std::size_t>::max();
-  Engine engine(options);
+  // Default morsels: every input is one morsel, so one worker runs the
+  // whole plan inline.
+  Engine engine;
   Session session = engine.CreateSession();
   LoadJoinTables(session);
 

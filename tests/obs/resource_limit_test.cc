@@ -273,7 +273,9 @@ TEST(ResourceLimitTest, HistogramsSystemTableServesBucketRows) {
 
 TEST(ResourceLimitTest, WaitEventHistogramsRegisterAndRecord) {
   EngineOptions options;
-  options.min_parallel_rows = 0;  // force pool use so queue waits record
+  // Several workers over small morsels: pool tasks queue, so waits record.
+  options.num_threads = 2;
+  options.morsel_rows = 4'096;
   Engine engine(options);
   Session session = engine.CreateSession();
   GenBig(engine, session, 20'000);

@@ -9,6 +9,8 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "engine/engine_test_util.h"
+#include "engine/executor.h"
 
 namespace patchindex {
 namespace {
@@ -25,6 +27,19 @@ Table MakeTable(const std::vector<std::int64_t>& vals) {
   return t;
 }
 
+/// Runs an optimized plan on four workers over small morsels.
+Batch RunOnFourWorkers(const LogicalPtr& plan) {
+  ThreadPool pool(4);
+  return ExecutePlan(*plan, pool, StressOptions());
+}
+
+/// Executor options with zero-branch pruning (§6.3) on.
+ParallelExecOptions Pruning() {
+  ParallelExecOptions options;
+  options.zero_branch_pruning = true;
+  return options;
+}
+
 PatchIndexOptions SmallIdx() {
   PatchIndexOptions o;
   o.bitmap_options.shard_size_bits = 256;
@@ -32,8 +47,7 @@ PatchIndexOptions SmallIdx() {
   return o;
 }
 
-std::vector<std::int64_t> SortedCol0(Operator& op) {
-  Batch out = Collect(op);
+std::vector<std::int64_t> SortedCol0(const Batch& out) {
   std::vector<std::int64_t> v = out.columns[0].i64;
   std::sort(v.begin(), v.end());
   return v;
@@ -54,11 +68,11 @@ TEST(RewriterDistinctTest, RewrittenPlanMatchesPlain) {
   LogicalPtr logical = LDistinct(LScan(t, {1}), {0});
   LogicalPtr optimized = OptimizePlan(logical, mgr, opt);
   EXPECT_EQ(optimized->kind, LogicalNode::Kind::kPatchDistinct);
-  OperatorPtr patched = CompilePlan(optimized, opt);
+  Batch patched = RunOnFourWorkers(optimized);
 
   PatchIndexManager empty;
-  OperatorPtr plain = PlanQuery(LDistinct(LScan(t, {1}), {0}), empty);
-  EXPECT_EQ(SortedCol0(*patched), SortedCol0(*plain));
+  Batch plain = PlanQuery(LDistinct(LScan(t, {1}), {0}), empty);
+  EXPECT_EQ(SortedCol0(patched), SortedCol0(plain));
 }
 
 TEST(RewriterDistinctTest, NoIndexNoRewrite) {
@@ -76,9 +90,9 @@ TEST(RewriterDistinctTest, ZeroBranchPruningOnPerfectConstraint) {
   mgr.CreateIndex(t, 1, ConstraintKind::kNearlyUnique, SmallIdx());
   OptimizerOptions opt;
   opt.force_patch_rewrites = true;
-  opt.zero_branch_pruning = true;
-  OperatorPtr plan = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt);
-  EXPECT_EQ(SortedCol0(*plan), (std::vector<std::int64_t>{1, 3, 5, 8}));
+  Batch plan = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt, nullptr,
+                         Pruning());
+  EXPECT_EQ(SortedCol0(plan), (std::vector<std::int64_t>{1, 3, 5, 8}));
 }
 
 TEST(RewriterDistinctTest, WorksThroughSelectionChain) {
@@ -91,8 +105,8 @@ TEST(RewriterDistinctTest, WorksThroughSelectionChain) {
       LSelect(LScan(t, {1}), Ge(Col(0), ConstInt(2)), 0.8), {0});
   LogicalPtr optimized = OptimizePlan(plan, mgr, opt);
   EXPECT_EQ(optimized->kind, LogicalNode::Kind::kPatchDistinct);
-  OperatorPtr op = CompilePlan(optimized, opt);
-  EXPECT_EQ(SortedCol0(*op), (std::vector<std::int64_t>{2, 3, 4}));
+  Batch op = RunOnFourWorkers(optimized);
+  EXPECT_EQ(SortedCol0(op), (std::vector<std::int64_t>{2, 3, 4}));
 }
 
 TEST(RewriterSortTest, RewrittenSortIsGloballySorted) {
@@ -115,8 +129,7 @@ TEST(RewriterSortTest, RewrittenSortIsGloballySorted) {
   LogicalPtr optimized =
       OptimizePlan(LSort(LScan(t, {1}), {{0, true}}), mgr, opt);
   EXPECT_EQ(optimized->kind, LogicalNode::Kind::kPatchSort);
-  OperatorPtr plan = CompilePlan(optimized, opt);
-  Batch out = Collect(*plan);
+  Batch out = RunOnFourWorkers(optimized);
   ASSERT_EQ(out.num_rows(), vals.size());
   EXPECT_TRUE(std::is_sorted(out.columns[0].i64.begin(),
                              out.columns[0].i64.end()));
@@ -175,13 +188,13 @@ TEST(RewriterJoinTest, PatchJoinMatchesHashJoin) {
   opt.force_patch_rewrites = true;
   LogicalPtr optimized = OptimizePlan(build_logical(), mgr, opt);
   ASSERT_EQ(optimized->kind, LogicalNode::Kind::kPatchJoin);
-  OperatorPtr patched = CompilePlan(optimized, opt);
+  Batch patched = RunOnFourWorkers(optimized);
 
   PatchIndexManager empty;
-  OperatorPtr plain = PlanQuery(build_logical(), empty);
+  Batch plain = PlanQuery(build_logical(), empty);
 
-  Batch a = Collect(*patched);
-  Batch b = Collect(*plain);
+  const Batch& a = patched;
+  const Batch& b = plain;
   ASSERT_EQ(a.num_rows(), b.num_rows());
   // Compare as multisets of (order key, lineitem val).
   auto key_of = [](const Batch& batch, std::size_t i) {
@@ -209,8 +222,8 @@ TEST(RewriterJoinTest, RequiresSortedX) {
 }
 
 TEST(RewriterJoinTest, ZeroBranchPruningUsesPureMergeJoin) {
-  // Perfectly sorted fact table: with ZBP the plan degenerates to a
-  // single MergeJoin.
+  // Perfectly sorted fact table: with ZBP the plan degenerates to the
+  // merge branch alone.
   Table orders(KvSchema());
   Table lineitem(KvSchema());
   for (std::int64_t k = 0; k < 100; ++k) {
@@ -224,11 +237,10 @@ TEST(RewriterJoinTest, ZeroBranchPruningUsesPureMergeJoin) {
   ASSERT_EQ(idx->NumPatches(), 0u);
   OptimizerOptions opt;
   opt.force_patch_rewrites = true;
-  opt.zero_branch_pruning = true;
-  OperatorPtr plan = PlanQuery(
+  Batch plan = PlanQuery(
       LJoin(LScan(orders, {0, 1}, 0), LScan(lineitem, {0, 1}), 0, 0), mgr,
-      opt);
-  EXPECT_EQ(CountRows(*plan), 200u);
+      opt, nullptr, Pruning());
+  EXPECT_EQ(plan.num_rows(), 200u);
 }
 
 TEST(RewriterDistinctTest, ZeroBranchPruningAtFullExceptionRate) {
@@ -241,9 +253,9 @@ TEST(RewriterDistinctTest, ZeroBranchPruningAtFullExceptionRate) {
   ASSERT_EQ(idx->NumPatches(), t.num_rows());
   OptimizerOptions opt;
   opt.force_patch_rewrites = true;
-  opt.zero_branch_pruning = true;
-  OperatorPtr plan = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt);
-  EXPECT_EQ(SortedCol0(*plan), (std::vector<std::int64_t>{7, 8}));
+  Batch plan = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt, nullptr,
+                         Pruning());
+  EXPECT_EQ(SortedCol0(plan), (std::vector<std::int64_t>{7, 8}));
 }
 
 TEST(RewriterSortTest, ZeroBranchPruningAtFullExceptionRate) {
@@ -252,11 +264,9 @@ TEST(RewriterSortTest, ZeroBranchPruningAtFullExceptionRate) {
   mgr.CreateIndex(t, 1, ConstraintKind::kNearlySorted, SmallIdx());
   OptimizerOptions opt;
   opt.force_patch_rewrites = true;
-  opt.zero_branch_pruning = true;
-  OperatorPtr plan =
-      PlanQuery(LSort(LScan(t, {1}), {{0, true}}), mgr, opt);
-  Batch out = Collect(*plan);
-  EXPECT_EQ(out.columns[0].i64, (std::vector<std::int64_t>{1, 2, 3, 4, 5}));
+  Batch plan = PlanQuery(LSort(LScan(t, {1}), {{0, true}}), mgr, opt,
+                         nullptr, Pruning());
+  EXPECT_EQ(plan.columns[0].i64, (std::vector<std::int64_t>{1, 2, 3, 4, 5}));
 }
 
 TEST(CostModelTest, DistinctRewritePaysOffAtLowExceptionRates) {

@@ -7,7 +7,7 @@
 #include <set>
 
 #include "common/rng.h"
-#include "optimizer/rewriter.h"
+#include "engine/executor.h"
 #include "patchindex/manager.h"
 #include "workload/generator.h"
 
@@ -137,8 +137,7 @@ TEST(MaintenanceTest, AlternatingUpdateKindsAcrossManyQueries) {
   // The sort plan over the heavily-updated table is still exactly sorted.
   OptimizerOptions forced;
   forced.force_patch_rewrites = true;
-  Batch out =
-      Collect(*PlanQuery(LSort(LScan(t, {1}), {{0, true}}), mgr, forced));
+  Batch out = PlanQuery(LSort(LScan(t, {1}), {{0, true}}), mgr, forced);
   ASSERT_EQ(out.num_rows(), t.num_rows());
   EXPECT_TRUE(
       std::is_sorted(out.columns[0].i64.begin(), out.columns[0].i64.end()));

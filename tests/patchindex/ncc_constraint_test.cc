@@ -8,7 +8,7 @@
 #include <set>
 
 #include "common/rng.h"
-#include "optimizer/rewriter.h"
+#include "engine/executor.h"
 #include "patchindex/discovery.h"
 #include "patchindex/manager.h"
 #include "patchindex/ncc_constraint.h"
@@ -160,9 +160,10 @@ TEST(NccPatchIndexTest, InsertIntoEmptyTableDefinesConstant) {
 
 std::vector<std::int64_t> RunDistinct(const Table& t,
                                       const PatchIndexManager& mgr,
-                                      const OptimizerOptions& opt) {
-  OperatorPtr plan = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt);
-  Batch out = Collect(*plan);
+                                      const OptimizerOptions& opt,
+                                      const ParallelExecOptions& exec = {}) {
+  Batch out =
+      PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt, nullptr, exec);
   std::vector<std::int64_t> v = out.columns[0].i64;
   std::sort(v.begin(), v.end());
   return v;
@@ -204,8 +205,10 @@ TEST(NccRewriteTest, ZeroBranchPruningYieldsSingleRow) {
   ASSERT_EQ(idx->NumPatches(), 0u);
   OptimizerOptions opt;
   opt.force_patch_rewrites = true;
-  opt.zero_branch_pruning = true;
-  EXPECT_EQ(RunDistinct(t, mgr, opt), (std::vector<std::int64_t>{6}));
+  ParallelExecOptions pruning;
+  pruning.zero_branch_pruning = true;
+  EXPECT_EQ(RunDistinct(t, mgr, opt, pruning),
+            (std::vector<std::int64_t>{6}));
 }
 
 TEST(NccRewriteTest, NotAppliedThroughSelections) {

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -480,14 +479,14 @@ TEST_F(SqlEquivalenceTest, LimitZeroReturnsNoRows) {
 }
 
 TEST_F(SqlEquivalenceTest, ParallelAndSerialSqlAgree) {
-  // The same SQL under a parallelism-forcing engine and a serial-pinned
-  // engine; the morsel executor and operator tree must agree.
+  // The same SQL on four workers over small morsels and on one worker
+  // (a one-thread pool) must agree.
   EngineOptions parallel_opts;
   parallel_opts.num_threads = 4;
-  parallel_opts.min_parallel_rows = 0;
+  parallel_opts.morsel_rows = 4'096;
   Engine parallel(parallel_opts);
   EngineOptions serial_opts;
-  serial_opts.min_parallel_rows = std::numeric_limits<std::size_t>::max();
+  serial_opts.num_threads = 1;
   Engine serial(serial_opts);
 
   GeneratorConfig cfg;
