@@ -30,6 +30,7 @@
 #include "bitmap/sharded_bitmap.h"
 #include "bitmap/shift.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "optimizer/plan.h"
 
@@ -41,10 +42,11 @@ constexpr std::uint64_t kDeletes = 100'000;
 
 double RunOnce(std::uint64_t shard_bits, bool vectorized,
                const std::vector<std::uint64_t>& kill) {
+  static ThreadPool pool(DefaultThreadCount());
   ShardedBitmapOptions opt;
   opt.shard_size_bits = shard_bits;
   opt.vectorized = vectorized;
-  opt.parallel = true;
+  opt.pool = &pool;
   ShardedBitmap bm(kBits, opt);
   return bench::TimeOnce([&] { bm.BulkDelete(kill); });
 }

@@ -17,6 +17,7 @@
 #include "baselines/sort_key.h"
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "patchindex/manager.h"
 #include "workload/generator.h"
 
@@ -76,9 +77,12 @@ double RunCell(bool nuc, OpKind op, Approach approach, int granularity) {
   std::unique_ptr<SortKey> sk;
   if (approach == Approach::kPiBitmap ||
       approach == Approach::kPiIdentifier) {
+    // The bitmap's bulk deletes shift shards in parallel on this pool.
+    static ThreadPool delete_pool(DefaultThreadCount());
     PatchIndexOptions o;
     o.design = approach == Approach::kPiBitmap ? PatchSetDesign::kBitmap
                                                : PatchSetDesign::kIdentifier;
+    o.bitmap_options.pool = &delete_pool;
     mgr.CreateIndex(t, 1,
                     nuc ? ConstraintKind::kNearlyUnique
                         : ConstraintKind::kNearlySorted,

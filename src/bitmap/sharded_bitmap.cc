@@ -66,9 +66,8 @@ void ShardedBitmap::BulkDelete(const std::vector<std::uint64_t>& positions) {
       --used;
     }
   };
-  if (options_.parallel && work.size() > 1) {
-    ThreadPool& pool = options_.pool ? *options_.pool : ThreadPool::Default();
-    pool.ParallelFor(work.size(), [&run_shard, &work](std::size_t i) {
+  if (options_.pool != nullptr && work.size() > 1) {
+    options_.pool->ParallelFor(work.size(), [&run_shard, &work](std::size_t i) {
       run_shard(work[i]);
     });
   } else {

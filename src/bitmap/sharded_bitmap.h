@@ -23,9 +23,9 @@ struct ShardedBitmapOptions {
   /// Use the AVX2 cross-element shift kernel when the CPU supports it.
   bool vectorized = true;
 
-  /// Run bulk deletes shard-parallel on a thread pool (nullptr = default
-  /// process-wide pool). Single-threaded when `parallel` is false.
-  bool parallel = true;
+  /// Run bulk deletes shard-parallel on this pool; serially when null.
+  /// Must not be a pool whose task performs the delete (ParallelFor from
+  /// inside one of its own tasks could wait on itself).
   ThreadPool* pool = nullptr;
 
   /// When utilization (live bits / physical capacity) drops below this
@@ -77,8 +77,9 @@ class ShardedBitmap {
   void Delete(std::uint64_t pos);
 
   /// Removes all bits at `positions` (sorted ascending, unique, pre-delete
-  /// logical positions). Shard-local shifts run in parallel; start values
-  /// are adapted in one traversal with a running deletion count (§4.2.3).
+  /// logical positions). Shard-local shifts run in parallel on
+  /// `options.pool` when set; start values are adapted in one traversal
+  /// with a running deletion count (§4.2.3).
   void BulkDelete(const std::vector<std::uint64_t>& positions);
 
   /// Appends `count` zero bits at the logical end.

@@ -28,33 +28,28 @@ namespace {
 
 /// The storage behind one scan node, flattened to partitions: a plain
 /// table is a single "partition" at global base 0; a multi-partition
-/// PartitionedTable lists every partition with its global visible-row
-/// offset (scans add it to their rowIDs so output rowIDs are
-/// table-global).
+/// PartitionedTable lists every partition with its global base-row offset
+/// (scans add it to their rowIDs so output rowIDs are table-global,
+/// matching PartitionedTable::ResolveRow).
 ///
 /// For catalog tables, PinnedReadSet retargeted the scan node's table
 /// pointers at the immutable snapshot of a pinned TableVersion, so
 /// everything below reads frozen state with no table lock held. A
-/// free-standing table (the §5 handlers' PDT-aware scans, tests) is read
-/// as is. The executor cannot tell the difference and must not care —
-/// both are plain `const Table*`s.
+/// free-standing table (benches, tests) is read as is. Either way a plan
+/// reads checkpointed tables only: a partition with pending PDT deltas
+/// aborts here, before any scan is built.
 struct ScanTarget {
   const LogicalNode* scan = nullptr;
   std::vector<const Table*> parts;
   std::vector<std::uint64_t> bases;
 
   /// The scan's morsel spec: every partition's base rows the scan's block
-  /// pruning kept (all of them when unpruned), plus an inserts morsel per
-  /// partition with pending PDT inserts.
+  /// pruning kept (all of them when unpruned).
   std::vector<MorselPartition> FullWork() const {
     std::vector<MorselPartition> work;
     work.reserve(parts.size());
     for (std::size_t p = 0; p < parts.size(); ++p) {
-      MorselPartition m;
-      m.partition = p;
-      m.ranges = ScanBaseRanges(*scan, p);
-      m.with_inserts = !parts[p]->pdt().inserts().empty();
-      work.push_back(std::move(m));
+      work.push_back({p, ScanBaseRanges(*scan, p)});
     }
     return work;
   }
@@ -64,16 +59,13 @@ ScanTarget TargetOf(const LogicalNode& scan) {
   ScanTarget target;
   target.scan = &scan;
   target.parts = ScanPartitions(scan);
-  // Offsets accumulate *visible* rows: each partition emits exactly its
-  // visible positions [0, visible_p) (deletes compact, inserts append),
-  // so visible offsets keep global rowIDs contiguous and unique for any
-  // pending deltas. With a clean PDT — the only state in which scan
-  // rowIDs are fed back into updates, under the exclusive lock —
-  // visible == base, matching PartitionedTable::ResolveRow exactly.
   std::uint64_t base = 0;
   for (const Table* part : target.parts) {
+    PIDX_CHECK_MSG(part->pdt().empty(),
+                   "a plan reads checkpointed tables only; commit or "
+                   "checkpoint the pending deltas first");
     target.bases.push_back(base);
-    base += part->num_visible_rows();
+    base += part->num_rows();
   }
   return target;
 }
@@ -453,8 +445,8 @@ class MergeProbeOperator : public Operator {
       }
       const std::vector<std::int64_t>& keys = fact.columns[fact_key_].i64;
       if (!std::is_sorted(keys.begin(), keys.end())) {
-        // Pending inserts lie beyond the index's domain and count as
-        // non-patches without being part of its sorted order.
+        // Rows appended after the index was built lie beyond its domain
+        // and count as non-patches without being part of its sorted order.
         SortBatchRows(&fact, {{fact_key_, true}});
       }
       const std::vector<std::int64_t>& x_keys = x_->columns[x_key_].i64;
@@ -549,6 +541,18 @@ class Executor {
     return std::max<std::size_t>(1, std::min(morsels, pool_.num_threads()));
   }
 
+  /// Raises `node`'s worker count to the `n` workers that drained one of
+  /// its branches. A patch node's operators count the workers of its
+  /// patch branch; its excluded branch drains unprofiled, and when the
+  /// patch branch is pruned that drain is the only one that ran.
+  void CountBranchWorkers(const LogicalNode& node, std::size_t n) const {
+    obs::NodeStats* stats = Stats(&node);
+    if (stats == nullptr) return;
+    if (stats->workers.load(std::memory_order_relaxed) < n) {
+      stats->workers.store(n, std::memory_order_relaxed);
+    }
+  }
+
   /// Runs task(i) for i in [0, n) through ThreadPool::ParallelFor: inline
   /// when n is 1, else awaiting only this query's own tasks, every one of
   /// which finishes before a failure is rethrown (workers reference
@@ -639,17 +643,9 @@ class Executor {
     b.queue = std::make_shared<MorselQueue>(target->FullWork(),
                                             options_.morsel_rows);
     b.leaf = [target, opts](const Morsel& m) -> OperatorPtr {
-      // Base morsels scan their partition-local range with pending inserts
-      // suppressed; a partition's inserts morsel scans only its PDT
-      // inserts, so each pending insert is emitted exactly once.
       ScanOptions o = opts;
       o.row_id_offset = target->bases[m.partition];
-      if (m.kind == Morsel::Kind::kBase) {
-        o.scan_inserts = false;
-        o.ranges = {m.range};
-      } else {
-        o.source = ScanSource::kInsertsOnly;
-      }
+      o.ranges = {m.range};
       return std::make_unique<ScanOperator>(*target->parts[m.partition],
                                             target->scan->columns, o);
     };
@@ -663,8 +659,7 @@ class Executor {
   Pipeline BatchPipeline(std::shared_ptr<const Batch> data) const {
     Branch b;
     b.queue = std::make_shared<MorselQueue>(
-        std::vector<RowRange>{{0, data->num_rows()}}, /*with_inserts=*/false,
-        options_.morsel_rows);
+        std::vector<RowRange>{{0, data->num_rows()}}, options_.morsel_rows);
     b.types = data->types();
     b.leaf = [data](const Morsel& m) -> OperatorPtr {
       return std::make_unique<BatchSliceSource>(data.get(), m.range);
@@ -679,8 +674,8 @@ class Executor {
   /// batches; after the barrier, one task per partition assembles that
   /// partition's hash table from all workers' spills. With a NUC index on
   /// the build key (annotated by the rewriter), rows the index proves
-  /// unique skip duplicate chaining (exceptions and pending inserts take
-  /// the chained path; see JoinHashTable for why this stays exact).
+  /// unique skip duplicate chaining (exceptions take the chained path; see
+  /// JoinHashTable for why this stays exact).
   HashTables BuildHashTables(const Pipeline& build,
                              std::vector<ColumnType> types, std::size_t key,
                              const PatchIndex* nuc, const LogicalNode& join) {
@@ -939,6 +934,7 @@ class Executor {
 
     Batch result;
     result.Reset(types);
+    std::size_t excluded_workers = 0;
     if (idx->constraint() == ConstraintKind::kNearlyConstant) {
       if (idx->NumRows() > idx->NumPatches() && idx->has_constant()) {
         result.columns[0].i64.push_back(idx->constant_value());
@@ -956,6 +952,7 @@ class Executor {
             std::move(op), std::vector<ExprPtr>{Col(col)});
       });
       result = Drain(p, types, node, /*ordered=*/false);
+      excluded_workers = Workers(p);
     }
     if (!no_patches) {
       Batch patches = Aggregate(
@@ -969,6 +966,7 @@ class Executor {
         result.AppendRowFrom(patches, i);
       }
     }
+    CountBranchWorkers(node, excluded_workers);
     if (obs::NodeStats* stats = Stats(&node)) {
       stats->rows.store(result.num_rows(), std::memory_order_relaxed);
       stats->time_ns.store(
@@ -991,12 +989,12 @@ class Executor {
       return MergeRuns(SortedRuns(Lower(chain), node), node);
     }
     const bool no_patches = zbp && idx->NumPatches() == 0;
+    const Pipeline excluded = Lower(
+        chain, no_patches ? ScanOptions{}
+                          : PatchScan(idx, PatchSelectMode::kExcludePatches));
     std::vector<Batch> runs;
-    runs.push_back(Drain(
-        Lower(chain, no_patches
-                         ? ScanOptions{}
-                         : PatchScan(idx, PatchSelectMode::kExcludePatches)),
-        LogicalOutputTypes(chain), node, /*ordered=*/true));
+    runs.push_back(
+        Drain(excluded, LogicalOutputTypes(chain), node, /*ordered=*/true));
     if (!no_patches) {
       for (Batch& run : SortedRuns(
                Lower(chain, PatchScan(idx, PatchSelectMode::kUsePatches)),
@@ -1004,6 +1002,7 @@ class Executor {
         runs.push_back(std::move(run));
       }
     }
+    CountBranchWorkers(node, Workers(excluded));
     return MergeRuns(std::move(runs), node);
   }
 

@@ -23,8 +23,9 @@ struct ParallelExecOptions {
 
   /// Zero-branch pruning (§6.3): a patch rewrite whose index holds no
   /// patches (or only patches) when it executes skips the branch known to
-  /// be empty, and the then-no-op patch selection.
-  bool zero_branch_pruning = false;
+  /// be empty, and the then-no-op patch selection. Off only to measure the
+  /// unpruned plan (Fig. 10's PI columns).
+  bool zero_branch_pruning = true;
 
   /// When set, every worker operator is wrapped to record rows, morsel
   /// counts, and per-worker wall time into this accumulator (EXPLAIN
@@ -83,6 +84,10 @@ struct ParallelExecReport {
 /// result's row order is whatever the workers produced, except where the
 /// plan orders it (sorts) or the executor relies on it: PatchSort's
 /// constraint-satisfying run and PatchJoin's sorted X keep input order.
+///
+/// A plan reads checkpointed tables only: every partition it scans must
+/// have an empty PDT, or ExecutePlan aborts (PIDX_CHECK). Pending deltas
+/// become readable through Table::Checkpoint or the §5 commit protocol.
 ///
 /// Thread-safety: catalog tables must be read through a PinnedReadSet
 /// (Session::Execute does), or under the table's exclusive lock (DML row

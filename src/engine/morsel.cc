@@ -15,7 +15,6 @@ void MorselQueue::Chop(const std::vector<MorselPartition>& partitions,
       while (begin < range.end) {
         const RowId end = std::min<RowId>(range.end, begin + morsel_rows);
         Morsel m;
-        m.kind = Morsel::Kind::kBase;
         m.partition = part.partition;
         m.range = {begin, end};
         m.seq = morsels_.size();
@@ -24,22 +23,13 @@ void MorselQueue::Chop(const std::vector<MorselPartition>& partitions,
       }
     }
   }
-  for (const MorselPartition& part : partitions) {
-    if (!part.with_inserts) continue;
-    Morsel m;
-    m.kind = Morsel::Kind::kInserts;
-    m.partition = part.partition;
-    m.seq = morsels_.size();
-    morsels_.push_back(m);
-  }
 }
 
 MorselQueue::MorselQueue(const std::vector<RowRange>& base_ranges,
-                         bool with_inserts, std::size_t morsel_rows) {
+                         std::size_t morsel_rows) {
   MorselPartition part;
   part.partition = 0;
   part.ranges = base_ranges;
-  part.with_inserts = with_inserts;
   Chop({part}, morsel_rows);
 }
 

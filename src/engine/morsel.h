@@ -14,16 +14,12 @@ namespace patchindex {
 /// rebalance (morsel-driven parallelism, Leis et al., SIGMOD'14).
 inline constexpr std::size_t kDefaultMorselRows = 64 * 1024;
 
-/// A unit of scan work claimed by a worker: either a contiguous base-row
-/// range of one partition, or the single pseudo-morsel covering that
-/// partition's pending PDT inserts (which one worker scans via
-/// ScanSource::kInsertsOnly so they are emitted exactly once). For plain
-/// (unpartitioned) tables `partition` is always 0.
+/// A unit of scan work claimed by a worker: a contiguous base-row range of
+/// one partition. For plain (unpartitioned) tables and materialized
+/// intermediate results `partition` is always 0.
 struct Morsel {
-  enum class Kind { kBase, kInserts };
-  Kind kind = Kind::kBase;
   std::size_t partition = 0;
-  RowRange range{0, 0};  // partition-local base-row range; unused for kInserts
+  RowRange range{0, 0};  // partition-local base-row range
   std::size_t seq = 0;   // position in the queue, i.e. in scan order
 };
 
@@ -31,7 +27,6 @@ struct Morsel {
 struct MorselPartition {
   std::size_t partition = 0;
   std::vector<RowRange> ranges;  // partition-local base-row ranges
-  bool with_inserts = false;     // partition has pending PDT inserts
 };
 
 /// Shared work queue the morsel-driven executor's workers pull from.
@@ -45,17 +40,15 @@ struct MorselPartition {
 /// Thread-safety: construction is single-threaded; afterwards the morsel
 /// list is immutable and Next() may be called from any number of threads
 /// concurrently. The queue does not own the scanned table — callers keep
-/// it alive (and, for catalog tables, shared-locked) until every worker
-/// has drained.
+/// it alive until every worker has drained.
 class MorselQueue {
  public:
   /// Single-table convenience: all ranges belong to partition 0.
-  MorselQueue(const std::vector<RowRange>& base_ranges, bool with_inserts,
+  MorselQueue(const std::vector<RowRange>& base_ranges,
               std::size_t morsel_rows = kDefaultMorselRows);
 
   /// Partition-aware construction: each partition's ranges are chopped
-  /// independently; partitions with pending inserts get one dedicated
-  /// inserts morsel each (appended after all base morsels).
+  /// independently, in partition order.
   explicit MorselQueue(const std::vector<MorselPartition>& partitions,
                        std::size_t morsel_rows = kDefaultMorselRows);
 
@@ -68,7 +61,7 @@ class MorselQueue {
   void Chop(const std::vector<MorselPartition>& partitions,
             std::size_t morsel_rows);
 
-  std::vector<Morsel> morsels_;  // base morsels, then inserts morsels
+  std::vector<Morsel> morsels_;  // in scan order
   std::atomic<std::size_t> next_{0};
 };
 

@@ -118,7 +118,7 @@ void FillTables(Engine* engine, Table* out) {
     std::uint64_t rows = 0;
     PdtCounts pdt;
     for (std::size_t p = 0; p < table.num_partitions(); ++p) {
-      rows += table.partition(p).num_visible_rows();
+      rows += table.partition(p).num_rows();
       const PdtCounts c = CountPdt(table.partition(p));
       pdt.inserts += c.inserts;
       pdt.deletes += c.deletes;
@@ -165,7 +165,7 @@ void FillPartitions(Engine* engine, Table* out) {
       Row r;
       r.cells = {S(name),
                  I(static_cast<std::uint64_t>(p)),
-                 I(part.num_visible_rows()),
+                 I(part.num_rows()),
                  I(pdt.inserts),
                  I(pdt.deletes),
                  I(pdt.modifies),

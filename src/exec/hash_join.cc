@@ -27,10 +27,9 @@ void JoinHashTable::AddRow(const Batch& src, std::size_t row,
   if (unique_hint) {
     auto [it, inserted] = unique_.emplace(key, idx);
     if (inserted) return;
-    // Violated promise (a pending modify can duplicate a NUC key before
-    // the index is refreshed): demote the resident occurrence to the
-    // chained path alongside the new one; probes check both structures,
-    // so every copy is still found.
+    // Violated promise: demote the resident occurrence to the chained
+    // path alongside the new one; probes check both structures, so every
+    // copy is still found.
     chained_.emplace(key, it->second);
     unique_.erase(it);
   }

@@ -25,9 +25,8 @@ struct NodeStats;
 /// Keys live in two structures: a unique map for rows whose key is
 /// promised to appear at most once (NUC non-exception rows — probing them
 /// is a single lookup with no duplicate chaining), and a chained multimap
-/// for everything else (NUC patches, pending PDT inserts, unindexed
-/// builds). A violated uniqueness promise — pending modifies can
-/// duplicate a NUC key — is detected on insert and both occurrences are
+/// for everything else (NUC patches, unindexed builds). A violated
+/// uniqueness promise is detected on insert and both occurrences are
 /// demoted to the chained path, so probe results stay exact no matter
 /// what the caller promises.
 class JoinHashTable {
@@ -107,8 +106,8 @@ struct HashJoinOptions {
 
   /// Advisory NUC index over the build side's rowIDs: build rows the
   /// index proves unique skip duplicate chaining, exceptions (and rows
-  /// outside the index's domain, i.e. pending inserts) take the chained
-  /// path. Results are exact with or without it.
+  /// outside the index's domain) take the chained path. Results are exact
+  /// with or without it.
   const RowIdFilter* build_unique_filter = nullptr;
 };
 

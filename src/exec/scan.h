@@ -12,39 +12,19 @@
 
 namespace patchindex {
 
-/// Which tuples a table scan produces.
-enum class ScanSource {
-  /// Base rows minus pending PDT deletes, with pending modifies applied,
-  /// followed by pending inserts ("the actual table including inserted
-  /// values", paper §5.1).
-  kVisible,
-  /// Base rows only, ignoring the PDT.
-  kBaseOnly,
-  /// Only the pending PDT inserts ("scanning the inserted values is
-  /// realized by scanning the PDTs of the current query", §5.1). Emitted
-  /// rowIDs are the positions the rows will occupy after checkpoint.
-  kInsertsOnly,
-};
-
+/// What a table scan reads: the base columns of a checkpointed table.
+/// Pending PDT deltas are never merged into a scan — queries read
+/// published versions, whose PDT is empty (ExecutePlan checks it), and
+/// the §5 update handlers read the PDT directly as their delta input.
 struct ScanOptions {
-  ScanSource source = ScanSource::kVisible;
-
   /// Static range propagation: restricts the scan to these base-row
-  /// ranges (empty = full table). Pending inserts are always scanned
-  /// unless `scan_inserts` is false.
+  /// ranges (empty = full table).
   std::vector<RowRange> ranges;
-
-  /// When false, a kVisible scan emits only base rows and skips the
-  /// pending PDT inserts. The morsel-driven executor partitions the base
-  /// rows into ranges scanned by many workers and gives the pending
-  /// inserts a dedicated kInsertsOnly morsel — without this flag every
-  /// worker would re-emit the inserts. Ignored for kInsertsOnly.
-  bool scan_inserts = true;
 
   /// Dynamic range propagation: when set together with `minmax`, the scan
   /// resolves `ranges` at Open() time by pruning blocks against the
-  /// published key range (paper §5.1, Figure 5 "DRP"). Ranges listed in
-  /// `ranges` are scanned in addition to the pruning result.
+  /// published key range (paper §5.1, Figure 5 "DRP"); `ranges` is then
+  /// ignored.
   DynamicRangePtr dynamic_range;
   const MinMaxIndex* minmax = nullptr;
 
@@ -64,13 +44,14 @@ struct ScanOptions {
   /// into the scan, emitting either only constraint-satisfying tuples
   /// (kExcludePatches) or only the exceptions (kUsePatches). Fused into
   /// the scan so the gaps between patches move as bulk column slices.
-  /// Rows beyond the filter's domain (pending inserts not yet covered by
-  /// the index) are treated as non-patches.
+  /// Rows beyond the filter's domain are treated as non-patches.
   const RowIdFilter* patch_filter = nullptr;
   PatchSelectMode patch_mode = PatchSelectMode::kExcludePatches;
 };
 
-/// Vectorized table scan producing the requested columns plus rowIDs.
+/// Vectorized scan of a table's base columns, producing the requested
+/// columns plus rowIDs (base positions + `row_id_offset`). Row ranges are
+/// copied as block-segment slices; a patch filter splits them at patches.
 class ScanOperator : public Operator {
  public:
   ScanOperator(const Table& table, std::vector<std::size_t> column_indices,
@@ -86,8 +67,8 @@ class ScanOperator : public Operator {
   double effective_base_fraction() const;
 
  private:
-  bool EmitBaseRows(Batch* out);
-  bool EmitInsertRows(Batch* out);
+  /// Appends base rows [begin, end) as column slices.
+  void CopyRange(RowId begin, RowId end, Batch* out) const;
 
   const Table& table_;
   std::vector<std::size_t> cols_;
@@ -96,10 +77,7 @@ class ScanOperator : public Operator {
   // Iteration state.
   std::vector<RowRange> effective_ranges_;
   std::size_t range_idx_ = 0;
-  RowId base_pos_ = 0;        // next base row within current range
-  std::size_t delete_idx_ = 0;  // cursor into sorted PDT deletes
-  std::size_t insert_pos_ = 0;  // next pending insert
-  bool base_done_ = false;
+  RowId base_pos_ = 0;  // next base row within current range
 };
 
 }  // namespace patchindex

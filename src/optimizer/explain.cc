@@ -37,13 +37,13 @@ std::string PlanNodeLabel(const LogicalNode& node) {
         std::snprintf(buf, sizeof(buf),
                       "Scan(%zu cols, %llu rows, %zu partitions%s)",
                       node.columns.size(),
-                      static_cast<unsigned long long>(ScanVisibleRows(node)),
+                      static_cast<unsigned long long>(ScanRows(node)),
                       node.ptable->num_partitions(),
                       node.scan_sorted_col >= 0 ? ", sorted" : "");
       } else {
         std::snprintf(buf, sizeof(buf), "Scan(%zu cols, %llu rows%s)",
                       node.columns.size(),
-                      static_cast<unsigned long long>(ScanVisibleRows(node)),
+                      static_cast<unsigned long long>(ScanRows(node)),
                       node.scan_sorted_col >= 0 ? ", sorted" : "");
       }
       break;

@@ -38,11 +38,11 @@ const Schema& ScanSchema(const LogicalNode& scan) {
   return scan.ptable->schema();
 }
 
-std::uint64_t ScanVisibleRows(const LogicalNode& scan) {
+std::uint64_t ScanRows(const LogicalNode& scan) {
   PIDX_CHECK(scan.kind == LogicalNode::Kind::kScan);
-  if (scan.ptable != nullptr) return scan.ptable->num_visible_rows();
+  if (scan.ptable != nullptr) return scan.ptable->num_rows();
   PIDX_CHECK(scan.table != nullptr);
-  return scan.table->num_visible_rows();
+  return scan.table->num_rows();
 }
 
 std::vector<const Table*> ScanPartitions(const LogicalNode& scan) {
@@ -210,7 +210,7 @@ namespace {
 // Rows of the base table(s) feeding `node`, before any selections.
 double BaseTableRows(const LogicalNode& node) {
   if (node.kind == LogicalNode::Kind::kScan) {
-    return static_cast<double>(ScanVisibleRows(node));
+    return static_cast<double>(ScanRows(node));
   }
   double total = 0;
   for (const auto& c : node.children) total = std::max(total, BaseTableRows(*c));
@@ -221,7 +221,7 @@ double BaseTableRows(const LogicalNode& node) {
 double EstimateCardinality(const LogicalNode& node) {
   switch (node.kind) {
     case LogicalNode::Kind::kScan:
-      return static_cast<double>(ScanVisibleRows(node));
+      return static_cast<double>(ScanRows(node));
     case LogicalNode::Kind::kSelect:
       return node.selectivity * EstimateCardinality(*node.children[0]);
     case LogicalNode::Kind::kProject:

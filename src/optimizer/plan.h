@@ -16,8 +16,7 @@ namespace patchindex {
 /// Block pruning of one scan (AnnotateScanPruning): per partition, in
 /// ScanPartitions order, the base-row ranges whose min/max blocks can hold
 /// rows satisfying the selections above the scan. A partition's list may
-/// be empty — no base row can qualify. Pending inserts are not covered
-/// by it; scans always read them.
+/// be empty — no base row can qualify.
 struct ScanPruning {
   std::vector<std::vector<RowRange>> ranges;
   std::uint64_t kept_blocks = 0;
@@ -115,8 +114,8 @@ LogicalPtr LScan(const PartitionedTable& table,
 
 /// The schema behind a scan node, whichever representation backs it.
 const Schema& ScanSchema(const LogicalNode& scan);
-/// Visible rows behind a scan node, across partitions.
-std::uint64_t ScanVisibleRows(const LogicalNode& scan);
+/// Base rows behind a scan node, across partitions.
+std::uint64_t ScanRows(const LogicalNode& scan);
 /// The tables a scan node reads, in rowID order: the plain table, or
 /// every partition of a multi-partition table.
 std::vector<const Table*> ScanPartitions(const LogicalNode& scan);

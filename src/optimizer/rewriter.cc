@@ -57,7 +57,6 @@ bool PartitionedScanProvedSorted(const IndexLookup& indexes,
   std::int64_t prev_last = 0;
   for (std::size_t p = 0; p < table.num_partitions(); ++p) {
     const Table& part = table.partition(p);
-    if (!part.pdt().empty()) return false;
     if (part.num_rows() == 0) continue;
     if (!PartitionProvedSorted(indexes, part, table_col)) return false;
     const Column& col = part.column(table_col);
@@ -85,7 +84,6 @@ LogicalPtr RewriteNode(LogicalPtr node, const IndexLookup& indexes,
       // re-run long after updates broke the sort order).
       if (node->scan_sorted_col >= 0) break;
       if (node->table != nullptr) {
-        if (!node->table->pdt().empty()) break;
         for (std::size_t i = 0; i < node->columns.size(); ++i) {
           if (PartitionProvedSorted(indexes, *node->table,
                                     node->columns[i])) {

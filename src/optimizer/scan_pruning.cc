@@ -69,13 +69,6 @@ std::vector<RowRange> Intersect(const std::vector<RowRange>& a,
   return out;
 }
 
-bool HasPendingModify(const Table& part, std::size_t col) {
-  for (const auto& entry : part.pdt().modifies()) {
-    if (entry.second.count(col) != 0) return true;
-  }
-  return false;
-}
-
 void AnnotateScan(LogicalNode* scan,
                   const std::vector<const Expr*>& predicates) {
   scan->pruning = nullptr;
@@ -103,9 +96,6 @@ void AnnotateScan(LogicalNode* scan,
       const std::shared_ptr<const MinMaxIndex> summary =
           part->column(col).BlockSummary();
       if (geometry == nullptr) geometry = summary;
-      // The summary holds base values; a pending modify may move a row
-      // of this column into the range, so the column cannot prune here.
-      if (HasPendingModify(*part, col)) continue;
       if (allowed.lo > allowed.hi) {
         kept.clear();
         break;

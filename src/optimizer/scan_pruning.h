@@ -13,15 +13,13 @@ namespace patchindex {
 /// (Column::BlockSummary) can satisfy every such conjunct are kept.
 ///
 /// The selections stay in the plan, so pruning only skips blocks that
-/// cannot match and never decides an answer. Two rules keep it exact
-/// against pending PDT deltas: a partition with a pending modify on a
-/// bounded column is not pruned on that column (the summary holds the old
-/// values), and pending inserts are always scanned (ScanPruning covers base
-/// rows only). Pending deletes only remove rows, so they need no rule.
+/// cannot match and never decides an answer. Plans read checkpointed
+/// tables only (see ExecutePlan), so the summaries bound every value a
+/// scan can see.
 ///
 /// Run once per execution, after OptimizePlan and after parameters are
-/// bound, on the tables the execution reads. Row-count estimates and the
-/// parallel size gate keep using the unpruned row counts.
+/// bound, on the tables the execution reads. Row-count estimates keep
+/// using the unpruned row counts.
 void AnnotateScanPruning(LogicalNode* plan);
 
 }  // namespace patchindex

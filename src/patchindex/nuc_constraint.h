@@ -12,13 +12,15 @@ namespace patchindex::internal {
 /// Nearly-unique-column update handling (paper §5.1/§5.2, Figure 5).
 ///
 /// Runs the insert/modify handling query: the delta tuples (PDT inserts,
-/// or the modified tuples) are joined against the visible table on the
-/// indexed column; rowIDs of both join sides — excluding the tuple's
-/// trivial match with itself — are merged into the patches. The hash
-/// table is built on the delta (lowest cardinality); its key range is
-/// propagated dynamically into the probe-side scan to avoid the full
-/// table scan. Intermediate result caching (Reuse operators) avoids
-/// computing the join twice for the two rowID projections.
+/// or the modified tuples with their new values) are joined against the
+/// base column; rowIDs of both join sides are merged into the patches,
+/// and so is every delta tuple whose new value occurs more than once in
+/// the delta. The hash table is built on the delta (lowest cardinality);
+/// its key range is propagated dynamically into the probe-side scan to
+/// avoid the full table scan. Intermediate result caching (Reuse
+/// operators) avoids computing the join twice for the two rowID
+/// projections. The commit protocol guarantees a PDT holds one delta
+/// kind, so the base column is current everywhere except at modified rows.
 ///
 /// For inserts, `patches` must already have been grown by OnAppendRows.
 /// With `use_drp` the probe scan is pruned through the column's
@@ -28,9 +30,9 @@ Status NucHandleInsert(const Table& table, std::size_t column, bool use_drp,
                        PatchSet* patches, double* scan_fraction);
 
 /// Modify handling: same query shape with the modified tuples (new
-/// values) as build side. The summary bounds the base values, so the
-/// probe scans the blocks of the modified rows in addition to the pruned
-/// ones.
+/// values) as build side. A modified row's base value is stale, so the
+/// probe skips those rows; their new values meet through the delta's
+/// hash map.
 Status NucHandleModify(const Table& table, std::size_t column, bool use_drp,
                        PatchSet* patches, double* scan_fraction);
 

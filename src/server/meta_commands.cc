@@ -88,11 +88,11 @@ std::string MetaTables(Engine& engine) {
     if (t == nullptr) continue;
     if (t->num_partitions() > 1) {
       Appendf(&out, "%s (%llu rows, %zu partitions)\n", name.c_str(),
-              static_cast<unsigned long long>(t->num_visible_rows()),
+              static_cast<unsigned long long>(t->num_rows()),
               t->num_partitions());
     } else {
       Appendf(&out, "%s (%llu rows)\n", name.c_str(),
-              static_cast<unsigned long long>(t->num_visible_rows()));
+              static_cast<unsigned long long>(t->num_rows()));
     }
   }
   return out;

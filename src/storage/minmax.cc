@@ -7,23 +7,6 @@
 
 namespace patchindex {
 
-std::vector<RowRange> NormalizeRanges(std::vector<RowRange> ranges) {
-  std::sort(ranges.begin(), ranges.end(),
-            [](const RowRange& a, const RowRange& b) {
-              return a.begin < b.begin;
-            });
-  std::vector<RowRange> out;
-  for (const RowRange& r : ranges) {
-    if (r.begin >= r.end) continue;
-    if (!out.empty() && r.begin <= out.back().end) {
-      out.back().end = std::max(out.back().end, r.end);
-    } else {
-      out.push_back(r);
-    }
-  }
-  return out;
-}
-
 MinMaxIndex::MinMaxIndex(const Column& column, std::uint64_t block_size)
     : num_rows_(column.size()) {
   PIDX_CHECK(block_size >= 1);

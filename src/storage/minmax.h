@@ -19,9 +19,6 @@ struct RowRange {
   }
 };
 
-/// Sorts ranges by begin and merges overlapping/adjacent ones.
-std::vector<RowRange> NormalizeRanges(std::vector<RowRange> ranges);
-
 /// Small Materialized Aggregates (Moerkotte [22]) over an INT64 column:
 /// per block of consecutive tuples, the minimum and maximum value. Scans
 /// evaluate selection predicates against the block bounds and skip blocks

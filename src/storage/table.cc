@@ -70,6 +70,11 @@ void Table::Checkpoint() {
   ++mutation_seq_;
 }
 
+std::unique_ptr<Table> Table::CloneShared() const {
+  PIDX_CHECK_MSG(pdt_.empty(), "only a checkpointed table is published");
+  return std::make_unique<Table>(*this);
+}
+
 Value Table::VisibleCell(RowId row, std::size_t col) const {
   // Visible row order: surviving base rows (deltas applied) then inserts.
   const std::uint64_t surviving = num_rows() - pdt_.deletes().size();
@@ -133,12 +138,6 @@ PartitionedTable::PartitionedTable(Schema schema,
 std::uint64_t PartitionedTable::num_rows() const {
   std::uint64_t total = 0;
   for (const auto& p : partitions_) total += p->num_rows();
-  return total;
-}
-
-std::uint64_t PartitionedTable::num_visible_rows() const {
-  std::uint64_t total = 0;
-  for (const auto& p : partitions_) total += p->num_visible_rows();
   return total;
 }
 

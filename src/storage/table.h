@@ -59,10 +59,6 @@ class Table {
   std::uint64_t num_rows() const {
     return columns_.empty() ? 0 : columns_[0].size();
   }
-  /// Rows visible to a scan: base - pending deletes + pending inserts.
-  std::uint64_t num_visible_rows() const {
-    return num_rows() - pdt_.deletes().size() + pdt_.inserts().size();
-  }
 
   Column& column(std::size_t i) { return columns_[i]; }
   const Column& column(std::size_t i) const { return columns_[i]; }
@@ -106,12 +102,10 @@ class Table {
   std::uint64_t mutation_seq() const { return mutation_seq_; }
 
   /// Immutable snapshot for MVCC publication: a copy sharing every column
-  /// block with this table (O(#blocks) pointer copies) plus a deep copy
-  /// of the pending PDT. Caller must hold the table's writer lock so the
-  /// state copied is a committed one.
-  std::unique_ptr<Table> CloneShared() const {
-    return std::make_unique<Table>(*this);
-  }
+  /// block with this table (O(#blocks) pointer copies). Only a committed
+  /// state is published, so the PDT must be empty (checked). Caller must
+  /// hold the table's writer lock.
+  std::unique_ptr<Table> CloneShared() const;
 
  private:
   Schema schema_;
@@ -153,8 +147,6 @@ class PartitionedTable {
 
   /// Base rows across all partitions (excluding pending PDT deltas).
   std::uint64_t num_rows() const;
-  /// Rows a scan would see across all partitions (deltas applied).
-  std::uint64_t num_visible_rows() const;
 
   /// Global rowID of partition `i`'s first base row (sum of the base row
   /// counts of the partitions before it).

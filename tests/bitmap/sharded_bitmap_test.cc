@@ -22,7 +22,6 @@ ShardedBitmapOptions SmallShards(std::uint64_t shard_bits = 128,
   ShardedBitmapOptions opt;
   opt.shard_size_bits = shard_bits;
   opt.vectorized = vectorized;
-  opt.parallel = false;
   return opt;
 }
 
@@ -135,7 +134,6 @@ TEST(ShardedBitmapTest, BulkDeleteParallelMatchesSerial) {
   Rng rng(23);
   ThreadPool pool(4);
   ShardedBitmapOptions par = SmallShards();
-  par.parallel = true;
   par.pool = &pool;
   ShardedBitmap parallel(8192, par);
   ShardedBitmap serial(8192, SmallShards());
@@ -220,7 +218,6 @@ TEST_P(ShardedEquivalenceTest, RandomOpsMatchOrdinaryBitmap) {
   ShardedBitmapOptions opt;
   opt.shard_size_bits = param.shard_bits;
   opt.vectorized = param.vectorized;
-  opt.parallel = false;
   ShardedBitmap sharded(3000, opt);
   Bitmap plain(3000);
   Rng rng(param.shard_bits + (param.vectorized ? 1 : 0));

@@ -6,7 +6,10 @@
 
 #include "bitmap/bitmap.h"
 #include "bitmap/sharded_bitmap.h"
+#include "common/thread_pool.h"
+#include "engine/executor.h"
 #include "exec/reuse.h"
+#include "optimizer/plan.h"
 #include "patchindex/patch_set.h"
 
 namespace patchindex {
@@ -20,7 +23,6 @@ TEST(DeathTest, BitmapDeleteOutOfRangeAborts) {
 TEST(DeathTest, ShardedBitmapDeleteOutOfRangeAborts) {
   ShardedBitmapOptions opt;
   opt.shard_size_bits = 128;
-  opt.parallel = false;
   ShardedBitmap bm(10, opt);
   EXPECT_DEATH(bm.Delete(10), "CHECK failed");
 }
@@ -34,6 +36,21 @@ TEST(DeathTest, ShardedBitmapRejectsNonPowerOfTwoShards) {
 TEST(DeathTest, MarkPatchBeyondDomainAborts) {
   auto ps = PatchSet::Create(PatchSetDesign::kIdentifier, 5);
   EXPECT_DEATH(ps->MarkPatch(5), "CHECK failed");
+}
+
+TEST(DeathTest, ExecutePlanOverPendingDeltasAborts) {
+  // Plans read checkpointed tables only: a buffered delete must be
+  // committed before any scan can see the table.
+  Table t(Schema({{"k", ColumnType::kInt64}}));
+  for (std::int64_t i = 0; i < 4; ++i) t.AppendRow(Row{{Value(i)}});
+  ASSERT_TRUE(t.BufferDelete(1).ok());
+  LogicalPtr plan = LScan(t, {0});
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(1);
+        ExecutePlan(*plan, pool);
+      },
+      "checkpointed tables only");
 }
 
 TEST(DeathTest, ReuseLoadBeforeCacheDrainAborts) {

@@ -1,8 +1,8 @@
 // Property tests asserting the morsel-driven executor returns the same
 // rows on many workers (small morsels) as on one, and a forced patch
 // rewrite the same rows as its unrewritten plan, on generated
-// NUC/NSC/NCC tables, across plan shapes, exception rates, and pending
-// PDT inserts/modifies/deletes.
+// NUC/NSC/NCC tables, across plan shapes, exception rates, and committed
+// inserts/modifies/deletes.
 
 #include <gtest/gtest.h>
 
@@ -212,9 +212,9 @@ TEST(ParallelEquivalenceTest, NccDistinctCollapsesToConstantPlusPatches) {
   ExpectEquivalent(plan, pool, LDistinct(LScan(t, {1}), {0}));
 }
 
-/// One pending (buffered, uncommitted) delta kind per round: scans must
-/// merge the PDT on the fly, and many workers' base morsels plus the
-/// dedicated inserts morsel must reproduce the one-worker merge exactly.
+/// One buffered delta kind per round, committed through the §5 protocol
+/// before the reads: many workers must reproduce the one-worker result,
+/// and a forced rewrite the rows of its unrewritten plan.
 TEST(ParallelEquivalenceTest, RandomizedPendingDeltaSweep) {
   ThreadPool pool(4);
   Rng rng(23);
@@ -251,6 +251,7 @@ TEST(ParallelEquivalenceTest, RandomizedPendingDeltaSweep) {
                         .ok());
       }
     }
+    ASSERT_TRUE(manager.CommitUpdateQuery(t).ok()) << "round " << round;
 
     ExpectEquivalent(LScan(t, {0, 1}), pool);
     ExpectEquivalent(
@@ -263,22 +264,20 @@ TEST(ParallelEquivalenceTest, RandomizedPendingDeltaSweep) {
                                 {{AggOp::kCount, 0}, {AggOp::kMax, 1}}),
                      pool);
 
-    // Patch-aware scans over the same pending deltas. The index covers
-    // committed rows only, so here the rewrite is checked for worker-count
-    // invariance, not against the unrewritten plan — and PatchSort for its
-    // rows only: pending deltas leave its constraint-satisfying run
-    // unsorted, so where the merge places tied keys depends on how the
-    // patches were split into per-worker runs.
+    // The maintained index covers every committed row, so a forced
+    // rewrite returns the rows of its unrewritten plan, and PatchSort
+    // returns them sorted.
     if (round % 2 == 0) {
       LogicalPtr plan =
           OptimizePlan(LDistinct(LScan(t, {1}), {0}), manager, Forced());
       ASSERT_EQ(plan->kind, LogicalNode::Kind::kPatchDistinct);
-      ExpectEquivalent(plan, pool);
+      ExpectEquivalent(plan, pool, LDistinct(LScan(t, {1}), {0}));
     } else {
       LogicalPtr plan = OptimizePlan(LSort(LScan(t, {1}), {{0, true}}),
                                      manager, Forced());
       ASSERT_EQ(plan->kind, LogicalNode::Kind::kPatchSort);
-      ExpectEquivalent(plan, pool);
+      ExpectEquivalent(plan, pool, LSort(LScan(t, {1}), {{0, true}}));
+      ExpectSortedOn(ExecutePlan(*plan, pool, StressOptions()), 0);
     }
   }
 }

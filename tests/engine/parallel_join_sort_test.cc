@@ -2,8 +2,8 @@
 // on many workers must equal the one-worker run's (exactly for
 // Sort-rooted plans, modulo order otherwise), across join shapes —
 // multi-way joins and joins over non-chain inputs included — NUC-indexed
-// build keys, exception rates, TopN limits, pending PDT inserts/deletes
-// on both join sides, and the PatchJoin rewrite against its unrewritten
+// build keys, exception rates, TopN limits, committed inserts/deletes on
+// both join sides, and the PatchJoin rewrite against its unrewritten
 // plan. Also covers the Session execution-path counters.
 
 #include <gtest/gtest.h>
@@ -117,11 +117,10 @@ TEST(ParallelJoinTest, NucIndexedBuildKeyAcrossExceptionRates) {
   }
 }
 
-/// Pending (buffered, uncommitted) PDT deltas on both join sides: base
-/// morsels plus the dedicated inserts morsel must reproduce the
-/// one-worker scan merge exactly, and pending inserts on a NUC build side
-/// must take the exception path (their rowIDs are outside the index's
-/// domain).
+/// Inserts and deletes on both join sides, committed before the join
+/// reads them: many workers must reproduce the one-worker join, and
+/// inserts that duplicate a NUC build key must be the index's patches
+/// after the commit, so they take the chained path.
 TEST(ParallelJoinTest, PendingDeltasOnBothSides) {
   ThreadPool pool(4);
   Rng rng(29);
@@ -135,8 +134,10 @@ TEST(ParallelJoinTest, PendingDeltasOnBothSides) {
     PatchIndexManager manager;
     manager.CreateIndex(dim, 1, ConstraintKind::kNearlyUnique);
 
-    // Inserts on the dim side duplicate existing build keys (stressing
-    // the unique-map demotion) and add fresh ones; deletes hit both.
+    // Inserts on the dim side duplicate existing build keys and add fresh
+    // ones; deletes hit both sides. The dim side commits each delta kind
+    // through the §5 protocol (its index must follow), the fact side
+    // checkpoints.
     for (int i = 0; i < 32; ++i) {
       const std::int64_t dup =
           dim.column(1).GetInt64(rng.Uniform(0, dim.num_rows() - 1));
@@ -144,11 +145,13 @@ TEST(ParallelJoinTest, PendingDeltasOnBothSides) {
                                 config.num_rows + i)),
                             Value(i % 2 == 0 ? dup : 9'000'000 + i)}});
     }
+    ASSERT_TRUE(manager.CommitUpdateQuery(dim).ok());
     std::set<RowId> dim_victims;
     while (dim_victims.size() < 32) {
       dim_victims.insert(rng.Uniform(0, dim.num_rows() - 1));
     }
     for (RowId r : dim_victims) ASSERT_TRUE(dim.BufferDelete(r).ok());
+    ASSERT_TRUE(manager.CommitUpdateQuery(dim).ok());
 
     for (int i = 0; i < 48; ++i) {
       const std::int64_t fk =
@@ -161,6 +164,7 @@ TEST(ParallelJoinTest, PendingDeltasOnBothSides) {
       fact_victims.insert(rng.Uniform(0, fact.num_rows() - 1));
     }
     for (RowId r : fact_victims) ASSERT_TRUE(fact.BufferDelete(r).ok());
+    fact.Checkpoint();
 
     LogicalPtr plan = OptimizePlan(
         LJoin(LScan(dim, {0, 1}), LScan(fact, {0, 1}), 1, 0), manager,
@@ -233,7 +237,7 @@ TEST(ParallelSortTest, SortOverAggregateAndPendingDeltas) {
             {{0, true}}),
       pool);
 
-  // Pending deltas under a sort: deletes then inserts.
+  // Checkpointed deltas under a sort: deletes then inserts.
   std::set<RowId> victims;
   while (victims.size() < 64) victims.insert(rng.Uniform(0, t.num_rows() - 1));
   for (RowId r : victims) ASSERT_TRUE(t.BufferDelete(r).ok());
@@ -241,6 +245,7 @@ TEST(ParallelSortTest, SortOverAggregateAndPendingDeltas) {
     t.BufferInsert(MakeGeneratorRow(
         static_cast<std::int64_t>(config.num_rows) + i, 5'000'000 + i));
   }
+  t.Checkpoint();
   ExpectOrderedEquivalent(LSort(LScan(t, {0, 1}), {{0, true}}), pool);
   ExpectOrderedEquivalent(LSort(LScan(t, {0, 1}), {{0, true}}, 100), pool);
 }

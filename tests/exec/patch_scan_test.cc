@@ -18,7 +18,6 @@ std::unique_ptr<PatchSet> MakeSet(PatchSetDesign design, std::uint64_t rows,
                                   const std::vector<RowId>& patches) {
   ShardedBitmapOptions opt;
   opt.shard_size_bits = 128;
-  opt.parallel = false;
   auto ps = PatchSet::Create(design, rows, opt);
   for (RowId r : patches) ps->MarkPatch(r);
   return ps;
@@ -98,6 +97,7 @@ TEST_P(PatchScanTest, CombinesWithStaticRanges) {
 TEST_P(PatchScanTest, SlowPathWithPendingModifies) {
   Table t = MakeKvTable({10, 11, 12});
   ASSERT_TRUE(t.BufferModify(0, 1, Value(std::int64_t{99})).ok());
+  t.Checkpoint();
   auto ps = MakeSet(GetParam(), 3, {1});
   ScanOptions opt;
   opt.patch_filter = ps.get();
@@ -110,13 +110,14 @@ TEST_P(PatchScanTest, SlowPathWithPendingModifies) {
 TEST_P(PatchScanTest, PendingInsertsBeyondFilterDomainAreNonPatches) {
   Table t = MakeKvTable({10, 11});
   t.BufferInsert(Row{{Value(std::int64_t{2}), Value(std::int64_t{12})}});
+  t.Checkpoint();
   auto ps = MakeSet(GetParam(), 2, {0});
   ScanOptions opt;
   opt.patch_filter = ps.get();
   opt.patch_mode = PatchSelectMode::kExcludePatches;
   ScanOperator scan(t, {1}, opt);
   Batch out = Collect(scan);
-  // Row 0 excluded (patch); the pending insert (rowid 2, beyond the
+  // Row 0 excluded (patch); the appended row (rowid 2, beyond the
   // filter's 2-row domain) counts as non-patch.
   EXPECT_EQ(out.columns[0].i64, (std::vector<std::int64_t>{11, 12}));
 }
@@ -133,7 +134,6 @@ INSTANTIATE_TEST_SUITE_P(BothDesigns, PatchScanTest,
 TEST(RangeIterationTest, ShardedBitmapForEachSetBitInRange) {
   ShardedBitmapOptions opt;
   opt.shard_size_bits = 128;
-  opt.parallel = false;
   ShardedBitmap bm(1000, opt);
   const std::vector<std::uint64_t> bits = {0, 5, 127, 128, 300, 999};
   for (auto b : bits) bm.Set(b);
@@ -154,7 +154,6 @@ TEST(RangeIterationTest, ShardedBitmapForEachSetBitInRange) {
 TEST(RangeIterationTest, AfterDeletesRangesFollowLogicalPositions) {
   ShardedBitmapOptions opt;
   opt.shard_size_bits = 128;
-  opt.parallel = false;
   ShardedBitmap bm(512, opt);
   bm.Set(10);
   bm.Set(200);
@@ -174,7 +173,6 @@ TEST(RangeIterationTest, RandomizedAgainstIsPatch) {
   Rng rng(31);
   ShardedBitmapOptions opt;
   opt.shard_size_bits = 256;
-  opt.parallel = false;
   ShardedBitmap bm(4096, opt);
   std::set<std::uint64_t> expect;
   for (int i = 0; i < 800; ++i) {

@@ -34,20 +34,25 @@ TEST(ScanTest, StaticRangesRestrictBaseRows) {
   EXPECT_EQ(out.row_ids, (std::vector<RowId>{2, 3, 7, 8}));
 }
 
+// Scans read checkpointed base columns: the tests below checkpoint their
+// buffered deltas before reading.
+
 TEST(ScanTest, VisibleScanAppliesPendingDeletes) {
   Table t = MakeKvTable({0, 1, 2, 3, 4});
   ASSERT_TRUE(t.BufferDelete(1).ok());
   ASSERT_TRUE(t.BufferDelete(3).ok());
+  t.Checkpoint();
   ScanOperator scan(t, {1});
   Batch out = Collect(scan);
   EXPECT_EQ(out.columns[0].i64, (std::vector<std::int64_t>{0, 2, 4}));
-  // Visible rowIDs are compacted.
+  // Deletes compact the rowIDs.
   EXPECT_EQ(out.row_ids, (std::vector<RowId>{0, 1, 2}));
 }
 
 TEST(ScanTest, VisibleScanAppliesPendingModifies) {
   Table t = MakeKvTable({0, 1, 2});
   ASSERT_TRUE(t.BufferModify(1, 1, Value(std::int64_t{99})).ok());
+  t.Checkpoint();
   ScanOperator scan(t, {1});
   Batch out = Collect(scan);
   EXPECT_EQ(out.columns[0].i64, (std::vector<std::int64_t>{0, 99, 2}));
@@ -56,6 +61,7 @@ TEST(ScanTest, VisibleScanAppliesPendingModifies) {
 TEST(ScanTest, VisibleScanIncludesPendingInserts) {
   Table t = MakeKvTable({0, 1});
   t.BufferInsert(Row{{Value(std::int64_t{2}), Value(std::int64_t{22})}});
+  t.Checkpoint();
   ScanOperator scan(t, {1});
   Batch out = Collect(scan);
   EXPECT_EQ(out.columns[0].i64, (std::vector<std::int64_t>{0, 1, 22}));
@@ -65,10 +71,13 @@ TEST(ScanTest, VisibleScanIncludesPendingInserts) {
 TEST(ScanTest, InsertsOnlyScanEmitsPostCheckpointRowIds) {
   Table t = MakeKvTable({0, 1, 2, 3});
   ASSERT_TRUE(t.BufferDelete(0).ok());
+  t.Checkpoint();
   t.BufferInsert(Row{{Value(std::int64_t{4}), Value(std::int64_t{44})}});
   t.BufferInsert(Row{{Value(std::int64_t{5}), Value(std::int64_t{55})}});
+  t.Checkpoint();
+  // A range over the appended rows reads exactly the inserts.
   ScanOptions opt;
-  opt.source = ScanSource::kInsertsOnly;
+  opt.ranges = {{3, 5}};
   ScanOperator scan(t, {1}, opt);
   Batch out = Collect(scan);
   EXPECT_EQ(out.columns[0].i64, (std::vector<std::int64_t>{44, 55}));
@@ -77,14 +86,15 @@ TEST(ScanTest, InsertsOnlyScanEmitsPostCheckpointRowIds) {
 }
 
 TEST(ScanTest, BaseOnlyScanIgnoresPdt) {
+  // What the §5 handlers' probe relies on: a scan reads the base columns
+  // and never merges the pending deltas, neither deletes nor inserts.
   Table t = MakeKvTable({0, 1, 2});
   ASSERT_TRUE(t.BufferDelete(1).ok());
   t.BufferInsert(Row{{Value(std::int64_t{9}), Value(std::int64_t{9})}});
-  ScanOptions opt;
-  opt.source = ScanSource::kBaseOnly;
-  ScanOperator scan(t, {1}, opt);
+  ScanOperator scan(t, {1});
   Batch out = Collect(scan);
   EXPECT_EQ(out.columns[0].i64, (std::vector<std::int64_t>{0, 1, 2}));
+  EXPECT_EQ(out.row_ids, (std::vector<RowId>{0, 1, 2}));
 }
 
 TEST(ScanTest, DynamicRangePropagationPrunesBlocks) {
@@ -143,8 +153,9 @@ TEST(ScanTest, RangesCombinedWithPendingDeletes) {
   Table t = MakeKvTable({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
   ASSERT_TRUE(t.BufferDelete(2).ok());
   ASSERT_TRUE(t.BufferDelete(6).ok());
+  t.Checkpoint();
   ScanOptions opt;
-  opt.ranges = {{0, 5}, {5, 10}};  // all rows via two ranges
+  opt.ranges = {{0, 5}, {5, 8}};  // all surviving rows via two ranges
   ScanOperator scan(t, {1}, opt);
   Batch out = Collect(scan);
   EXPECT_EQ(out.columns[0].i64,

@@ -22,7 +22,6 @@ PatchIndexOptions IdxOptions(PatchSetDesign design = PatchSetDesign::kBitmap) {
   PatchIndexOptions o;
   o.design = design;
   o.bitmap_options.shard_size_bits = 1024;
-  o.bitmap_options.parallel = false;
   return o;
 }
 

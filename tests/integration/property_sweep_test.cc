@@ -64,7 +64,6 @@ TEST_P(PropertySweepTest, UpdateStreamPreservesAllInvariants) {
   PatchIndexOptions o;
   o.design = design;
   o.bitmap_options.shard_size_bits = 512;
-  o.bitmap_options.parallel = false;
   PatchIndexManager mgr;
   PatchIndex* idx = mgr.CreateIndex(t, 1, kind, o);
   PatchIndexManager empty;
@@ -109,11 +108,11 @@ TEST_P(PropertySweepTest, UpdateStreamPreservesAllInvariants) {
   ThreadPool four(4);
   Batch plain = PlanQuery(QueryFor(kind, t), empty, {}, &one);
   LogicalPtr optimized = OptimizePlan(QueryFor(kind, t), mgr, forced);
-  Batch patched = ExecutePlan(*optimized, four, StressOptions());
+  ParallelExecOptions unpruned = StressOptions();
+  unpruned.zero_branch_pruning = false;
+  Batch patched = ExecutePlan(*optimized, four, unpruned);
   EXPECT_EQ(Canonical(std::move(patched)), Canonical(plain));
-  ParallelExecOptions pruning = StressOptions();
-  pruning.zero_branch_pruning = true;
-  Batch pruned = ExecutePlan(*optimized, four, pruning);
+  Batch pruned = ExecutePlan(*optimized, four, StressOptions());
   EXPECT_EQ(Canonical(std::move(pruned)), Canonical(std::move(plain)));
 }
 

@@ -138,6 +138,41 @@ TEST(ExplainAnalyzeTest, GoldenPatchSortOverPrunedKeyRange) {
       "execution: parallel, workers=2, parallel sort");
 }
 
+TEST(ExplainAnalyzeTest, ZeroExceptionPatchDistinctScansTheTableOnce) {
+  // A 4096-row unique column with a NUC index of no patches: zero-branch
+  // pruning (on in the engine) runs PatchDistinct's exclude-patches branch
+  // alone, so the scan claims the table's four morsels once, not twice.
+  EngineOptions options;
+  options.num_threads = 2;
+  options.morsel_rows = 1024;
+  options.optimizer.force_patch_rewrites = true;
+  Engine engine(options);
+  Session session = engine.CreateSession();
+  GeneratorConfig gen;
+  gen.num_rows = 4096;
+  gen.exception_rate = 0.0;
+  ASSERT_TRUE(engine.catalog()
+                  .AddTable("u", std::make_unique<Table>(GenerateNucTable(gen)))
+                  .ok());
+  ASSERT_TRUE(
+      session.CreatePatchIndex("u", 1, ConstraintKind::kNearlyUnique).ok());
+
+  Result<QueryResult> r =
+      session.Sql("EXPLAIN ANALYZE SELECT DISTINCT val FROM u");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // No patches: the patch branch never runs; the node counts the two
+  // workers that drained the excluded branch.
+  EXPECT_EQ(
+      MaskTimes(PlanText(r.value())),
+      "PatchDistinct [NUC e=0.00%]  [rows=4096, workers=2, time=<t>ms, "
+      "max=<t>ms, mem=<m>]\n"
+      "  Scan(1 cols, 4096 rows)  [rows=4096, morsels=4, workers=2, "
+      "time=<t>ms, max=<t>ms]\n"
+      "phases: parse=<t>ms bind=<t>ms optimize=<t>ms execute=<t>ms "
+      "total=<t>ms peak_mem=<m>\n"
+      "execution: parallel, workers=2");
+}
+
 TEST(ExplainAnalyzeTest, SerialFallbackRendersSerial) {
   // Default morsels: every input is one morsel, so one worker runs the
   // whole plan inline.

@@ -33,17 +33,9 @@ Batch RunOnFourWorkers(const LogicalPtr& plan) {
   return ExecutePlan(*plan, pool, StressOptions());
 }
 
-/// Executor options with zero-branch pruning (§6.3) on.
-ParallelExecOptions Pruning() {
-  ParallelExecOptions options;
-  options.zero_branch_pruning = true;
-  return options;
-}
-
 PatchIndexOptions SmallIdx() {
   PatchIndexOptions o;
   o.bitmap_options.shard_size_bits = 256;
-  o.bitmap_options.parallel = false;
   return o;
 }
 
@@ -90,8 +82,7 @@ TEST(RewriterDistinctTest, ZeroBranchPruningOnPerfectConstraint) {
   mgr.CreateIndex(t, 1, ConstraintKind::kNearlyUnique, SmallIdx());
   OptimizerOptions opt;
   opt.force_patch_rewrites = true;
-  Batch plan = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt, nullptr,
-                         Pruning());
+  Batch plan = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt);
   EXPECT_EQ(SortedCol0(plan), (std::vector<std::int64_t>{1, 3, 5, 8}));
 }
 
@@ -239,7 +230,7 @@ TEST(RewriterJoinTest, ZeroBranchPruningUsesPureMergeJoin) {
   opt.force_patch_rewrites = true;
   Batch plan = PlanQuery(
       LJoin(LScan(orders, {0, 1}, 0), LScan(lineitem, {0, 1}), 0, 0), mgr,
-      opt, nullptr, Pruning());
+      opt);
   EXPECT_EQ(plan.num_rows(), 200u);
 }
 
@@ -253,8 +244,7 @@ TEST(RewriterDistinctTest, ZeroBranchPruningAtFullExceptionRate) {
   ASSERT_EQ(idx->NumPatches(), t.num_rows());
   OptimizerOptions opt;
   opt.force_patch_rewrites = true;
-  Batch plan = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt, nullptr,
-                         Pruning());
+  Batch plan = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt);
   EXPECT_EQ(SortedCol0(plan), (std::vector<std::int64_t>{7, 8}));
 }
 
@@ -264,8 +254,7 @@ TEST(RewriterSortTest, ZeroBranchPruningAtFullExceptionRate) {
   mgr.CreateIndex(t, 1, ConstraintKind::kNearlySorted, SmallIdx());
   OptimizerOptions opt;
   opt.force_patch_rewrites = true;
-  Batch plan = PlanQuery(LSort(LScan(t, {1}), {{0, true}}), mgr, opt,
-                         nullptr, Pruning());
+  Batch plan = PlanQuery(LSort(LScan(t, {1}), {{0, true}}), mgr, opt);
   EXPECT_EQ(plan.columns[0].i64, (std::vector<std::int64_t>{1, 2, 3, 4, 5}));
 }
 

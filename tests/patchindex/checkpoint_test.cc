@@ -298,7 +298,6 @@ TEST(CheckpointTest, EveryTruncationAndBitFlipIsRejected) {
 TEST(RleTest, RoundTripSparse) {
   ShardedBitmapOptions opt;
   opt.shard_size_bits = 256;
-  opt.parallel = false;
   ShardedBitmap bm(10'000, opt);
   for (std::uint64_t p : {0ull, 5ull, 6ull, 7ull, 9'999ull}) bm.Set(p);
   RleBitmap rle = RleEncode(bm);
@@ -310,7 +309,6 @@ TEST(RleTest, RoundTripSparse) {
 TEST(RleTest, EmptyAndFullBitmaps) {
   ShardedBitmapOptions opt;
   opt.shard_size_bits = 128;
-  opt.parallel = false;
   ShardedBitmap empty(1000, opt);
   EXPECT_EQ(RleEncode(empty).runs, (std::vector<std::uint64_t>{1000}));
   EXPECT_EQ(RleDecode(RleEncode(empty), opt).CountSetBits(), 0u);
@@ -326,7 +324,6 @@ TEST(RleTest, RandomRoundTrip) {
   Rng rng(55);
   ShardedBitmapOptions opt;
   opt.shard_size_bits = 512;
-  opt.parallel = false;
   for (int iter = 0; iter < 20; ++iter) {
     const std::uint64_t n = rng.Uniform(1, 5000);
     ShardedBitmap bm(n, opt);

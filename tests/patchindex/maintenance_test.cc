@@ -34,7 +34,6 @@ TEST(MaintenanceTest, NucInsertHandlingWorksAfterDeletes) {
   Table t = MakeTable(vals);
   PatchIndexOptions o;
   o.bitmap_options.shard_size_bits = 128;
-  o.bitmap_options.parallel = false;
   PatchIndexManager mgr;
   PatchIndex* idx = mgr.CreateIndex(t, 1, ConstraintKind::kNearlyUnique, o);
 
@@ -61,7 +60,6 @@ TEST(MaintenanceTest, AutoCondenseKeepsBitmapUtilizationHigh) {
   Table t = MakeTable(vals);
   PatchIndexOptions o;
   o.bitmap_options.shard_size_bits = 128;
-  o.bitmap_options.parallel = false;
   o.bitmap_options.auto_condense_threshold = 0.8;
   PatchIndexManager mgr;
   PatchIndex* idx = mgr.CreateIndex(t, 1, ConstraintKind::kNearlySorted, o);
@@ -103,7 +101,6 @@ TEST(MaintenanceTest, AlternatingUpdateKindsAcrossManyQueries) {
   Table t = GenerateNscTable(cfg);
   PatchIndexOptions o;
   o.bitmap_options.shard_size_bits = 256;
-  o.bitmap_options.parallel = false;
   PatchIndexManager mgr;
   PatchIndex* idx = mgr.CreateIndex(t, 1, ConstraintKind::kNearlySorted, o);
   Rng rng(8);

@@ -32,7 +32,6 @@ Table MakeTable(const std::vector<std::int64_t>& vals) {
 PatchIndexOptions SmallOptions() {
   PatchIndexOptions o;
   o.bitmap_options.shard_size_bits = 256;
-  o.bitmap_options.parallel = false;
   return o;
 }
 
@@ -160,10 +159,8 @@ TEST(NccPatchIndexTest, InsertIntoEmptyTableDefinesConstant) {
 
 std::vector<std::int64_t> RunDistinct(const Table& t,
                                       const PatchIndexManager& mgr,
-                                      const OptimizerOptions& opt,
-                                      const ParallelExecOptions& exec = {}) {
-  Batch out =
-      PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt, nullptr, exec);
+                                      const OptimizerOptions& opt) {
+  Batch out = PlanQuery(LDistinct(LScan(t, {1}), {0}), mgr, opt);
   std::vector<std::int64_t> v = out.columns[0].i64;
   std::sort(v.begin(), v.end());
   return v;
@@ -205,10 +202,7 @@ TEST(NccRewriteTest, ZeroBranchPruningYieldsSingleRow) {
   ASSERT_EQ(idx->NumPatches(), 0u);
   OptimizerOptions opt;
   opt.force_patch_rewrites = true;
-  ParallelExecOptions pruning;
-  pruning.zero_branch_pruning = true;
-  EXPECT_EQ(RunDistinct(t, mgr, opt, pruning),
-            (std::vector<std::int64_t>{6}));
+  EXPECT_EQ(RunDistinct(t, mgr, opt), (std::vector<std::int64_t>{6}));
 }
 
 TEST(NccRewriteTest, NotAppliedThroughSelections) {

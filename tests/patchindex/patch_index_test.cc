@@ -36,7 +36,6 @@ PatchIndexOptions SmallOptions(PatchSetDesign design = PatchSetDesign::kBitmap) 
   PatchIndexOptions o;
   o.design = design;
   o.bitmap_options.shard_size_bits = 256;
-  o.bitmap_options.parallel = false;
   return o;
 }
 

@@ -15,7 +15,6 @@ class PatchSetTest : public ::testing::TestWithParam<PatchSetDesign> {
   std::unique_ptr<PatchSet> Make(std::uint64_t rows) {
     ShardedBitmapOptions opt;
     opt.shard_size_bits = 128;
-    opt.parallel = false;
     return PatchSet::Create(GetParam(), rows, opt);
   }
 };
@@ -114,7 +113,6 @@ INSTANTIATE_TEST_SUITE_P(BothDesigns, PatchSetTest,
 TEST(PatchSetEquivalenceTest, DesignsAgreeUnderRandomOps) {
   ShardedBitmapOptions opt;
   opt.shard_size_bits = 256;
-  opt.parallel = false;
   auto a = PatchSet::Create(PatchSetDesign::kBitmap, 2000, opt);
   auto b = PatchSet::Create(PatchSetDesign::kIdentifier, 2000);
   Rng rng(99);

@@ -70,7 +70,7 @@ class SqlEquivalenceTest : public ::testing::Test {
   void ExpectTablesEqual(const std::string& name) {
     const Table& a = SqlTable(name);
     const Table& b = HandTable(name);
-    ASSERT_EQ(a.num_visible_rows(), b.num_visible_rows());
+    ASSERT_EQ(a.num_rows(), b.num_rows());
     std::vector<std::size_t> cols;
     for (std::size_t c = 0; c < a.schema().num_fields(); ++c) {
       cols.push_back(c);
@@ -261,7 +261,7 @@ TEST_F(SqlEquivalenceTest, PreparedStatementReusesBoundPlan) {
     ASSERT_TRUE(
         ins.value().Execute({Value(10'000 + i), Value(i)}).ok());
   }
-  EXPECT_EQ(SqlTable("t").num_visible_rows(), 10'003u);
+  EXPECT_EQ(SqlTable("t").num_rows(), 10'003u);
 }
 
 // The randomized sweep: SQL strings generated for the plan shapes the
