@@ -151,6 +151,10 @@ Result<QueryResult> PiClient::ReadResultResponse() {
     if (type == FrameType::kRowBatch) {
       ByteReader r(payload);
       st = DecodeRowBatch(&r, &result.rows);
+      if (st.ok() && !r.done()) {
+        st = Status::InvalidArgument(
+            "malformed frame: trailing bytes after row batch");
+      }
       if (!st.ok()) return Fail(std::move(st));
       continue;
     }

@@ -198,42 +198,41 @@ class ScopedResultBytes {
   std::uint64_t charged_ = 0;
 };
 
-/// Streams a QueryResult as header + row batches + end. Batches close
-/// at kRowsPerWireBatch rows or kWireBatchSoftBytes bytes, whichever
-/// comes first, so wide string rows never push a frame toward the
-/// kMaxFrameBytes ceiling. Returns the first write failure so the
-/// caller can mark the connection broken.
+/// Streams a QueryResult as header + row batches + end, one send per
+/// batch: the header rides with the first batch and the end frame with
+/// the last, so a result of at most one batch leaves in a single send.
+/// Batches close at kRowsPerWireBatch rows or kWireBatchSoftBytes bytes,
+/// whichever comes first (WireBatchEnd), so wide string rows never push
+/// a frame toward the kMaxFrameBytes ceiling. Returns the first write
+/// failure so the caller can mark the connection broken.
 Status SendResult(int fd, const QueryResult& result,
                   obs::MemoryTracker* mem) {
   ScopedResultBytes bytes(mem);
-  std::string payload;
-  EncodeResultHeader(&payload, result);
-  bytes.Add(payload.size());
-  PIDX_RETURN_NOT_OK(WriteFrame(fd, FrameType::kResultHeader, payload));
+  std::string header;
+  EncodeResultHeader(&header, result);
+  bytes.Add(header.size());
   const std::size_t total = result.rows.num_rows();
+  std::string end_payload;
+  PutU64(&end_payload, total);
+  bytes.Add(end_payload.size());
+  std::string batch;  // reused: one buffer for every batch
   std::size_t begin = 0;
-  while (begin < total) {
-    // The u32 row count leads the batch; its slot is written once the
-    // batch closes, so the rows are encoded straight into the one
-    // (reused) payload buffer.
-    payload.clear();
-    PutU32(&payload, 0);
-    std::size_t end = begin;
-    while (end < total && end - begin < kRowsPerWireBatch &&
-           payload.size() < kWireBatchSoftBytes) {
-      EncodeRow(&payload, result.rows, end);
-      ++end;
+  do {
+    const std::size_t end = WireBatchEnd(result.rows, begin);
+    OutFrame frames[kMaxFramesPerWrite];
+    std::size_t n = 0;
+    if (begin == 0) frames[n++] = {FrameType::kResultHeader, header};
+    if (end > begin) {
+      batch.clear();
+      EncodeRowBatch(&batch, result.rows, begin, end);
+      bytes.Add(batch.size());
+      frames[n++] = {FrameType::kRowBatch, batch};
     }
-    std::string count;
-    PutU32(&count, static_cast<std::uint32_t>(end - begin));
-    payload.replace(0, count.size(), count);
-    bytes.Add(payload.size());
-    PIDX_RETURN_NOT_OK(WriteFrame(fd, FrameType::kRowBatch, payload));
+    if (end == total) frames[n++] = {FrameType::kResultEnd, end_payload};
+    PIDX_RETURN_NOT_OK(WriteFrames(fd, {frames, n}));
     begin = end;
-  }
-  payload.clear();
-  PutU64(&payload, total);
-  return WriteFrame(fd, FrameType::kResultEnd, payload);
+  } while (begin < total);
+  return Status::OK();
 }
 
 }  // namespace

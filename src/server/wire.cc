@@ -1,10 +1,12 @@
 #include "server/wire.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <numeric>
 
 namespace patchindex::net {
 
@@ -12,12 +14,15 @@ namespace patchindex::net {
 
 namespace {
 
-/// send() that survives EINTR and partial writes. MSG_NOSIGNAL turns a
-/// dead peer into EPIPE instead of a process-killing SIGPIPE — the server
-/// must outlive any one client.
-Status SendAll(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+/// sendmsg() of `iov[0..count)` that survives EINTR and partial writes.
+/// MSG_NOSIGNAL turns a dead peer into EPIPE instead of a process-killing
+/// SIGPIPE — the server must outlive any one client.
+Status SendAll(int fd, iovec* iov, std::size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EPIPE || errno == ECONNRESET) {
@@ -32,8 +37,17 @@ Status SendAll(int fd, const char* data, std::size_t size) {
       return Status::Internal(std::string("send failed: ") +
                               std::strerror(errno));
     }
-    data += n;
-    size -= static_cast<std::size_t>(n);
+    // Drop the buffers that went out whole; trim the one cut short.
+    auto sent = static_cast<std::size_t>(n);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }
@@ -72,49 +86,67 @@ Status RecvAll(int fd, char* data, std::size_t size, bool* eof) {
 
 }  // namespace
 
-Status WriteFrame(int fd, FrameType type, std::string_view payload) {
-  if (payload.size() + 1 > kMaxFrameBytes) {
-    return Status::InvalidArgument("frame exceeds kMaxFrameBytes");
+Status WriteFrames(int fd, std::span<const OutFrame> frames) {
+  if (frames.size() > kMaxFramesPerWrite) {
+    return Status::InvalidArgument("too many frames for one write");
   }
-  std::string head;
-  PutU32(&head, static_cast<std::uint32_t>(payload.size() + 1));
-  PutU8(&head, static_cast<std::uint8_t>(type));
-  // One send for the header keeps small frames in one TCP segment; the
-  // payload follows separately to avoid copying result batches.
-  PIDX_RETURN_NOT_OK(SendAll(fd, head.data(), head.size()));
-  return SendAll(fd, payload.data(), payload.size());
+  // Each frame is its 5-byte head plus its payload, sent in place.
+  char heads[kMaxFramesPerWrite][5];
+  iovec iov[2 * kMaxFramesPerWrite];
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const std::string_view payload = frames[i].payload;
+    if (payload.size() + 1 > kMaxFrameBytes) {
+      return Status::InvalidArgument("frame exceeds kMaxFrameBytes");
+    }
+    const auto len = static_cast<std::uint32_t>(payload.size() + 1);
+    for (int b = 0; b < 4; ++b) heads[i][b] = static_cast<char>(len >> (8 * b));
+    heads[i][4] = static_cast<char>(frames[i].type);
+    iov[count++] = {heads[i], sizeof heads[i]};
+    if (!payload.empty()) {
+      iov[count++] = {const_cast<char*>(payload.data()), payload.size()};
+    }
+  }
+  return SendAll(fd, iov, count);
+}
+
+Status WriteFrame(int fd, FrameType type, std::string_view payload) {
+  const OutFrame frame{type, payload};
+  return WriteFrames(fd, {&frame, 1});
 }
 
 Status ReadFrame(int fd, FrameType* type, std::string* payload) {
-  char head[4];
+  // The length prefix and the type byte arrive together; EOF inside them
+  // is a cut-off frame (RecvAll reports it as such).
+  char head[5];
   bool eof = false;
   PIDX_RETURN_NOT_OK(RecvAll(fd, head, sizeof head, &eof));
   const std::uint32_t len =
-      ByteReader(std::string_view(head, sizeof head)).GetU32();
+      ByteReader(std::string_view(head, 4)).GetU32();
   if (len == 0 || len > kMaxFrameBytes) {
     return Status::InvalidArgument("malformed frame: bad length prefix");
   }
-  // The body grows as its bytes arrive, one bounded chunk at a time, so
-  // a length prefix alone never makes the process allocate (and touch)
-  // the whole announced size.
+  *type = static_cast<FrameType>(static_cast<std::uint8_t>(head[4]));
+  // The payload grows as its bytes arrive, one bounded chunk at a time,
+  // so a length prefix alone never makes the process allocate (and
+  // touch) the whole announced size.
   constexpr std::size_t kRecvChunkBytes = std::size_t{64} << 10;
-  std::string body;
-  while (body.size() < len) {
-    const std::size_t got = body.size();
-    const std::size_t chunk = std::min<std::size_t>(kRecvChunkBytes, len - got);
-    body.resize(got + chunk);
-    Status st = RecvAll(fd, body.data() + got, chunk, &eof);
+  const std::size_t size = len - 1;
+  payload->clear();
+  while (payload->size() < size) {
+    const std::size_t got = payload->size();
+    const std::size_t chunk = std::min(kRecvChunkBytes, size - got);
+    payload->resize(got + chunk);
+    Status st = RecvAll(fd, payload->data() + got, chunk, &eof);
     if (!st.ok()) {
-      // EOF after the header but before the body is a cut-off frame, not
-      // a clean close — a frame boundary is after the body.
+      // EOF after the head but before the whole payload is a cut-off
+      // frame, not a clean close — a frame boundary is after the body.
       if (eof) {
         return Status::InvalidArgument("malformed frame: truncated stream");
       }
       return st;
     }
   }
-  *type = static_cast<FrameType>(static_cast<std::uint8_t>(body[0]));
-  payload->assign(body, 1, body.size() - 1);
   return Status::OK();
 }
 
@@ -196,17 +228,49 @@ Status DecodeResultHeader(ByteReader* r, QueryResult* result) {
   return Status::OK();
 }
 
-void EncodeRow(std::string* out, const Batch& rows, std::size_t r) {
+std::size_t WireBatchEnd(const Batch& rows, std::size_t begin) {
+  // Every row costs its fixed widths; string columns add their bytes.
+  std::size_t fixed = 0;
+  bool has_strings = false;
+  for (const ColumnVector& col : rows.columns) {
+    has_strings |= col.type == ColumnType::kString;
+    fixed += col.type == ColumnType::kString ? 4 : 8;
+  }
+  const std::size_t limit =
+      std::min(rows.num_rows(), begin + kRowsPerWireBatch);
+  constexpr std::size_t kCountBytes = 4;
+  if (!has_strings && fixed > 0) {
+    // Rows are added while the payload is below the soft cap.
+    const std::size_t by_bytes =
+        (kWireBatchSoftBytes - kCountBytes + fixed - 1) / fixed;
+    return std::min(limit, begin + by_bytes);
+  }
+  std::size_t end = begin;
+  std::size_t bytes = kCountBytes;
+  while (end < limit && bytes < kWireBatchSoftBytes) {
+    bytes += fixed;
+    for (const ColumnVector& col : rows.columns) {
+      if (col.type == ColumnType::kString) bytes += col.str[end].size();
+    }
+    ++end;
+  }
+  return end;
+}
+
+void EncodeRowBatch(std::string* out, const Batch& rows, std::size_t begin,
+                    std::size_t end) {
+  const std::size_t n = end - begin;
+  PutU32(out, static_cast<std::uint32_t>(n));
   for (const ColumnVector& col : rows.columns) {
     switch (col.type) {
       case ColumnType::kInt64:
-        PutI64(out, col.i64[r]);
+        PutBlock64(out, col.i64.data() + begin, n);
         break;
       case ColumnType::kDouble:
-        PutF64(out, col.f64[r]);
+        PutBlock64(out, col.f64.data() + begin, n);
         break;
       case ColumnType::kString:
-        PutString(out, col.str[r]);
+        for (std::size_t r = begin; r < end; ++r) PutString(out, col.str[r]);
         break;
     }
   }
@@ -231,23 +295,48 @@ Status DecodeRowBatch(ByteReader* r, Batch* rows) {
     return Status::InvalidArgument(
         "malformed frame: row count exceeds payload");
   }
-  for (std::uint32_t i = 0; i < nrows && r->ok(); ++i) {
-    for (ColumnVector& col : rows->columns) {
-      switch (col.type) {
-        case ColumnType::kInt64:
-          col.i64.push_back(r->GetI64());
-          break;
-        case ColumnType::kDouble:
-          col.f64.push_back(r->GetF64());
-          break;
-        case ColumnType::kString:
-          col.str.push_back(r->GetString());
-          break;
+  // Take every column's block before appending anything: a fixed-width
+  // block is `nrows x 8` bytes; a string block is measured by walking
+  // its lengths on a copy of the reader. A short block fails the reader
+  // and `rows` stays as it was.
+  std::vector<std::string_view> blocks(rows->columns.size());
+  for (std::size_t c = 0; c < blocks.size() && r->ok(); ++c) {
+    std::size_t block_bytes = std::size_t{nrows} * 8;
+    if (rows->columns[c].type == ColumnType::kString) {
+      ByteReader walk = *r;
+      for (std::uint32_t i = 0; i < nrows && walk.ok(); ++i) {
+        walk.GetBytes(walk.GetU32());
+      }
+      if (!walk.ok()) return DecodeStatus(walk);
+      block_bytes = r->remaining() - walk.remaining();
+    }
+    blocks[c] = r->GetBytes(block_bytes);
+  }
+  PIDX_RETURN_NOT_OK(DecodeStatus(*r));
+  for (std::size_t c = 0; c < blocks.size(); ++c) {
+    ColumnVector& col = rows->columns[c];
+    switch (col.type) {
+      case ColumnType::kInt64:
+        col.i64.resize(col.i64.size() + nrows);
+        GetBlock64(blocks[c], col.i64.data() + col.i64.size() - nrows);
+        break;
+      case ColumnType::kDouble:
+        col.f64.resize(col.f64.size() + nrows);
+        GetBlock64(blocks[c], col.f64.data() + col.f64.size() - nrows);
+        break;
+      case ColumnType::kString: {
+        ByteReader cells(blocks[c]);
+        for (std::uint32_t i = 0; i < nrows; ++i) {
+          col.str.emplace_back(cells.GetBytes(cells.GetU32()));
+        }
+        break;
       }
     }
-    rows->row_ids.push_back(rows->row_ids.size());
   }
-  return DecodeStatus(*r);
+  const std::size_t first = rows->row_ids.size();
+  rows->row_ids.resize(first + nrows);
+  std::iota(rows->row_ids.begin() + first, rows->row_ids.end(), first);
+  return Status::OK();
 }
 
 bool ExtractSourceLoc(std::string_view message, std::uint32_t* line,

@@ -2,6 +2,7 @@
 #define PATCHINDEX_SERVER_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,8 +45,10 @@ namespace patchindex::net {
 /// block to kResultHeader (u8 has_profile + 7 f64 phase milliseconds) so
 /// remote clients can show the same `.timing` breakdown as local ones;
 /// v3 moves value and column type bytes to the shared codec tags
-/// (1/2/3 instead of the ColumnType enumerator 0/1/2).
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// (1/2/3 instead of the ColumnType enumerator 0/1/2); v4 lays a
+/// kRowBatch out column by column (one block per column after the row
+/// count) instead of row by row.
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Hard ceiling on one frame's size, both directions — a hostile or
 /// corrupt length prefix must not turn into a multi-gigabyte allocation.
@@ -70,7 +73,7 @@ enum class FrameType : std::uint8_t {
   // server -> client
   kWelcome = 16,       // u32 protocol version
   kResultHeader = 17,  // u64 rows_affected, u8 exec flags, profile, columns
-  kRowBatch = 18,      // u32 row count, cells (typed by the header)
+  kRowBatch = 18,      // u32 row count, one block per column (below)
   kResultEnd = 19,     // u64 total streamed rows
   kError = 20,         // u8 status code, u32 line, u32 column, string msg
   kPrepared = 21,      // u64 statement id, u32 parameter count
@@ -86,14 +89,30 @@ inline constexpr std::uint8_t kExecParallelSort = 1u << 2;
 
 // ------------------------------------------------------------- frame I/O
 
-/// Writes one frame to a connected socket, looping over partial writes.
-/// Fails with kUnavailable when the peer has gone away (EPIPE /
-/// ECONNRESET), kInternal on other socket errors.
+/// One frame handed to WriteFrames; the payload is sent from where it
+/// lies, not copied.
+struct OutFrame {
+  FrameType type;
+  std::string_view payload;
+};
+
+/// The most frames one WriteFrames call takes: a result's header, one
+/// row batch and its end frame.
+inline constexpr std::size_t kMaxFramesPerWrite = 3;
+
+/// Writes `frames` back to back to a connected socket with one sendmsg
+/// (looping over partial writes), so a whole response of up to one row
+/// batch is one syscall. Fails with kUnavailable when the peer has gone
+/// away (EPIPE / ECONNRESET), kInternal on other socket errors.
+Status WriteFrames(int fd, std::span<const OutFrame> frames);
+
+/// WriteFrames with one frame.
 Status WriteFrame(int fd, FrameType type, std::string_view payload);
 
-/// Reads one frame. A clean EOF at a frame boundary yields kUnavailable
-/// ("connection closed by peer"); EOF inside a frame, an oversized length
-/// prefix, or an unknown socket error yield kInvalidArgument/kInternal.
+/// Reads one frame, receiving its body straight into `payload`. A clean
+/// EOF at a frame boundary yields kUnavailable ("connection closed by
+/// peer"); EOF inside a frame, an oversized length prefix, or an unknown
+/// socket error yield kInvalidArgument/kInternal.
 Status ReadFrame(int fd, FrameType* type, std::string* payload);
 
 // --------------------------------------------------- typed payload parts
@@ -116,14 +135,24 @@ void EncodeResultHeader(std::string* out, const QueryResult& result);
 /// to the decoded column types, ready for DecodeRowBatch.
 Status DecodeResultHeader(ByteReader* r, QueryResult* result);
 
-/// One row's cells, typed by the batch's own column vectors (the
-/// decoder knows them from the header). The server composes
-/// byte-bounded kRowBatch frames from these: `u32 row count` +
-/// EncodeRow per row (see PiServer's SendResult).
-void EncodeRow(std::string* out, const Batch& rows, std::size_t r);
+/// Where the kRowBatch that starts at row `begin` of `rows` ends: it
+/// closes at kRowsPerWireBatch rows or once its payload reaches
+/// kWireBatchSoftBytes, whichever comes first. A row larger than the
+/// soft cap still gets a batch of its own.
+std::size_t WireBatchEnd(const Batch& rows, std::size_t begin);
+
+/// kRowBatch payload for rows [begin, end) of `rows`, typed by the
+/// batch's own column vectors (the decoder knows them from the header):
+/// `u32 row count`, then one block per column in column order. An INT64
+/// or DOUBLE block is `count x 8` little-endian bytes (PutBlock64); a
+/// STRING block is `count x (u32 length + bytes)`.
+void EncodeRowBatch(std::string* out, const Batch& rows, std::size_t begin,
+                    std::size_t end);
 /// Appends a kRowBatch's rows onto `rows` (already Reset to the header's
-/// types). Synthesizes sequential rowIDs — server rowIDs are an engine
-/// detail that does not travel.
+/// types). The whole batch is validated before anything is appended, so
+/// a rejected payload leaves `rows` unchanged. Synthesizes sequential
+/// rowIDs — server rowIDs are an engine detail that does not travel.
+/// Bytes after the batch are left to the caller.
 Status DecodeRowBatch(ByteReader* r, Batch* rows);
 
 /// kError payload: u8 StatusCode, u32 line, u32 column (0,0 when the

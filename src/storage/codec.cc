@@ -42,14 +42,6 @@ void PutValue(std::string* out, const Value& v) {
   }
 }
 
-std::string ByteReader::GetString() {
-  const std::uint32_t len = GetU32();
-  if (!Need(len)) return std::string();
-  std::string s(data_.substr(pos_, len));
-  pos_ += len;
-  return s;
-}
-
 ColumnType ByteReader::GetColumnType() {
   switch (GetU8()) {
     case kTagInt64:

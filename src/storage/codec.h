@@ -3,8 +3,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "storage/value.h"
 
@@ -26,8 +28,11 @@ namespace patchindex {
 ///
 /// The writers append to a std::string and the reader is a bounds-checked
 /// cursor over a string_view that never allocates for a fixed-width
-/// field, so the per-cell wire path (EncodeRow/DecodeRowBatch) costs one
-/// append or one bounds check per INT64/DOUBLE cell.
+/// field. Column blocks (PutBlock64/GetBlock64) move a whole INT64 or
+/// DOUBLE column slice as n x 8 little-endian bytes, one memcpy on a
+/// little-endian host, so the wire's kRowBatch (EncodeRowBatch/
+/// DecodeRowBatch) costs one append and one bounds check per column per
+/// batch rather than per cell.
 
 /// Upper bound on one CRC frame's payload; a larger length prefix is
 /// treated as corruption rather than attempted as an allocation.
@@ -62,6 +67,21 @@ inline void PutString(std::string* out, std::string_view s) {
   out->append(s.data(), s.size());
 }
 
+/// A column block: `n` 8-byte values (int64_t or double) as `n x 8`
+/// little-endian bytes, doubles as their IEEE-754 bit pattern.
+template <typename T>
+void PutBlock64(std::string* out, const T* values, std::size_t n) {
+  static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
+  if (n == 0) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    out->append(reinterpret_cast<const char*>(values), n * 8);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      PutU64(out, std::bit_cast<std::uint64_t>(values[i]));
+    }
+  }
+}
+
 /// Writes `type`'s tag byte; ByteReader::GetColumnType is its inverse.
 void PutColumnType(std::string* out, ColumnType type);
 
@@ -90,7 +110,15 @@ class ByteReader {
   }
   std::int64_t GetI64() { return static_cast<std::int64_t>(GetU64()); }
   double GetF64() { return std::bit_cast<double>(GetU64()); }
-  std::string GetString();
+  std::string GetString() { return std::string(GetBytes(GetU32())); }
+  /// The next `n` bytes as a view into the payload (empty on a short
+  /// read).
+  std::string_view GetBytes(std::size_t n) {
+    if (!Need(n)) return {};
+    const std::string_view bytes = data_.substr(pos_, n);
+    pos_ += n;
+    return bytes;
+  }
   /// Reads a tag written by PutColumnType; an invalid tag fails the
   /// reader (and returns kInt64).
   ColumnType GetColumnType();
@@ -126,6 +154,22 @@ class ByteReader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// Inverse of PutBlock64: decodes the `bytes.size() / 8` values of a
+/// block taken with ByteReader::GetBytes into `out`.
+template <typename T>
+void GetBlock64(std::string_view bytes, T* out) {
+  static_assert(sizeof(T) == 8 && std::is_trivially_copyable_v<T>);
+  if (bytes.empty()) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, bytes.data(), bytes.size() / 8 * 8);
+  } else {
+    ByteReader r(bytes);
+    for (std::size_t i = 0; i < bytes.size() / 8; ++i) {
+      out[i] = std::bit_cast<T>(r.GetU64());
+    }
+  }
+}
 
 /// Appends one file frame wrapping `payload` to `out`:
 ///   u32 payload_len | u32 crc32c(payload) | payload

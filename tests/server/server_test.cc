@@ -12,9 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -110,6 +113,131 @@ TEST(WireTest, ExtractSourceLoc) {
   EXPECT_EQ(column, 9u);
   // "line" without a number is not a position.
   EXPECT_FALSE(ExtractSourceLoc("line , column 3", &line, &column));
+}
+
+/// The bit pattern of a double, so NaNs and -0.0 compare exactly.
+std::uint64_t Bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// One (INT64, DOUBLE, STRING) batch with every edge value of each type.
+Batch EdgeRows() {
+  const std::vector<std::int64_t> ints = {
+      std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max(), 0, -1, 42, 7};
+  const std::vector<double> doubles = {
+      std::bit_cast<double>(std::uint64_t{0x7ff8000000000123}),  // NaN
+      std::bit_cast<double>(std::uint64_t{0xfff0000000000001}),  // NaN
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      2.5};
+  const std::vector<std::string> strings = {
+      "", std::string("a\0b", 3), std::string((64u << 10) + 17, 'L'), "x",
+      std::string(1, '\0'), "tail"};
+  Batch rows;
+  rows.Reset({ColumnType::kInt64, ColumnType::kDouble, ColumnType::kString});
+  for (std::size_t i = 0; i < ints.size(); ++i) {
+    rows.columns[0].i64.push_back(ints[i]);
+    rows.columns[1].f64.push_back(doubles[i]);
+    rows.columns[2].str.push_back(strings[i]);
+    rows.row_ids.push_back(1000 + i);  // engine rowIDs do not travel
+  }
+  return rows;
+}
+
+/// Expects rows [begin, begin + n) of `want` at [at, at + n) of `got`,
+/// doubles compared bit for bit.
+void ExpectRowsEqual(const Batch& got, std::size_t at, const Batch& want,
+                     std::size_t begin, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got.columns[0].i64[at + i], want.columns[0].i64[begin + i]);
+    EXPECT_EQ(Bits(got.columns[1].f64[at + i]),
+              Bits(want.columns[1].f64[begin + i]));
+    EXPECT_EQ(got.columns[2].str[at + i], want.columns[2].str[begin + i]);
+  }
+}
+
+TEST(WireTest, RowBatchRoundTripsEdgeValuesBitForBit) {
+  const Batch rows = EdgeRows();
+  std::string w;
+  EncodeRowBatch(&w, rows, 0, rows.num_rows());
+  ByteReader r(w);
+  Batch out;
+  out.Reset(rows.types());
+  ASSERT_TRUE(DecodeRowBatch(&r, &out).ok());
+  EXPECT_TRUE(r.done());
+  ASSERT_EQ(out.num_rows(), rows.num_rows());
+  ExpectRowsEqual(out, 0, rows, 0, rows.num_rows());
+  EXPECT_TRUE(std::isnan(out.columns[1].f64[0]));
+  EXPECT_TRUE(std::signbit(out.columns[1].f64[2]));
+  EXPECT_EQ(out.columns[2].str[1].size(), 3u);
+  for (std::size_t i = 0; i < out.num_rows(); ++i) {
+    EXPECT_EQ(out.row_ids[i], i);
+  }
+}
+
+TEST(WireTest, ZeroRowBatchRoundTrips) {
+  const Batch rows = EdgeRows();
+  std::string w;
+  EncodeRowBatch(&w, rows, 2, 2);
+  EXPECT_EQ(w.size(), 4u);  // just the row count
+  ByteReader r(w);
+  Batch out;
+  out.Reset(rows.types());
+  ASSERT_TRUE(DecodeRowBatch(&r, &out).ok());
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(out.num_rows(), 0u);
+  for (const ColumnVector& col : out.columns) EXPECT_EQ(col.size(), 0u);
+}
+
+TEST(WireTest, BatchesAppendWithSequentialRowIds) {
+  const Batch rows = EdgeRows();
+  // Uneven slices, an empty one among them, decoded onto one Batch.
+  const std::vector<std::pair<std::size_t, std::size_t>> slices = {
+      {0, 1}, {1, 4}, {4, 4}, {4, 6}, {0, 6}};
+  Batch out;
+  out.Reset(rows.types());
+  std::size_t at = 0;
+  for (const auto& [begin, end] : slices) {
+    std::string w;
+    EncodeRowBatch(&w, rows, begin, end);
+    ByteReader r(w);
+    ASSERT_TRUE(DecodeRowBatch(&r, &out).ok());
+    EXPECT_TRUE(r.done());
+    ASSERT_EQ(out.num_rows(), at + (end - begin));
+    ExpectRowsEqual(out, at, rows, begin, end - begin);
+    at += end - begin;
+  }
+  for (const ColumnVector& col : out.columns) EXPECT_EQ(col.size(), at);
+  for (std::size_t i = 0; i < at; ++i) EXPECT_EQ(out.row_ids[i], i);
+}
+
+TEST(WireTest, WireBatchEndHonorsBothCaps) {
+  Batch ints;
+  ints.Reset({ColumnType::kInt64, ColumnType::kDouble});
+  for (std::size_t i = 0; i < 3 * kRowsPerWireBatch; ++i) {
+    ints.columns[0].i64.push_back(static_cast<std::int64_t>(i));
+    ints.columns[1].f64.push_back(0.5);
+    ints.row_ids.push_back(i);
+  }
+  EXPECT_EQ(WireBatchEnd(ints, 0), kRowsPerWireBatch);
+  EXPECT_EQ(WireBatchEnd(ints, ints.num_rows() - 5), ints.num_rows());
+  EXPECT_EQ(WireBatchEnd(ints, ints.num_rows()), ints.num_rows());
+
+  // 100 KiB strings: the byte cap closes a batch after the row that
+  // reaches kWireBatchSoftBytes; a row above the cap travels alone.
+  Batch wide;
+  wide.Reset({ColumnType::kString});
+  for (std::size_t i = 0; i < 30; ++i) {
+    wide.columns[0].str.push_back(std::string(100u << 10, 'w'));
+    wide.row_ids.push_back(i);
+  }
+  wide.columns[0].str[20] = std::string(kWireBatchSoftBytes + 1, 'h');
+  EXPECT_EQ(WireBatchEnd(wide, 0), 11u);
+  EXPECT_EQ(WireBatchEnd(wide, 20), 21u);
+  std::string w;
+  EncodeRowBatch(&w, wide, 0, 11);
+  EXPECT_GE(w.size(), kWireBatchSoftBytes);
+  EXPECT_LT(w.size() - (4 + (100u << 10)), kWireBatchSoftBytes);
 }
 
 TEST(StatementSplitterTest, SplitsLikeTheShell) {
@@ -469,22 +597,110 @@ int RawConnect(std::uint16_t port) {
 
 TEST(ServerTest, RejectsProtocolVersionMismatch) {
   TestServer ts;
-  const int fd = RawConnect(ts.server->port());
+  // A future version and the previous one (v3 laid row batches out row
+  // by row) are both refused.
+  for (const std::uint32_t version :
+       {kProtocolVersion + 7, kProtocolVersion - 1}) {
+    const int fd = RawConnect(ts.server->port());
+    std::string hello;
+    PutU32(&hello, version);
+    ASSERT_TRUE(WriteFrame(fd, FrameType::kHello, hello).ok());
+    FrameType type;
+    std::string payload;
+    ASSERT_TRUE(ReadFrame(fd, &type, &payload).ok());
+    EXPECT_EQ(type, FrameType::kError);
+    ByteReader r(payload);
+    Status status;
+    ASSERT_TRUE(DecodeError(&r, &status, nullptr, nullptr).ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("protocol version"), std::string::npos)
+        << version;
+    // Server closes after the refusal.
+    EXPECT_FALSE(ReadFrame(fd, &type, &payload).ok());
+    ::close(fd);
+  }
+}
+
+/// Handshakes a raw connection and sends one kQuery; the caller reads
+/// the response frames.
+int RawQuery(std::uint16_t port, const std::string& sql) {
+  const int fd = RawConnect(port);
   std::string hello;
-  PutU32(&hello, kProtocolVersion + 7);
-  ASSERT_TRUE(WriteFrame(fd, FrameType::kHello, hello).ok());
+  PutU32(&hello, kProtocolVersion);
+  EXPECT_TRUE(WriteFrame(fd, FrameType::kHello, hello).ok());
+  FrameType type;
+  std::string payload;
+  EXPECT_TRUE(ReadFrame(fd, &type, &payload).ok());
+  EXPECT_EQ(type, FrameType::kWelcome);
+  std::string w;
+  PutString(&w, sql);
+  EncodeParams(&w, {});
+  EXPECT_TRUE(WriteFrame(fd, FrameType::kQuery, w).ok());
+  return fd;
+}
+
+TEST(ServerTest, LargeResultMatchesInProcessAcrossBatchCaps) {
+  TestServer ts;
+  // 5,000 rows of short strings (the 4,096-row cap closes their first
+  // batch), then 7,000 rows of 400-byte strings (the 1 MiB byte cap
+  // closes their batches near 2,500 rows), and one 1.5 MiB string.
+  constexpr std::int64_t kRows = 12000;
+  auto table = std::make_unique<Table>(Schema({{"k", ColumnType::kInt64},
+                                               {"d", ColumnType::kDouble},
+                                               {"s", ColumnType::kString}}));
+  for (std::int64_t i = 0; i < kRows; ++i) {
+    std::string text = "s" + std::to_string(i);
+    if (i >= 5000) text.resize(400, static_cast<char>('a' + i % 26));
+    if (i == 9000) text.assign((3u << 20) / 2, 'H');
+    table->AppendRow(Row{{Value(i), Value(static_cast<double>(i) / 7.0),
+                          Value(std::move(text))}});
+  }
+  ASSERT_TRUE(ts.engine.catalog().AddTable("big", std::move(table)).ok());
+  const std::string sql = "SELECT k, d, s FROM big ORDER BY k";
+
+  PiClient client = ts.Connect();
+  Result<QueryResult> remote = client.Sql(sql);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  Session session = ts.engine.CreateSession();
+  Result<QueryResult> local = session.Sql(sql);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  const Batch& got = remote.value().rows;
+  const Batch& want = local.value().rows;
+  ASSERT_EQ(want.num_rows(), static_cast<std::size_t>(kRows));
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  ASSERT_EQ(got.types(), want.types());
+  ExpectRowsEqual(got, 0, want, 0, want.num_rows());
+
+  // The same query over a raw socket: count the batches and how each
+  // one closed.
+  const int fd = RawQuery(ts.server->port(), sql);
   FrameType type;
   std::string payload;
   ASSERT_TRUE(ReadFrame(fd, &type, &payload).ok());
-  EXPECT_EQ(type, FrameType::kError);
-  ByteReader r(payload);
-  Status status;
-  ASSERT_TRUE(DecodeError(&r, &status, nullptr, nullptr).ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("protocol version"), std::string::npos);
-  // Server closes after the refusal.
-  EXPECT_FALSE(ReadFrame(fd, &type, &payload).ok());
+  ASSERT_EQ(type, FrameType::kResultHeader);
+  std::vector<std::uint32_t> batch_rows;
+  for (;;) {
+    ASSERT_TRUE(ReadFrame(fd, &type, &payload).ok());
+    EXPECT_LE(payload.size() + 1, kMaxFrameBytes);
+    if (type == FrameType::kResultEnd) break;
+    ASSERT_EQ(type, FrameType::kRowBatch);
+    ByteReader r(payload);
+    batch_rows.push_back(r.GetU32());
+  }
   ::close(fd);
+  std::uint64_t streamed = 0;
+  std::size_t by_rows = 0;
+  std::size_t by_bytes = 0;
+  for (std::size_t b = 0; b < batch_rows.size(); ++b) {
+    streamed += batch_rows[b];
+    if (batch_rows[b] == kRowsPerWireBatch) ++by_rows;
+    if (batch_rows[b] < kRowsPerWireBatch && b + 1 < batch_rows.size()) {
+      ++by_bytes;
+    }
+  }
+  EXPECT_EQ(streamed, static_cast<std::uint64_t>(kRows));
+  EXPECT_GE(by_rows, 1u);
+  EXPECT_GE(by_bytes, 2u);
 }
 
 /// Resident set size of this process, from /proc/self/statm.

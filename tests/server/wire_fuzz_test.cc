@@ -50,6 +50,45 @@ std::vector<ColumnType> BatchTypes() {
   return {ColumnType::kInt64, ColumnType::kDouble, ColumnType::kString};
 }
 
+/// Three rows of (INT64, DOUBLE, STRING); the first string is empty.
+Batch SampleRows() {
+  Batch rows;
+  rows.Reset(BatchTypes());
+  for (std::int64_t i = 0; i < 3; ++i) {
+    rows.columns[0].i64.push_back(i * 1000 - 1);
+    rows.columns[1].f64.push_back(0.5 * static_cast<double>(i));
+    rows.columns[2].str.push_back(std::string(static_cast<std::size_t>(i),
+                                              'x'));
+    rows.row_ids.push_back(static_cast<RowId>(i));
+  }
+  return rows;
+}
+
+/// DecodeRowBatch plus its contract: an OK decode leaves equal column
+/// lengths and rowIDs 0..n-1; a failed one leaves `out` as it was.
+Status DecodeRowBatchChecked(ByteReader* r, Batch* out) {
+  const Batch before = *out;
+  Status st = DecodeRowBatch(r, out);
+  const std::size_t n = out->row_ids.size();
+  EXPECT_EQ(out->columns[0].i64.size(), n);
+  EXPECT_EQ(out->columns[1].f64.size(), n);
+  EXPECT_EQ(out->columns[2].str.size(), n);
+  if (st.ok()) {
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out->row_ids[i], i);
+  } else {
+    EXPECT_EQ(out->row_ids, before.row_ids);
+    EXPECT_EQ(out->columns[0].i64, before.columns[0].i64);
+    // Bit for bit: decoded noise may hold NaNs, which never compare equal.
+    const std::vector<double>& got = out->columns[1].f64;
+    const std::vector<double>& want = before.columns[1].f64;
+    EXPECT_TRUE(got.size() == want.size() &&
+                (got.empty() || std::memcmp(got.data(), want.data(),
+                                            got.size() * 8) == 0));
+    EXPECT_EQ(out->columns[2].str, before.columns[2].str);
+  }
+  return st;
+}
+
 /// One decoder under test: a valid encoding and a decode that checks
 /// the well-formedness of whatever it returns OK.
 struct Target {
@@ -112,29 +151,27 @@ std::vector<Target> Targets() {
          }});
   }
   {
-    Batch rows;
-    rows.Reset(BatchTypes());
-    for (std::int64_t i = 0; i < 3; ++i) {
-      rows.columns[0].i64.push_back(i * 1000 - 1);
-      rows.columns[1].f64.push_back(0.5 * static_cast<double>(i));
-      rows.columns[2].str.push_back(std::string(static_cast<std::size_t>(i),
-                                                'x'));
-      rows.row_ids.push_back(static_cast<RowId>(i));
-    }
+    const Batch rows = SampleRows();
     std::string w;
-    PutU32(&w, static_cast<std::uint32_t>(rows.num_rows()));
-    for (std::size_t r = 0; r < rows.num_rows(); ++r) EncodeRow(&w, rows, r);
+    EncodeRowBatch(&w, rows, 0, rows.num_rows());
     targets.push_back({"DecodeRowBatch", w, [](ByteReader* r) {
                          Batch out;
                          out.Reset(BatchTypes());
-                         Status st = DecodeRowBatch(r, &out);
-                         if (st.ok()) {
-                           const std::size_t n = out.row_ids.size();
-                           EXPECT_EQ(out.columns[0].i64.size(), n);
-                           EXPECT_EQ(out.columns[1].f64.size(), n);
-                           EXPECT_EQ(out.columns[2].str.size(), n);
-                         }
-                         return st;
+                         return DecodeRowBatchChecked(r, &out);
+                       }});
+  }
+  {
+    // Two kRowBatch payloads back to back, decoded onto one Batch the
+    // way a client appends a streamed result.
+    const Batch rows = SampleRows();
+    std::string w;
+    EncodeRowBatch(&w, rows, 0, 1);
+    EncodeRowBatch(&w, rows, 1, rows.num_rows());
+    targets.push_back({"DecodeRowBatch x2", w, [](ByteReader* r) {
+                         Batch out;
+                         out.Reset(BatchTypes());
+                         PIDX_RETURN_NOT_OK(DecodeRowBatchChecked(r, &out));
+                         return DecodeRowBatchChecked(r, &out);
                        }});
   }
   {
