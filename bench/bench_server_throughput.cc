@@ -9,17 +9,20 @@
 //   - range:  2-column SELECTs of a key range of min(rows, 100000) rows,
 //             which measures result streaming (encode, send, decode)
 // point and mixed are swept over 1 / 4 / 16 / 64 concurrent connections,
-// range over 1 / 4. Each sweep runs a fixed total query count split
-// across the clients (range runs 1/20 of it), so qps across sweeps is
-// comparable. SERVER_BUSY rejections are retried and counted. Per
+// range over 1 / 4. Each sweep lasts a fixed time (2 s by default):
+// every client issues queries back to back until the sweep's deadline,
+// and qps is the queries completed over the elapsed time. A fixed query
+// count made the fast sweeps last only 0.03-0.4 s, too short for
+// back-to-back runs to agree. SERVER_BUSY rejections are retried and
+// counted. Per
 // sweep, p50/p95/p99 server-side query latency is read off the
 // pidx_server_query_latency_us histogram (snapshot delta around the
 // sweep; log-bucketed, so percentiles resolve to a power-of-two upper
 // bound), and rows/s and MB/s count the result rows the clients
 // received and their cell bytes. Results go to BENCH_server.json.
 //
-// Usage: bench_server_throughput [rows] [queries_per_sweep]
-//                                (default 100000 rows, 2000 queries)
+// Usage: bench_server_throughput [rows] [seconds_per_sweep]
+//                                (default 100000 rows, 2 s)
 
 #include <algorithm>
 #include <atomic>
@@ -91,9 +94,9 @@ std::uint64_t CellBytes(const Batch& rows) {
 }
 
 SweepResult RunSweep(net::PiServer& server, Engine& engine,
-                     std::size_t clients, std::uint64_t total_queries,
-                     std::uint64_t rows, Workload workload,
-                     std::uint64_t salt) {
+                     std::size_t clients, double seconds, std::uint64_t rows,
+                     Workload workload, std::uint64_t salt) {
+  std::atomic<std::uint64_t> completed{0};
   std::atomic<std::uint64_t> busy{0};
   std::atomic<std::uint64_t> errors{0};
   std::atomic<std::uint64_t> result_rows{0};
@@ -101,7 +104,6 @@ SweepResult RunSweep(net::PiServer& server, Engine& engine,
   const std::uint64_t span = std::min(rows, kRangeRows);
   std::vector<std::thread> threads;
   threads.reserve(clients);
-  const std::uint64_t per_client = total_queries / clients;
 
   obs::HistogramSnapshot before =
       engine.metrics().HistogramSnapshotOf("pidx_server_query_latency_us");
@@ -110,11 +112,12 @@ SweepResult RunSweep(net::PiServer& server, Engine& engine,
     threads.emplace_back([&, t] {
       net::PiClient client;
       if (!client.Connect("127.0.0.1", server.port()).ok()) {
-        errors.fetch_add(per_client);
+        errors.fetch_add(1);
         return;
       }
       Rng rng(kBenchSeed + salt * 1000 + t);
-      for (std::uint64_t q = 0; q < per_client; ++q) {
+      std::uint64_t q = 0;
+      for (; timer.ElapsedSeconds() < seconds; ++q) {
         const std::uint64_t key = rng.Uniform(0, rows - 1);
         std::string sql;
         if (workload == Workload::kMixed && q % 10 == 9) {
@@ -146,13 +149,14 @@ SweepResult RunSweep(net::PiServer& server, Engine& engine,
           break;
         }
       }
+      completed.fetch_add(q);
     });
   }
   for (std::thread& t : threads) t.join();
 
   SweepResult result;
   result.clients = clients;
-  result.queries = per_client * clients;
+  result.queries = completed.load();
   result.busy_retries = busy.load();
   result.result_rows = result_rows.load();
   result.result_bytes = result_bytes.load();
@@ -202,8 +206,7 @@ net::ServerOptions MakeServerOptions() {
 int main(int argc, char** argv) {
   const std::uint64_t rows =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100'000;
-  const std::uint64_t queries =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2'000;
+  const double seconds = argc > 2 ? std::strtod(argv[2], nullptr) : 2.0;
 
   const net::ServerOptions options = MakeServerOptions();
   std::unique_ptr<Engine> engine = MakeEngine(rows);
@@ -223,7 +226,7 @@ int main(int argc, char** argv) {
   WriteMachineJson(json);
   std::fprintf(json,
                "  \"bench\": \"bench_server_throughput\",\n"
-               "  \"rows\": %llu,\n  \"queries_per_sweep\": %llu,\n"
+               "  \"rows\": %llu,\n  \"seconds_per_sweep\": %.1f,\n"
                "  \"query_workers\": %zu,\n"
                "  \"note\": \"full-stack qps over loopback TCP; mixed = "
                "90%% point SELECT + 10%% single-row UPDATE; range = "
@@ -234,27 +237,25 @@ int main(int argc, char** argv) {
                "come from the log-bucketed server latency histogram "
                "(bucket upper bounds, so power-of-two resolution)\",\n"
                "  \"results\": [\n",
-               static_cast<unsigned long long>(rows),
-               static_cast<unsigned long long>(queries),
+               static_cast<unsigned long long>(rows), seconds,
                options.query_workers);
 
   struct Sweep {
     Workload workload;
     std::vector<std::size_t> clients;
-    std::uint64_t queries;
   };
   const Sweep sweeps[] = {
-      {Workload::kPoint, {1, 4, 16, 64}, queries},
-      {Workload::kMixed, {1, 4, 16, 64}, queries},
-      {Workload::kRange, {1, 4}, std::max<std::uint64_t>(4, queries / 20)},
+      {Workload::kPoint, {1, 4, 16, 64}},
+      {Workload::kMixed, {1, 4, 16, 64}},
+      {Workload::kRange, {1, 4}},
   };
   bool first = true;
   std::uint64_t salt = 0;
   for (const Sweep& sweep : sweeps) {
     const char* name = WorkloadName(sweep.workload);
     for (const std::size_t clients : sweep.clients) {
-      const SweepResult r = RunSweep(server, *engine, clients, sweep.queries,
-                                     rows, sweep.workload, ++salt);
+      const SweepResult r = RunSweep(server, *engine, clients, seconds, rows,
+                                     sweep.workload, ++salt);
       std::printf("%-5s clients=%2zu  queries=%6llu  %8.3f s  %9.0f qps"
                   "  %11.0f rows/s  %8.1f MB/s"
                   "  p50=%.0fus p95=%.0fus p99=%.0fus"

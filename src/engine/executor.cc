@@ -11,7 +11,7 @@
 #include "common/timer.h"
 #include "exec/aggregate.h"
 #include "exec/hash_join.h"
-#include "exec/merge_join.h"
+#include "exec/merge_probe.h"
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/select.h"
@@ -322,163 +322,6 @@ class MorselSourceOperator : public Operator {
 
 // --------------------------------------------------------------- joins
 
-/// A join's build side, hash-partitioned on the key; probes are
-/// read-only, so every worker shares it.
-struct HashTables {
-  std::shared_ptr<const std::vector<JoinHashTable>> parts;
-  std::size_t mask = 0;
-  std::vector<ColumnType> types;
-};
-
-/// Streams the probe input against the read-only partition tables and
-/// emits matches in the join's logical left-then-right column layout.
-/// Output rowIDs are the probe side's, and batches are bounded at
-/// ~kBatchSize, both as in HashJoinOperator.
-class PartitionProbeOperator : public Operator {
- public:
-  PartitionProbeOperator(OperatorPtr child, const HashTables* tables,
-                         std::size_t probe_key, bool build_is_left)
-      : child_(std::move(child)),
-        tables_(tables),
-        probe_key_(probe_key),
-        probe_width_(child_->OutputTypes().size()),
-        build_width_(tables->types.size()),
-        build_off_(build_is_left ? 0 : probe_width_),
-        probe_off_(build_is_left ? build_width_ : 0) {
-    const std::vector<ColumnType> probe_types = child_->OutputTypes();
-    const std::vector<ColumnType>& build_types = tables->types;
-    const auto& first = build_is_left ? build_types : probe_types;
-    const auto& second = build_is_left ? probe_types : build_types;
-    output_types_ = first;
-    output_types_.insert(output_types_.end(), second.begin(), second.end());
-  }
-
-  std::vector<ColumnType> OutputTypes() const override {
-    return output_types_;
-  }
-
-  void Open() override {
-    child_->Open();
-    probe_pos_ = 0;
-    probe_done_ = false;
-    probe_batch_.Clear();
-  }
-
-  bool Next(Batch* out) override {
-    out->Reset(output_types_);
-    while (out->num_rows() < kBatchSize) {
-      if (probe_pos_ >= probe_batch_.num_rows()) {
-        if (probe_done_ || !child_->Next(&probe_batch_)) {
-          probe_done_ = true;
-          break;
-        }
-        probe_pos_ = 0;
-        continue;
-      }
-      const std::size_t i = probe_pos_++;
-      const std::int64_t key = probe_batch_.columns[probe_key_].i64[i];
-      const JoinHashTable& table =
-          (*tables_->parts)[JoinKeyPartition(key, tables_->mask)];
-      const Batch& build = table.rows();
-      table.ForEachMatch(key, [&](std::size_t b) {
-        for (std::size_t c = 0; c < build_width_; ++c) {
-          out->columns[build_off_ + c].AppendFrom(build.columns[c], b);
-        }
-        for (std::size_t c = 0; c < probe_width_; ++c) {
-          out->columns[probe_off_ + c].AppendFrom(probe_batch_.columns[c],
-                                                  i);
-        }
-        out->row_ids.push_back(probe_batch_.row_ids[i]);
-      });
-    }
-    return out->num_rows() > 0;
-  }
-
-  void Close() override { child_->Close(); }
-
- private:
-  OperatorPtr child_;
-  const HashTables* tables_;
-  std::size_t probe_key_;
-  std::size_t probe_width_;
-  std::size_t build_width_;
-  std::size_t build_off_;
-  std::size_t probe_off_;
-  std::vector<ColumnType> output_types_;
-
-  Batch probe_batch_;
-  std::size_t probe_pos_ = 0;
-  bool probe_done_ = false;
-};
-
-/// PatchJoin's merge branch (paper §3.3, Figure 2 right): every input
-/// batch of constraint-satisfying fact rows is a run of the NSC's sorted
-/// order, so it merge-joins (MergeJoinOperator as the kernel) against the
-/// key sub-range of the sorted X it covers, found by binary search.
-/// Output: X columns then fact columns, rowIDs from X.
-class MergeProbeOperator : public Operator {
- public:
-  MergeProbeOperator(OperatorPtr fact, const Batch* x, std::size_t x_key,
-                     std::size_t fact_key)
-      : fact_(std::move(fact)), x_(x), x_key_(x_key), fact_key_(fact_key) {
-    output_types_ = x_->types();
-    for (ColumnType t : fact_->OutputTypes()) output_types_.push_back(t);
-  }
-
-  std::vector<ColumnType> OutputTypes() const override {
-    return output_types_;
-  }
-
-  void Open() override {
-    fact_->Open();
-    kernel_.reset();
-  }
-
-  bool Next(Batch* out) override {
-    for (;;) {
-      if (kernel_ != nullptr && kernel_->Next(out)) return true;
-      kernel_.reset();
-      Batch fact;
-      if (!fact_->Next(&fact)) {
-        out->Reset(output_types_);
-        return false;
-      }
-      const std::vector<std::int64_t>& keys = fact.columns[fact_key_].i64;
-      if (!std::is_sorted(keys.begin(), keys.end())) {
-        // Rows appended after the index was built lie beyond its domain
-        // and count as non-patches without being part of its sorted order.
-        SortBatchRows(&fact, {{fact_key_, true}});
-      }
-      const std::vector<std::int64_t>& x_keys = x_->columns[x_key_].i64;
-      const auto lo = std::lower_bound(x_keys.begin(), x_keys.end(),
-                                       fact.columns[fact_key_].i64.front());
-      const auto hi = std::upper_bound(lo, x_keys.end(),
-                                       fact.columns[fact_key_].i64.back());
-      if (lo == hi) continue;
-      kernel_ = std::make_unique<MergeJoinOperator>(
-          std::make_unique<BatchSliceSource>(
-              x_, RowRange{static_cast<RowId>(lo - x_keys.begin()),
-                           static_cast<RowId>(hi - x_keys.begin())}),
-          std::make_unique<InMemorySource>(std::move(fact)), x_key_,
-          fact_key_);
-      kernel_->Open();
-    }
-  }
-
-  void Close() override {
-    kernel_.reset();
-    fact_->Close();
-  }
-
- private:
-  OperatorPtr fact_;
-  const Batch* x_;
-  std::size_t x_key_;
-  std::size_t fact_key_;
-  std::vector<ColumnType> output_types_;
-  OperatorPtr kernel_;
-};
-
 ScanOptions PatchScan(const PatchIndex* idx, PatchSelectMode mode) {
   ScanOptions opts;
   opts.patch_filter = idx;
@@ -676,9 +519,10 @@ class Executor {
   /// the build key (annotated by the rewriter), rows the index proves
   /// unique skip duplicate chaining (exceptions take the chained path; see
   /// JoinHashTable for why this stays exact).
-  HashTables BuildHashTables(const Pipeline& build,
-                             std::vector<ColumnType> types, std::size_t key,
-                             const PatchIndex* nuc, const LogicalNode& join) {
+  PartitionedHashTables BuildHashTables(const Pipeline& build,
+                                        std::vector<ColumnType> types,
+                                        std::size_t key, const PatchIndex* nuc,
+                                        const LogicalNode& join) {
     PIDX_CHECK(types.at(key) == ColumnType::kInt64);
     WallTimer timer;
     obs::NodeStats* stats = Stats(&join);
@@ -688,7 +532,7 @@ class Executor {
     // one-worker build stays one partition, assembled inline.
     std::size_t partitions = 1;
     while (workers > 1 && partitions < pool_.num_threads()) partitions <<= 1;
-    HashTables out;
+    PartitionedHashTables out;
     out.mask = partitions - 1;
 
     std::vector<std::vector<Batch>> spill(workers);
@@ -697,14 +541,24 @@ class Executor {
       std::vector<Batch>& local = spill[w];
       local.resize(partitions);
       for (Batch& b : local) b.Reset(types);
+      // Each batch's rows are bucketed by partition, then gathered.
+      std::vector<std::vector<std::size_t>> selection(partitions);
       OperatorPtr op = Instantiate(build, w);
       op->Open();
       Batch in;
       while (op->Next(&in)) {
         mem.Add(ApproxBytes(in));
+        if (partitions == 1) {
+          local[0].AppendRows(in, 0, in.num_rows());
+          continue;
+        }
+        for (std::vector<std::size_t>& sel : selection) sel.clear();
         const auto& keys = in.columns[key].i64;
         for (std::size_t i = 0; i < in.num_rows(); ++i) {
-          local[JoinKeyPartition(keys[i], out.mask)].AppendRowFrom(in, i);
+          selection[JoinKeyPartition(keys[i], out.mask)].push_back(i);
+        }
+        for (std::size_t p = 0; p < partitions; ++p) {
+          local[p].AppendGather(in, selection[p]);
         }
       }
       op->Close();
@@ -742,9 +596,10 @@ class Executor {
     return out;
   }
 
-  static OpFactory ProbeOp(HashTables tables, std::size_t probe_key,
-                           bool build_is_left) {
-    auto shared = std::make_shared<const HashTables>(std::move(tables));
+  static OpFactory ProbeOp(PartitionedHashTables tables,
+                           std::size_t probe_key, bool build_is_left) {
+    auto shared =
+        std::make_shared<const PartitionedHashTables>(std::move(tables));
     return [shared, probe_key, build_is_left](OperatorPtr op) -> OperatorPtr {
       return std::make_unique<PartitionProbeOperator>(
           std::move(op), shared.get(), probe_key, build_is_left);
@@ -761,7 +616,7 @@ class Executor {
                             EstimateCardinality(*join.children[0]) <=
                                 EstimateCardinality(*join.children[1]);
     const LogicalNode& build = *join.children[build_left ? 0 : 1];
-    HashTables tables = BuildHashTables(
+    PartitionedHashTables tables = BuildHashTables(
         Lower(build), LogicalOutputTypes(build),
         build_left ? join.left_key : join.right_key,
         build_left ? join.left_key_nuc : join.right_key_nuc, join);
@@ -801,7 +656,7 @@ class Executor {
     out.branches.push_back(std::move(merge.branches[0]));
     out.branches[0].ops = std::move(merge.ops);
     if (!no_patches) {
-      HashTables patches = BuildHashTables(
+      PartitionedHashTables patches = BuildHashTables(
           Lower(fact, PatchScan(idx, PatchSelectMode::kUsePatches)),
           LogicalOutputTypes(fact), node.right_key, nullptr, node);
       Pipeline hash = BatchPipeline(x);

@@ -255,25 +255,25 @@ void HashAggregateOperator::ConsumeGeneric(const Batch& in) {
 bool HashAggregateOperator::Next(Batch* out) {
   out->Reset(OutputTypes());
   const std::vector<ColumnType> input = child_->OutputTypes();
-  while (out->num_rows() < kBatchSize && pos_ < groups_.num_rows()) {
-    const std::size_t g = pos_++;
-    for (std::size_t k = 0; k < group_cols_.size(); ++k) {
-      out->columns[k].AppendFrom(groups_.columns[k], g);
-    }
-    for (std::size_t a = 0; a < aggs_.size(); ++a) {
-      const std::size_t oc = group_cols_.size() + a;
-      const AggSpec& spec = aggs_[a];
-      const bool is_f64 = spec.op != AggOp::kCount &&
-                          input[spec.column] == ColumnType::kDouble;
-      if (is_f64) {
-        out->columns[oc].f64.push_back(agg_f64_[a][g]);
-      } else {
-        out->columns[oc].i64.push_back(agg_i64_[a][g]);
-      }
-    }
-    out->row_ids.push_back(groups_.row_ids[g]);
+  const std::size_t begin = pos_;
+  const std::size_t end = std::min(groups_.num_rows(), pos_ + kBatchSize);
+  pos_ = end;
+  for (std::size_t k = 0; k < group_cols_.size(); ++k) {
+    out->columns[k].AppendSlice(groups_.columns[k], begin, end);
   }
-  return out->num_rows() > 0;
+  for (std::size_t a = 0; a < aggs_.size(); ++a) {
+    ColumnVector& dst = out->columns[group_cols_.size() + a];
+    const AggSpec& spec = aggs_[a];
+    if (spec.op != AggOp::kCount &&
+        input[spec.column] == ColumnType::kDouble) {
+      dst.f64.assign(agg_f64_[a].begin() + begin, agg_f64_[a].begin() + end);
+    } else {
+      dst.i64.assign(agg_i64_[a].begin() + begin, agg_i64_[a].begin() + end);
+    }
+  }
+  out->row_ids.assign(groups_.row_ids.begin() + begin,
+                      groups_.row_ids.begin() + end);
+  return end > begin;
 }
 
 void HashAggregateOperator::Close() {

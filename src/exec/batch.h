@@ -1,8 +1,11 @@
 #ifndef PATCHINDEX_EXEC_BATCH_H_
 #define PATCHINDEX_EXEC_BATCH_H_
 
+#include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
@@ -15,6 +18,36 @@ class Column;
 
 /// Tuples processed per operator invocation (X100-style vector size).
 inline constexpr std::size_t kBatchSize = 1024;
+
+/// The one total order on DOUBLE cells, used by comparisons, sorts and
+/// merges alike: the IEEE order, except that NaN sorts above +inf and
+/// equals only NaN (as in PostgreSQL). −0.0 and +0.0 compare equal. Plain
+/// `<` makes NaN tie with every value, which answers `d = 1.0` for a NaN
+/// row and hands std::sort a comparator that is not a strict weak order.
+inline int CompareDoubles(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+}
+
+/// Appends `src[idx[0]], src[idx[1]], ...` to `dst`: the gather primitive
+/// every selection, join and permutation goes through, one typed loop per
+/// column instead of one out-of-line call per cell.
+template <typename T>
+void AppendGathered(std::vector<T>* dst, const std::vector<T>& src,
+                    std::span<const std::size_t> idx) {
+  const std::size_t base = dst->size();
+  if constexpr (std::is_trivially_copyable_v<T>) {
+    dst->resize(base + idx.size());
+    T* out = dst->data() + base;
+    const T* in = src.data();
+    for (std::size_t i = 0; i < idx.size(); ++i) out[i] = in[idx[i]];
+  } else {
+    dst->reserve(base + idx.size());
+    for (std::size_t i : idx) dst->push_back(src[i]);
+  }
+}
 
 /// A typed vector of cell values flowing between operators. Exactly one
 /// backing vector is active, selected by `type`.
@@ -47,6 +80,37 @@ struct ColumnVector {
   void AppendValue(const Value& v);
   /// Copies cell `idx` of `src` (same type) to the end of this vector.
   void AppendFrom(const ColumnVector& src, std::size_t idx);
+  /// Copies cells [begin, end) of `src` (same type).
+  void AppendSlice(const ColumnVector& src, std::size_t begin,
+                   std::size_t end) {
+    PIDX_DCHECK(src.type == type);
+    switch (type) {
+      case ColumnType::kInt64:
+        i64.insert(i64.end(), src.i64.begin() + begin, src.i64.begin() + end);
+        break;
+      case ColumnType::kDouble:
+        f64.insert(f64.end(), src.f64.begin() + begin, src.f64.begin() + end);
+        break;
+      case ColumnType::kString:
+        str.insert(str.end(), src.str.begin() + begin, src.str.begin() + end);
+        break;
+    }
+  }
+  /// Copies cells `idx` of `src` (same type), in index order.
+  void AppendGather(const ColumnVector& src, std::span<const std::size_t> idx) {
+    PIDX_DCHECK(src.type == type);
+    switch (type) {
+      case ColumnType::kInt64:
+        AppendGathered(&i64, src.i64, idx);
+        break;
+      case ColumnType::kDouble:
+        AppendGathered(&f64, src.f64, idx);
+        break;
+      case ColumnType::kString:
+        AppendGathered(&str, src.str, idx);
+        break;
+    }
+  }
   /// Copies cell `row` of a storage column (same type), without boxing.
   void AppendFromColumn(const Column& src, RowId row);
   /// Copies rows [begin, end) of a storage column (same type), one block
@@ -84,6 +148,16 @@ struct Batch {
     row_ids.clear();
   }
 
+  /// Appends rows `idx` of `src` (same layout), in index order, one
+  /// column at a time.
+  void AppendGather(const Batch& src, std::span<const std::size_t> idx) {
+    PIDX_DCHECK(columns.size() == src.columns.size());
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      columns[c].AppendGather(src.columns[c], idx);
+    }
+    AppendGathered(&row_ids, src.row_ids, idx);
+  }
+
   /// Appends row `idx` of `src` (same layout).
   void AppendRowFrom(const Batch& src, std::size_t idx) {
     PIDX_DCHECK(columns.size() == src.columns.size());
@@ -97,22 +171,7 @@ struct Batch {
   void AppendRows(const Batch& src, std::size_t begin, std::size_t end) {
     PIDX_DCHECK(columns.size() == src.columns.size());
     for (std::size_t c = 0; c < columns.size(); ++c) {
-      ColumnVector& d = columns[c];
-      const ColumnVector& s = src.columns[c];
-      switch (d.type) {
-        case ColumnType::kInt64:
-          d.i64.insert(d.i64.end(), s.i64.begin() + begin,
-                       s.i64.begin() + end);
-          break;
-        case ColumnType::kDouble:
-          d.f64.insert(d.f64.end(), s.f64.begin() + begin,
-                       s.f64.begin() + end);
-          break;
-        case ColumnType::kString:
-          d.str.insert(d.str.end(), s.str.begin() + begin,
-                       s.str.begin() + end);
-          break;
-      }
+      columns[c].AppendSlice(src.columns[c], begin, end);
     }
     row_ids.insert(row_ids.end(), src.row_ids.begin() + begin,
                    src.row_ids.begin() + end);

@@ -26,6 +26,23 @@ const char* CmpOpName(Expr::CmpOp op) {
   return "?";
 }
 
+/// `n` copies of `v`, filled by type rather than one boxed Value at a time.
+ColumnVector Broadcast(const Value& v, std::size_t n) {
+  ColumnVector out(v.type());
+  switch (v.type()) {
+    case ColumnType::kInt64:
+      out.i64.assign(n, v.AsInt64());
+      break;
+    case ColumnType::kDouble:
+      out.f64.assign(n, v.AsDouble());
+      break;
+    case ColumnType::kString:
+      out.str.assign(n, v.AsString());
+      break;
+  }
+  return out;
+}
+
 class ColumnExpr : public Expr {
  public:
   explicit ColumnExpr(std::size_t idx) : idx_(idx) {}
@@ -36,7 +53,10 @@ class ColumnExpr : public Expr {
   }
   ColumnVector Eval(const Batch& batch) const override {
     PIDX_CHECK(idx_ < batch.columns.size());
-    return batch.columns[idx_];  // copy; acceptable at our scale
+    // A copy: the operand of arithmetic, casts and column-vs-column
+    // comparisons. Comparisons against a constant never come here; they
+    // read the batch column in place (CmpExpr).
+    return batch.columns[idx_];
   }
   std::string ToString() const override { return "#" + std::to_string(idx_); }
   int column_index() const override { return static_cast<int>(idx_); }
@@ -53,10 +73,7 @@ class ConstExpr : public Expr {
     return v_.type();
   }
   ColumnVector Eval(const Batch& batch) const override {
-    ColumnVector out(v_.type());
-    const std::size_t n = batch.num_rows();
-    for (std::size_t i = 0; i < n; ++i) out.AppendValue(v_);
-    return out;
+    return Broadcast(v_, batch.num_rows());
   }
   std::string ToString() const override {
     if (v_.type() == ColumnType::kString) return "'" + v_.AsString() + "'";
@@ -68,57 +85,136 @@ class ConstExpr : public Expr {
   Value v_;
 };
 
-bool CmpValues(Expr::CmpOp op, int cmp3) {
-  switch (op) {
-    case Expr::CmpOp::kEq:
-      return cmp3 == 0;
-    case Expr::CmpOp::kNe:
-      return cmp3 != 0;
-    case Expr::CmpOp::kLt:
-      return cmp3 < 0;
-    case Expr::CmpOp::kLe:
-      return cmp3 <= 0;
-    case Expr::CmpOp::kGt:
-      return cmp3 > 0;
-    case Expr::CmpOp::kGe:
-      return cmp3 >= 0;
-  }
-  return false;
+/// Three-way compares of one cell type: INT64 and STRING by value,
+/// DOUBLE by CompareDoubles' total order.
+int Compare3(std::int64_t a, std::int64_t b) { return (a > b) - (a < b); }
+int Compare3(double a, double b) { return CompareDoubles(a, b); }
+int Compare3(const std::string& a, const std::string& b) {
+  const int c = a.compare(b);
+  return (c > 0) - (c < 0);
 }
 
+/// out[i] = (a[i] op b[i]) for every i, where b[i] is `b(i)`: one loop per
+/// operator, so the operator switch runs once per batch, not per row.
+template <typename T, typename Rhs>
+void CompareLoop(Expr::CmpOp op, const std::vector<T>& a, Rhs b,
+                 std::vector<std::int64_t>* out) {
+  const std::size_t n = a.size();
+  out->resize(n);
+  std::int64_t* o = out->data();
+  const T* in = a.data();
+  const auto loop = [&](auto pred) {
+    for (std::size_t i = 0; i < n; ++i) o[i] = pred(Compare3(in[i], b(i)));
+  };
+  switch (op) {
+    case Expr::CmpOp::kEq:
+      loop([](int c) { return c == 0; });
+      break;
+    case Expr::CmpOp::kNe:
+      loop([](int c) { return c != 0; });
+      break;
+    case Expr::CmpOp::kLt:
+      loop([](int c) { return c < 0; });
+      break;
+    case Expr::CmpOp::kLe:
+      loop([](int c) { return c <= 0; });
+      break;
+    case Expr::CmpOp::kGt:
+      loop([](int c) { return c > 0; });
+      break;
+    case Expr::CmpOp::kGe:
+      loop([](int c) { return c >= 0; });
+      break;
+  }
+}
+
+/// `a op b` rewritten as `b op' a`.
+Expr::CmpOp Mirror(Expr::CmpOp op) {
+  switch (op) {
+    case Expr::CmpOp::kLt:
+      return Expr::CmpOp::kGt;
+    case Expr::CmpOp::kLe:
+      return Expr::CmpOp::kGe;
+    case Expr::CmpOp::kGt:
+      return Expr::CmpOp::kLt;
+    case Expr::CmpOp::kGe:
+      return Expr::CmpOp::kLe;
+    default:
+      return op;
+  }
+}
+
+/// A comparison. `#c op constant` and `constant op #c` (normalized to the
+/// first form) run the column-vs-constant kernel: the batch column is read
+/// in place and the mask written in one typed loop. Every other shape
+/// evaluates both operands to vectors and compares them pairwise.
 class CmpExpr : public Expr {
  public:
   CmpExpr(CmpOp op, ExprPtr l, ExprPtr r)
-      : op_(op), l_(std::move(l)), r_(std::move(r)) {}
+      : op_(op), l_(std::move(l)), r_(std::move(r)) {
+    if (l_->kind() == Kind::kColumn && r_->kind() == Kind::kConst) {
+      kernel_column_ = l_->column_index();
+      kernel_op_ = op_;
+      kernel_const_ = &static_cast<const ConstExpr&>(*r_).value();
+    } else if (l_->kind() == Kind::kConst && r_->kind() == Kind::kColumn) {
+      kernel_column_ = r_->column_index();
+      kernel_op_ = Mirror(op_);
+      kernel_const_ = &static_cast<const ConstExpr&>(*l_).value();
+    }
+  }
   Kind kind() const override { return Kind::kCmp; }
   ColumnType OutputType(const std::vector<ColumnType>&) const override {
     return ColumnType::kInt64;
   }
   ColumnVector Eval(const Batch& batch) const override {
-    ColumnVector lv = l_->Eval(batch);
-    ColumnVector rv = r_->Eval(batch);
-    PIDX_CHECK_MSG(lv.type == rv.type, "comparison operand type mismatch");
     ColumnVector out(ColumnType::kInt64);
-    const std::size_t n = lv.size();
-    out.i64.reserve(n);
+    if (kernel_const_ != nullptr) {
+      PIDX_CHECK(static_cast<std::size_t>(kernel_column_) <
+                 batch.columns.size());
+      const ColumnVector& col = batch.columns[kernel_column_];
+      PIDX_CHECK_MSG(col.type == kernel_const_->type(),
+                     "comparison operand type mismatch");
+      switch (col.type) {
+        case ColumnType::kInt64: {
+          const std::int64_t c = kernel_const_->AsInt64();
+          CompareLoop(kernel_op_, col.i64, [c](std::size_t) { return c; },
+                      &out.i64);
+          break;
+        }
+        case ColumnType::kDouble: {
+          const double c = kernel_const_->AsDouble();
+          CompareLoop(kernel_op_, col.f64, [c](std::size_t) { return c; },
+                      &out.i64);
+          break;
+        }
+        case ColumnType::kString: {
+          const std::string& c = kernel_const_->AsString();
+          CompareLoop(kernel_op_, col.str,
+                      [&c](std::size_t) -> const std::string& { return c; },
+                      &out.i64);
+          break;
+        }
+      }
+      return out;
+    }
+    const ColumnVector lv = l_->Eval(batch);
+    const ColumnVector rv = r_->Eval(batch);
+    PIDX_CHECK_MSG(lv.type == rv.type, "comparison operand type mismatch");
     switch (lv.type) {
       case ColumnType::kInt64:
-        for (std::size_t i = 0; i < n; ++i) {
-          const int c = lv.i64[i] < rv.i64[i] ? -1 : (lv.i64[i] > rv.i64[i]);
-          out.i64.push_back(CmpValues(op_, c));
-        }
+        CompareLoop(op_, lv.i64, [&rv](std::size_t i) { return rv.i64[i]; },
+                    &out.i64);
         break;
       case ColumnType::kDouble:
-        for (std::size_t i = 0; i < n; ++i) {
-          const int c = lv.f64[i] < rv.f64[i] ? -1 : (lv.f64[i] > rv.f64[i]);
-          out.i64.push_back(CmpValues(op_, c));
-        }
+        CompareLoop(op_, lv.f64, [&rv](std::size_t i) { return rv.f64[i]; },
+                    &out.i64);
         break;
       case ColumnType::kString:
-        for (std::size_t i = 0; i < n; ++i) {
-          const int c = lv.str[i].compare(rv.str[i]);
-          out.i64.push_back(CmpValues(op_, c < 0 ? -1 : (c > 0 ? 1 : 0)));
-        }
+        CompareLoop(op_, lv.str,
+                    [&rv](std::size_t i) -> const std::string& {
+                      return rv.str[i];
+                    },
+                    &out.i64);
         break;
     }
     return out;
@@ -134,6 +230,12 @@ class CmpExpr : public Expr {
  private:
   CmpOp op_;
   ExprPtr l_, r_;
+  // The column-vs-constant kernel's operands; kernel_const_ points into
+  // the ConstExpr operand (kept alive by l_/r_) and is null for every
+  // other shape.
+  int kernel_column_ = -1;
+  CmpOp kernel_op_ = CmpOp::kEq;
+  const Value* kernel_const_ = nullptr;
 };
 
 enum class BoolOp { kAnd, kOr, kNot };
@@ -363,10 +465,7 @@ class ParamExpr : public Expr {
       v = Value(static_cast<double>(v.AsInt64()));
     }
     PIDX_CHECK_MSG(v.type() == type_, "parameter value type mismatch");
-    ColumnVector out(type_);
-    const std::size_t n = batch.num_rows();
-    for (std::size_t i = 0; i < n; ++i) out.AppendValue(v);
-    return out;
+    return Broadcast(v, batch.num_rows());
   }
   std::string ToString() const override {
     return "?" + std::to_string(ordinal_ + 1);
@@ -395,22 +494,6 @@ bool Int64Operand(const Expr& e, std::int64_t* out) {
   if (v == nullptr || v->type() != ColumnType::kInt64) return false;
   *out = v->AsInt64();
   return true;
-}
-
-/// `a op b` rewritten as `b op' a`.
-Expr::CmpOp Mirror(Expr::CmpOp op) {
-  switch (op) {
-    case Expr::CmpOp::kLt:
-      return Expr::CmpOp::kGt;
-    case Expr::CmpOp::kLe:
-      return Expr::CmpOp::kGe;
-    case Expr::CmpOp::kGt:
-      return Expr::CmpOp::kLt;
-    case Expr::CmpOp::kGe:
-      return Expr::CmpOp::kLe;
-    default:
-      return op;
-  }
 }
 
 }  // namespace

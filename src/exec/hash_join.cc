@@ -1,5 +1,7 @@
 #include "exec/hash_join.h"
 
+#include <algorithm>
+#include <span>
 #include <utility>
 
 #include "common/check.h"
@@ -69,7 +71,7 @@ void HashJoinOperator::Open() {
   Batch in;
   while (build_->Next(&in)) {
     mem.Add(ApproxBytes(in));
-    for (std::size_t i = 0; i < in.num_rows(); ++i) all.AppendRowFrom(in, i);
+    all.AppendRows(in, 0, in.num_rows());
   }
   build_->Close();
   const RowIdFilter* nuc = options_.build_unique_filter;
@@ -100,47 +102,165 @@ void HashJoinOperator::Open() {
     }
   }
   probe_->Open();
-  probe_pos_ = 0;
   probe_done_ = false;
   probe_batch_.Clear();
+  probe_pos_ = 0;
+  probe_sel_.clear();
+  build_sel_.clear();
+  pair_pos_ = 0;
 }
 
 bool HashJoinOperator::Next(Batch* out) {
   out->Reset(OutputTypes());
-  const std::size_t probe_width = probe_->OutputTypes().size();
-  const Batch& build_data = table_.rows();
-  const std::size_t build_width = build_data.columns.size();
-  while (out->num_rows() < kBatchSize) {
+  while (pair_pos_ >= probe_sel_.size()) {
     if (probe_pos_ >= probe_batch_.num_rows()) {
       if (probe_done_ || !probe_->Next(&probe_batch_)) {
         probe_done_ = true;
-        break;
+        return false;
       }
       probe_pos_ = 0;
-      continue;
     }
-    const std::size_t i = probe_pos_++;
-    const std::int64_t key = probe_batch_.columns[probe_key_].i64[i];
-    table_.ForEachMatch(key, [&](std::size_t b) {
-      for (std::size_t c = 0; c < probe_width; ++c) {
-        out->columns[c].AppendFrom(probe_batch_.columns[c], i);
-      }
-      for (std::size_t c = 0; c < build_width; ++c) {
-        out->columns[probe_width + c].AppendFrom(build_data.columns[c], b);
-      }
-      if (options_.append_build_rowid_column) {
-        out->columns[probe_width + build_width].i64.push_back(
-            static_cast<std::int64_t>(build_data.row_ids[b]));
-      }
-      out->row_ids.push_back(probe_batch_.row_ids[i]);
-    });
+    probe_sel_.clear();
+    build_sel_.clear();
+    pair_pos_ = 0;
+    const std::vector<std::int64_t>& keys =
+        probe_batch_.columns[probe_key_].i64;
+    while (probe_pos_ < keys.size() && probe_sel_.size() < kBatchSize) {
+      const std::size_t i = probe_pos_++;
+      table_.ForEachMatch(keys[i], [&](std::size_t b) {
+        probe_sel_.push_back(i);
+        build_sel_.push_back(b);
+      });
+    }
   }
-  return out->num_rows() > 0;
+  const std::size_t n = std::min(kBatchSize, probe_sel_.size() - pair_pos_);
+  const std::span<const std::size_t> probe_rows(probe_sel_.data() + pair_pos_,
+                                                n);
+  const std::span<const std::size_t> build_rows(build_sel_.data() + pair_pos_,
+                                                n);
+  pair_pos_ += n;
+  const Batch& build_data = table_.rows();
+  const std::size_t probe_width = probe_batch_.columns.size();
+  const std::size_t build_width = build_data.columns.size();
+  for (std::size_t c = 0; c < probe_width; ++c) {
+    out->columns[c].AppendGather(probe_batch_.columns[c], probe_rows);
+  }
+  for (std::size_t c = 0; c < build_width; ++c) {
+    out->columns[probe_width + c].AppendGather(build_data.columns[c],
+                                               build_rows);
+  }
+  if (options_.append_build_rowid_column) {
+    std::vector<std::int64_t>& ids =
+        out->columns[probe_width + build_width].i64;
+    for (std::size_t b : build_rows) {
+      ids.push_back(static_cast<std::int64_t>(build_data.row_ids[b]));
+    }
+  }
+  AppendGathered(&out->row_ids, probe_batch_.row_ids, probe_rows);
+  return true;
 }
 
 void HashJoinOperator::Close() {
   probe_->Close();
   table_.Reset({});
+}
+
+PartitionProbeOperator::PartitionProbeOperator(
+    OperatorPtr child, const PartitionedHashTables* tables,
+    std::size_t probe_key, bool build_is_left)
+    : child_(std::move(child)), tables_(tables), probe_key_(probe_key) {
+  const std::vector<ColumnType> probe_types = child_->OutputTypes();
+  const std::vector<ColumnType>& build_types = tables->types;
+  PIDX_CHECK(probe_types.at(probe_key_) == ColumnType::kInt64);
+  build_off_ = build_is_left ? 0 : probe_types.size();
+  probe_off_ = build_is_left ? build_types.size() : 0;
+  const auto& first = build_is_left ? build_types : probe_types;
+  const auto& second = build_is_left ? probe_types : build_types;
+  output_types_ = first;
+  output_types_.insert(output_types_.end(), second.begin(), second.end());
+}
+
+void PartitionProbeOperator::Open() {
+  child_->Open();
+  probe_done_ = false;
+  probe_batch_.Clear();
+  probe_pos_ = 0;
+  probe_sel_.clear();
+  build_part_.clear();
+  build_sel_.clear();
+  pair_pos_ = 0;
+}
+
+void PartitionProbeOperator::CollectPairs() {
+  probe_sel_.clear();
+  build_part_.clear();
+  build_sel_.clear();
+  pair_pos_ = 0;
+  const std::vector<JoinHashTable>& parts = *tables_->parts;
+  const std::vector<std::int64_t>& keys = probe_batch_.columns[probe_key_].i64;
+  while (probe_pos_ < keys.size() && probe_sel_.size() < kBatchSize) {
+    const std::size_t i = probe_pos_++;
+    const std::size_t p = JoinKeyPartition(keys[i], tables_->mask);
+    parts[p].ForEachMatch(keys[i], [&](std::size_t b) {
+      probe_sel_.push_back(i);
+      build_part_.push_back(static_cast<std::uint32_t>(p));
+      build_sel_.push_back(b);
+    });
+  }
+}
+
+bool PartitionProbeOperator::Next(Batch* out) {
+  out->Reset(output_types_);
+  while (pair_pos_ >= probe_sel_.size()) {
+    if (probe_pos_ >= probe_batch_.num_rows()) {
+      if (probe_done_ || !child_->Next(&probe_batch_)) {
+        probe_done_ = true;
+        return false;
+      }
+      probe_pos_ = 0;
+    }
+    CollectPairs();
+  }
+  const std::size_t n = std::min(kBatchSize, probe_sel_.size() - pair_pos_);
+  const std::span<const std::size_t> probe_rows(probe_sel_.data() + pair_pos_,
+                                                n);
+  const std::span<const std::size_t> build_rows(build_sel_.data() + pair_pos_,
+                                                n);
+  const std::uint32_t* part = build_part_.data() + pair_pos_;
+  pair_pos_ += n;
+  for (std::size_t c = 0; c < probe_batch_.columns.size(); ++c) {
+    out->columns[probe_off_ + c].AppendGather(probe_batch_.columns[c],
+                                              probe_rows);
+  }
+  const std::vector<JoinHashTable>& parts = *tables_->parts;
+  for (std::size_t c = 0; c < tables_->types.size(); ++c) {
+    ColumnVector& dst = out->columns[build_off_ + c];
+    if (parts.size() == 1) {
+      dst.AppendGather(parts[0].rows().columns[c], build_rows);
+      continue;
+    }
+    // Each pair's build row lives in its own partition's table.
+    const auto gather = [&](auto cells) {
+      auto& d = dst.*cells;
+      d.reserve(d.size() + n);
+      for (std::size_t k = 0; k < n; ++k) {
+        d.push_back((parts[part[k]].rows().columns[c].*cells)[build_rows[k]]);
+      }
+    };
+    switch (dst.type) {
+      case ColumnType::kInt64:
+        gather(&ColumnVector::i64);
+        break;
+      case ColumnType::kDouble:
+        gather(&ColumnVector::f64);
+        break;
+      case ColumnType::kString:
+        gather(&ColumnVector::str);
+        break;
+    }
+  }
+  AppendGathered(&out->row_ids, probe_batch_.row_ids, probe_rows);
+  return true;
 }
 
 }  // namespace patchindex

@@ -2,6 +2,7 @@
 #define PATCHINDEX_EXEC_HASH_JOIN_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -94,6 +95,55 @@ inline std::size_t JoinKeyPartition(std::int64_t key, std::size_t mask) {
          mask;
 }
 
+/// A join's build side, hash-partitioned on the key (JoinKeyPartition
+/// over `mask + 1` partitions). Probes are read-only, so every worker of a
+/// morsel-driven probe shares it.
+struct PartitionedHashTables {
+  std::shared_ptr<const std::vector<JoinHashTable>> parts;
+  std::size_t mask = 0;
+  std::vector<ColumnType> types;
+};
+
+/// Streams the probe input against read-only partitioned hash tables and
+/// emits matches in the join's logical left-then-right column layout
+/// (build columns first when `build_is_left`). It collects (probe row,
+/// build row) match pairs in probe order, a probe row at a time until
+/// kBatchSize pairs are held (so one row's fan-out is the only excess),
+/// then gathers them column by column in output chunks of at most
+/// kBatchSize rows. Output rowIDs are the probe side's.
+class PartitionProbeOperator : public Operator {
+ public:
+  PartitionProbeOperator(OperatorPtr child,
+                         const PartitionedHashTables* tables,
+                         std::size_t probe_key, bool build_is_left);
+
+  std::vector<ColumnType> OutputTypes() const override {
+    return output_types_;
+  }
+  void Open() override;
+  bool Next(Batch* out) override;
+  void Close() override { child_->Close(); }
+
+ private:
+  void CollectPairs();
+
+  OperatorPtr child_;
+  const PartitionedHashTables* tables_;
+  std::size_t probe_key_;
+  std::size_t build_off_;
+  std::size_t probe_off_;
+  std::vector<ColumnType> output_types_;
+
+  Batch probe_batch_;
+  std::size_t probe_pos_ = 0;  // next probe row to look up
+  bool probe_done_ = false;
+  // Match pairs of probe rows up to probe_pos_, and how many are emitted.
+  std::vector<std::size_t> probe_sel_;
+  std::vector<std::uint32_t> build_part_;
+  std::vector<std::size_t> build_sel_;
+  std::size_t pair_pos_ = 0;
+};
+
 struct HashJoinOptions {
   /// Publishes the min/max of the build keys after the build phase for
   /// dynamic range propagation into the probe-side scan (paper §5.1).
@@ -116,7 +166,9 @@ struct HashJoinOptions {
 /// the paper builds on the patches because their cardinality is typically
 /// the smallest, §3.3); Next() streams the probe child. Output layout:
 /// probe columns, then build columns, then (optionally) the build rowID
-/// column. Output rowIDs are the probe side's.
+/// column. Output rowIDs are the probe side's. Like the partitioned probe,
+/// Next() collects match pairs up to about kBatchSize and gathers them in
+/// chunks of at most kBatchSize rows.
 class HashJoinOperator : public Operator {
  public:
   HashJoinOperator(OperatorPtr build, OperatorPtr probe,
@@ -144,10 +196,14 @@ class HashJoinOperator : public Operator {
 
   JoinHashTable table_;
 
-  // Probe iteration state: current input batch and position.
+  // Probe iteration state: the current input batch, the next row to look
+  // up, the match pairs collected so far, and how many are emitted.
   Batch probe_batch_;
   std::size_t probe_pos_ = 0;
   bool probe_done_ = false;
+  std::vector<std::size_t> probe_sel_;
+  std::vector<std::size_t> build_sel_;
+  std::size_t pair_pos_ = 0;
 };
 
 }  // namespace patchindex

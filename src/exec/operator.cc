@@ -1,5 +1,7 @@
 #include "exec/operator.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "obs/mem_tracker.h"
 
@@ -15,7 +17,7 @@ Batch Collect(Operator& op) {
   Batch in;
   while (op.Next(&in)) {
     mem.Add(ApproxBytes(in));
-    for (std::size_t i = 0; i < in.num_rows(); ++i) all.AppendRowFrom(in, i);
+    all.AppendRows(in, 0, in.num_rows());
   }
   op.Close();
   return all;
@@ -32,10 +34,11 @@ std::uint64_t CountRows(Operator& op) {
 
 bool InMemorySource::Next(Batch* out) {
   out->Reset(OutputTypes());
-  while (out->num_rows() < kBatchSize && pos_ < data_.num_rows()) {
-    out->AppendRowFrom(data_, pos_++);
-  }
-  return out->num_rows() > 0;
+  const std::size_t end = std::min(data_.num_rows(), pos_ + kBatchSize);
+  out->AppendRows(data_, pos_, end);
+  const bool any = end > pos_;
+  pos_ = end;
+  return any;
 }
 
 UnionOperator::UnionOperator(std::vector<OperatorPtr> children)

@@ -1,5 +1,6 @@
 #include "exec/reuse.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -22,9 +23,7 @@ bool ReuseCacheOperator::Next(Batch* out) {
     buffer_->complete = true;
     return false;
   }
-  for (std::size_t i = 0; i < out->num_rows(); ++i) {
-    buffer_->data.AppendRowFrom(*out, i);
-  }
+  buffer_->data.AppendRows(*out, 0, out->num_rows());
   return true;
 }
 
@@ -32,9 +31,7 @@ void ReuseCacheOperator::Close() {
   if (!buffer_->complete) {
     Batch rest;
     while (child_->Next(&rest)) {
-      for (std::size_t i = 0; i < rest.num_rows(); ++i) {
-        buffer_->data.AppendRowFrom(rest, i);
-      }
+      buffer_->data.AppendRows(rest, 0, rest.num_rows());
     }
     buffer_->complete = true;
   }
@@ -55,11 +52,11 @@ void ReuseLoadOperator::Open() {
 
 bool ReuseLoadOperator::Next(Batch* out) {
   out->Reset(types_);
-  const Batch& src = buffer_->data;
-  while (out->num_rows() < kBatchSize && pos_ < src.num_rows()) {
-    out->AppendRowFrom(src, pos_++);
-  }
-  return out->num_rows() > 0;
+  const std::size_t end = std::min(buffer_->data.num_rows(), pos_ + kBatchSize);
+  out->AppendRows(buffer_->data, pos_, end);
+  const bool any = end > pos_;
+  pos_ = end;
+  return any;
 }
 
 }  // namespace patchindex

@@ -1,6 +1,5 @@
 #include "exec/select.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -17,18 +16,21 @@ bool SelectOperator::Next(Batch* out) {
     if (!child_->Next(&in)) return false;
     const ColumnVector mask = predicate_->Eval(in);
     PIDX_DCHECK(mask.type == ColumnType::kInt64);
-    const auto kept = static_cast<std::size_t>(
-        std::count_if(mask.i64.begin(), mask.i64.end(),
-                      [](std::int64_t m) { return m != 0; }));
-    if (kept > 0 && kept == in.num_rows()) {
+    // The selection: indices of the passing rows, written branch-free.
+    const std::size_t n = in.num_rows();
+    selection_.resize(n);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      selection_[kept] = i;
+      kept += mask.i64[i] != 0;
+    }
+    if (kept > 0 && kept == n) {
       // Every row passes (a range predicate over a block inside the
-      // range): hand the batch on instead of copying it row by row.
+      // range): hand the batch on instead of copying it.
       *out = std::move(in);
       return true;
     }
-    for (std::size_t i = 0; i < in.num_rows(); ++i) {
-      if (mask.i64[i] != 0) out->AppendRowFrom(in, i);
-    }
+    out->AppendGather(in, std::span(selection_.data(), kept));
   }
   return true;
 }

@@ -1,13 +1,16 @@
 #ifndef PATCHINDEX_EXEC_SELECT_H_
 #define PATCHINDEX_EXEC_SELECT_H_
 
+#include <vector>
+
 #include "exec/expression.h"
 #include "exec/operator.h"
 
 namespace patchindex {
 
 /// Generic predicate selection: keeps tuples whose predicate evaluates to
-/// a non-zero INT64.
+/// a non-zero INT64. The mask becomes a selection (the passing rows'
+/// indices), and the survivors are gathered column by column.
 class SelectOperator : public Operator {
  public:
   SelectOperator(OperatorPtr child, ExprPtr predicate);
@@ -22,6 +25,7 @@ class SelectOperator : public Operator {
  private:
   OperatorPtr child_;
   ExprPtr predicate_;
+  std::vector<std::size_t> selection_;  // reused across batches
 };
 
 }  // namespace patchindex

@@ -1,5 +1,6 @@
 #include "exec/sort.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -21,7 +22,7 @@ void SortOperator::Open() {
   Batch in;
   while (child_->Next(&in)) {
     mem.Add(ApproxBytes(in));
-    for (std::size_t i = 0; i < in.num_rows(); ++i) data_.AppendRowFrom(in, i);
+    data_.AppendRows(in, 0, in.num_rows());
   }
   child_->Close();
 
@@ -32,10 +33,10 @@ void SortOperator::Open() {
 
 bool SortOperator::Next(Batch* out) {
   out->Reset(OutputTypes());
-  while (out->num_rows() < kBatchSize && pos_ < order_.size()) {
-    out->AppendRowFrom(data_, order_[pos_++]);
-  }
-  return out->num_rows() > 0;
+  const std::size_t n = std::min(kBatchSize, order_.size() - pos_);
+  out->AppendGather(data_, std::span(order_).subspan(pos_, n));
+  pos_ += n;
+  return n > 0;
 }
 
 void SortOperator::Close() {

@@ -10,7 +10,9 @@ namespace patchindex {
 
 namespace {
 
-/// Three-way compare of one cell across two column vectors of one type.
+/// Three-way compare of one cell across two column vectors of one type
+/// (DOUBLE by CompareDoubles' total order, so NaN cells sort last
+/// ascending and the comparator stays a strict weak order).
 int CompareCells(const ColumnVector& ca, std::size_t ra,
                  const ColumnVector& cb, std::size_t rb) {
   PIDX_DCHECK(ca.type == cb.type);
@@ -18,7 +20,7 @@ int CompareCells(const ColumnVector& ca, std::size_t ra,
     case ColumnType::kInt64:
       return ca.i64[ra] < cb.i64[rb] ? -1 : (ca.i64[ra] > cb.i64[rb]);
     case ColumnType::kDouble:
-      return ca.f64[ra] < cb.f64[rb] ? -1 : (ca.f64[ra] > cb.f64[rb]);
+      return CompareDoubles(ca.f64[ra], cb.f64[rb]);
     case ColumnType::kString: {
       const int r = ca.str[ra].compare(cb.str[rb]);
       return r < 0 ? -1 : (r > 0 ? 1 : 0);
@@ -63,7 +65,7 @@ void SortBatchRows(Batch* data, const std::vector<SortKeySpec>& keys,
   const std::vector<std::size_t> order = SortedPermutation(*data, keys, limit);
   Batch sorted;
   sorted.Reset(data->types());
-  for (std::size_t idx : order) sorted.AppendRowFrom(*data, idx);
+  sorted.AppendGather(*data, order);
   *data = std::move(sorted);
 }
 

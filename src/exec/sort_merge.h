@@ -27,8 +27,9 @@ std::vector<std::size_t> SortedPermutation(const Batch& data,
                                            const std::vector<SortKeySpec>& keys,
                                            std::size_t limit = 0);
 
-/// Sorts `data`'s rows in place (via permutation + rebuild); with a
-/// non-zero limit the result is truncated to the top `limit` rows.
+/// Sorts `data`'s rows in place (a permutation, then one gather per
+/// column); with a non-zero limit the result is truncated to the top
+/// `limit` rows.
 void SortBatchRows(Batch* data, const std::vector<SortKeySpec>& keys,
                    std::size_t limit = 0);
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "exec/hash_join.h"
-#include "exec/merge_join.h"
+#include "exec/merge_probe.h"
 #include "exec/scan.h"
 #include "exec_test_util.h"
 
@@ -79,9 +79,9 @@ TEST(HashJoinTest, EmptyBuildSideYieldsEmptyResult) {
 }
 
 TEST(MergeJoinTest, SortedInputsInnerJoin) {
-  MergeJoinOperator join(Source(MakeI64Batch2({1, 3, 5}, {10, 30, 50})),
-                         Source(MakeI64Batch2({2, 3, 5, 6}, {20, 33, 55, 66})),
-                         0, 0);
+  const Batch x = MakeI64Batch2({1, 3, 5}, {10, 30, 50});
+  MergeProbeOperator join(Source(MakeI64Batch2({2, 3, 5, 6}, {20, 33, 55, 66})),
+                          &x, 0, 0);
   Batch out = Collect(join);
   ASSERT_EQ(out.num_rows(), 2u);
   EXPECT_EQ(out.columns[0].i64, (std::vector<std::int64_t>{3, 5}));
@@ -90,15 +90,15 @@ TEST(MergeJoinTest, SortedInputsInnerJoin) {
 }
 
 TEST(MergeJoinTest, EqualKeyRunsProduceCrossProduct) {
-  MergeJoinOperator join(Source(MakeI64Batch2({7, 7}, {1, 2})),
-                         Source(MakeI64Batch2({7, 7, 7}, {10, 20, 30})), 0,
-                         0);
+  const Batch x = MakeI64Batch2({7, 7}, {1, 2});
+  MergeProbeOperator join(Source(MakeI64Batch2({7, 7, 7}, {10, 20, 30})), &x,
+                          0, 0);
   Batch out = Collect(join);
   EXPECT_EQ(out.num_rows(), 6u);
 }
 
 TEST(MergeJoinTest, MatchesHashJoinOnRandomInput) {
-  // Property: merge join over sorted inputs == hash join (same multiset
+  // Property: merge probe over sorted inputs == hash join (same multiset
   // of result keys).
   std::vector<std::int64_t> left, right;
   for (int i = 0; i < 200; ++i) left.push_back(i % 37);
@@ -106,8 +106,8 @@ TEST(MergeJoinTest, MatchesHashJoinOnRandomInput) {
   std::sort(left.begin(), left.end());
   std::sort(right.begin(), right.end());
 
-  MergeJoinOperator mj(Source(MakeI64Batch(left)), Source(MakeI64Batch(right)),
-                       0, 0);
+  const Batch x = MakeI64Batch(left);
+  MergeProbeOperator mj(Source(MakeI64Batch(right)), &x, 0, 0);
   Batch m = Collect(mj);
   HashJoinOperator hj(Source(MakeI64Batch(left)), Source(MakeI64Batch(right)),
                       0, 0);

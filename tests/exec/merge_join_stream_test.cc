@@ -1,6 +1,7 @@
-// Edge-case tests for the streaming merge join: equal-key runs spanning
-// batch boundaries, exhaustion order, and ReuseCache drain-on-close
-// interaction (the PatchIndex join plan relies on both).
+// Edge-case tests for PatchJoin's merge probe (MergeProbeOperator: a
+// materialized, sorted X against a stream of fact batches): equal-key
+// runs spanning batch boundaries, exhaustion order, and ReuseCache
+// drain-on-close interaction (the PatchIndex join plan relies on both).
 
 #include <gtest/gtest.h>
 
@@ -8,49 +9,59 @@
 
 #include "common/rng.h"
 #include "exec/hash_join.h"
-#include "exec/merge_join.h"
+#include "exec/merge_probe.h"
 #include "exec/reuse.h"
 #include "exec_test_util.h"
 
 namespace patchindex {
 namespace {
 
+/// The merge probe of `fact` against X = `x` (both keyed on column 0).
+/// X must outlive the operator.
+std::unique_ptr<MergeProbeOperator> Probe(const Batch& x, OperatorPtr fact) {
+  return std::make_unique<MergeProbeOperator>(std::move(fact), &x, 0, 0);
+}
+
 TEST(MergeJoinStreamTest, EqualRunSpanningMultipleBatches) {
   // Right side: one key repeated 2.5 batches worth of rows.
   const std::size_t reps = kBatchSize * 2 + kBatchSize / 2;
   std::vector<std::int64_t> right(reps, 7);
-  MergeJoinOperator join(Source(MakeI64Batch({6, 7, 8})),
-                         Source(MakeI64Batch(right)), 0, 0);
-  EXPECT_EQ(CountRows(join), reps);
+  const Batch x = MakeI64Batch({6, 7, 8});
+  EXPECT_EQ(CountRows(*Probe(x, Source(MakeI64Batch(right)))), reps);
 }
 
 TEST(MergeJoinStreamTest, LeftRunTimesRightRun) {
   std::vector<std::int64_t> left(kBatchSize + 3, 5);
   std::vector<std::int64_t> right(4, 5);
-  MergeJoinOperator join(Source(MakeI64Batch(left)),
-                         Source(MakeI64Batch(right)), 0, 0);
-  EXPECT_EQ(CountRows(join), left.size() * right.size());
+  const Batch x = MakeI64Batch(left);
+  // The X run crosses kBatchSize: output chunks split inside it.
+  auto join = Probe(x, Source(MakeI64Batch(right)));
+  join->Open();
+  Batch out;
+  std::size_t rows = 0;
+  while (join->Next(&out)) {
+    EXPECT_LE(out.num_rows(), kBatchSize);
+    rows += out.num_rows();
+  }
+  join->Close();
+  EXPECT_EQ(rows, left.size() * right.size());
 }
 
 TEST(MergeJoinStreamTest, LeftExhaustsFirst) {
-  MergeJoinOperator join(Source(MakeI64Batch({1})),
-                         Source(MakeI64Batch({1, 2, 3, 4, 5})), 0, 0);
-  EXPECT_EQ(CountRows(join), 1u);
+  const Batch x = MakeI64Batch({1});
+  EXPECT_EQ(CountRows(*Probe(x, Source(MakeI64Batch({1, 2, 3, 4, 5})))), 1u);
 }
 
 TEST(MergeJoinStreamTest, RightExhaustsFirst) {
-  MergeJoinOperator join(Source(MakeI64Batch({1, 2, 3, 4, 5})),
-                         Source(MakeI64Batch({5})), 0, 0);
-  EXPECT_EQ(CountRows(join), 1u);
+  const Batch x = MakeI64Batch({1, 2, 3, 4, 5});
+  EXPECT_EQ(CountRows(*Probe(x, Source(MakeI64Batch({5})))), 1u);
 }
 
 TEST(MergeJoinStreamTest, EmptyInputs) {
-  MergeJoinOperator a(Source(MakeI64Batch({})), Source(MakeI64Batch({1})),
-                      0, 0);
-  EXPECT_EQ(CountRows(a), 0u);
-  MergeJoinOperator b(Source(MakeI64Batch({1})), Source(MakeI64Batch({})),
-                      0, 0);
-  EXPECT_EQ(CountRows(b), 0u);
+  const Batch empty = MakeI64Batch({});
+  EXPECT_EQ(CountRows(*Probe(empty, Source(MakeI64Batch({1})))), 0u);
+  const Batch one = MakeI64Batch({1});
+  EXPECT_EQ(CountRows(*Probe(one, Source(MakeI64Batch({})))), 0u);
 }
 
 TEST(MergeJoinStreamTest, RandomizedAgainstHashJoin) {
@@ -67,18 +78,19 @@ TEST(MergeJoinStreamTest, RandomizedAgainstHashJoin) {
     }
     std::sort(left.begin(), left.end());
     std::sort(right.begin(), right.end());
-    MergeJoinOperator mj(Source(MakeI64Batch(left)),
-                         Source(MakeI64Batch(right)), 0, 0);
+    const Batch x = MakeI64Batch(left);
     HashJoinOperator hj(Source(MakeI64Batch(left)),
                         Source(MakeI64Batch(right)), 0, 0);
-    EXPECT_EQ(CountRows(mj), CountRows(hj)) << "iter " << iter;
+    EXPECT_EQ(CountRows(*Probe(x, Source(MakeI64Batch(right)))),
+              CountRows(hj))
+        << "iter " << iter;
   }
 }
 
 TEST(ReuseDrainTest, CloseCompletesPartiallyConsumedBuffer) {
-  // A merge join whose right side dries up immediately pulls little of
-  // the cached left side; Close() must still complete the buffer so a
-  // subsequent ReuseLoad can replay all of it.
+  // A merge probe closed after its first output batch has pulled only the
+  // first batch of the cached fact side; Close() must still complete the
+  // buffer so a subsequent ReuseLoad can replay all of it.
   auto buffer = MakeReuseBuffer();
   std::vector<std::int64_t> left(kBatchSize * 2);
   for (std::size_t i = 0; i < left.size(); ++i) {
@@ -86,8 +98,14 @@ TEST(ReuseDrainTest, CloseCompletesPartiallyConsumedBuffer) {
   }
   auto cache = std::make_unique<ReuseCacheOperator>(
       Source(MakeI64Batch(left)), buffer);
-  MergeJoinOperator join(std::move(cache), Source(MakeI64Batch({0})), 0, 0);
-  EXPECT_EQ(CountRows(join), 1u);  // join itself consumed only a little
+  const Batch x = MakeI64Batch({0});
+  auto join = Probe(x, std::move(cache));
+  join->Open();
+  Batch out;
+  ASSERT_TRUE(join->Next(&out));
+  EXPECT_EQ(out.num_rows(), 1u);
+  EXPECT_FALSE(buffer->complete);  // the probe consumed only a little
+  join->Close();
   ASSERT_TRUE(buffer->complete);
   ReuseLoadOperator load(buffer, {ColumnType::kInt64});
   EXPECT_EQ(CountRows(load), left.size());
