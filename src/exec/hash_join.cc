@@ -40,48 +40,35 @@ void JoinHashTable::AddRow(const Batch& src, std::size_t row,
 
 HashJoinOperator::HashJoinOperator(OperatorPtr build, OperatorPtr probe,
                                    std::size_t build_key,
-                                   std::size_t probe_key,
-                                   HashJoinOptions options)
-    : build_(std::move(build)),
-      probe_(std::move(probe)),
-      build_key_(build_key),
-      probe_key_(probe_key),
-      options_(std::move(options)) {
-  PIDX_CHECK(build_->OutputTypes().at(build_key_) == ColumnType::kInt64);
-  PIDX_CHECK(probe_->OutputTypes().at(probe_key_) == ColumnType::kInt64);
-}
-
-std::vector<ColumnType> HashJoinOperator::OutputTypes() const {
-  std::vector<ColumnType> types = probe_->OutputTypes();
-  for (ColumnType t : build_->OutputTypes()) types.push_back(t);
-  if (options_.append_build_rowid_column) {
-    types.push_back(ColumnType::kInt64);
-  }
-  return types;
+                                   std::size_t probe_key)
+    : build_(std::move(build)), build_key_(build_key) {
+  tables_.types = build_->OutputTypes();
+  PIDX_CHECK(tables_.types.at(build_key_) == ColumnType::kInt64);
+  probe_ = std::make_unique<PartitionProbeOperator>(
+      std::move(probe), &tables_, probe_key, /*build_is_left=*/false);
 }
 
 void HashJoinOperator::Open() {
   // Build phase: materialize first, then index with a full reserve (the
   // row count is unknown until the child is drained).
   build_->Open();
-  table_.Reset(build_->OutputTypes());
-  obs::OpMemory mem("HashJoin build", mem_stats_);
+  obs::OpMemory mem("HashJoin build");
   Batch all;
-  all.Reset(build_->OutputTypes());
+  all.Reset(tables_.types);
   Batch in;
   while (build_->Next(&in)) {
     mem.Add(ApproxBytes(in));
     all.AppendRows(in, 0, in.num_rows());
   }
   build_->Close();
-  const RowIdFilter* nuc = options_.build_unique_filter;
-  table_.Reserve(all.num_rows());
+  auto parts = std::make_shared<std::vector<JoinHashTable>>(1);
+  JoinHashTable& table = parts->front();
+  table.Reset(tables_.types);
+  table.Reserve(all.num_rows());
   const std::uint64_t input_bytes = mem.total();
   const auto& keys = all.columns[build_key_].i64;
   for (std::size_t i = 0; i < all.num_rows(); ++i) {
-    const bool hint = nuc != nullptr && all.row_ids[i] < nuc->NumRows() &&
-                      !nuc->IsPatch(all.row_ids[i]);
-    table_.AddRow(all, i, keys[i], hint);
+    table.AddRow(all, i, keys[i]);
     if ((i & 1023u) == 1023u) {
       // Cheap running estimate (the copied prefix of the input plus the
       // per-entry index cost); the exact content-based size is settled
@@ -91,78 +78,14 @@ void HashJoinOperator::Open() {
                  (i + 1) * JoinHashTable::kEntryBytes);
     }
   }
-  mem.GrowTo(input_bytes + table_.ApproxBytes());
-
-  // Dynamic range propagation: publish the build key range *before*
-  // opening the probe side, whose scan prunes blocks against it.
-  if (options_.publish_build_range) {
-    *options_.publish_build_range = DynamicRange{};
-    for (std::int64_t k : table_.rows().columns[build_key_].i64) {
-      options_.publish_build_range->Observe(k);
-    }
-  }
+  mem.GrowTo(input_bytes + table.ApproxBytes());
+  tables_.parts = std::move(parts);
   probe_->Open();
-  probe_done_ = false;
-  probe_batch_.Clear();
-  probe_pos_ = 0;
-  probe_sel_.clear();
-  build_sel_.clear();
-  pair_pos_ = 0;
-}
-
-bool HashJoinOperator::Next(Batch* out) {
-  out->Reset(OutputTypes());
-  while (pair_pos_ >= probe_sel_.size()) {
-    if (probe_pos_ >= probe_batch_.num_rows()) {
-      if (probe_done_ || !probe_->Next(&probe_batch_)) {
-        probe_done_ = true;
-        return false;
-      }
-      probe_pos_ = 0;
-    }
-    probe_sel_.clear();
-    build_sel_.clear();
-    pair_pos_ = 0;
-    const std::vector<std::int64_t>& keys =
-        probe_batch_.columns[probe_key_].i64;
-    while (probe_pos_ < keys.size() && probe_sel_.size() < kBatchSize) {
-      const std::size_t i = probe_pos_++;
-      table_.ForEachMatch(keys[i], [&](std::size_t b) {
-        probe_sel_.push_back(i);
-        build_sel_.push_back(b);
-      });
-    }
-  }
-  const std::size_t n = std::min(kBatchSize, probe_sel_.size() - pair_pos_);
-  const std::span<const std::size_t> probe_rows(probe_sel_.data() + pair_pos_,
-                                                n);
-  const std::span<const std::size_t> build_rows(build_sel_.data() + pair_pos_,
-                                                n);
-  pair_pos_ += n;
-  const Batch& build_data = table_.rows();
-  const std::size_t probe_width = probe_batch_.columns.size();
-  const std::size_t build_width = build_data.columns.size();
-  for (std::size_t c = 0; c < probe_width; ++c) {
-    out->columns[c].AppendGather(probe_batch_.columns[c], probe_rows);
-  }
-  for (std::size_t c = 0; c < build_width; ++c) {
-    out->columns[probe_width + c].AppendGather(build_data.columns[c],
-                                               build_rows);
-  }
-  if (options_.append_build_rowid_column) {
-    std::vector<std::int64_t>& ids =
-        out->columns[probe_width + build_width].i64;
-    for (std::size_t b : build_rows) {
-      ids.push_back(static_cast<std::int64_t>(build_data.row_ids[b]));
-    }
-  }
-  AppendGathered(&out->row_ids, probe_batch_.row_ids, probe_rows);
-  return true;
 }
 
 void HashJoinOperator::Close() {
   probe_->Close();
-  table_.Reset({});
+  tables_.parts.reset();
 }
 
 PartitionProbeOperator::PartitionProbeOperator(

@@ -7,18 +7,12 @@
 #include <vector>
 
 #include "exec/operator.h"
-#include "exec/range_propagation.h"
-#include "exec/row_filter.h"
 
 namespace patchindex {
 
-namespace obs {
-struct NodeStats;
-}
-
-/// Hash table over the materialized build side of an INT64 equi join,
-/// decomposed out of HashJoinOperator so the morsel-driven executor can
-/// build partitions of it from many workers and probe them concurrently.
+/// Hash table over the materialized build side of an INT64 equi join.
+/// The morsel-driven executor builds partitions of it from many workers
+/// and probes them concurrently; HashJoinOperator builds one.
 /// Thread-safety: AddRow is single-writer (one partition is built by one
 /// task); once built, any number of threads may ForEachMatch concurrently
 /// (probes are read-only).
@@ -144,66 +138,33 @@ class PartitionProbeOperator : public Operator {
   std::size_t pair_pos_ = 0;
 };
 
-struct HashJoinOptions {
-  /// Publishes the min/max of the build keys after the build phase for
-  /// dynamic range propagation into the probe-side scan (paper §5.1).
-  DynamicRangePtr publish_build_range;
-
-  /// Appends the matching build row's rowID as an extra INT64 output
-  /// column. The NUC insert-handling query (Figure 5) projects the rowIDs
-  /// of *both* join sides to merge them into the patches.
-  bool append_build_rowid_column = false;
-
-  /// Advisory NUC index over the build side's rowIDs: build rows the
-  /// index proves unique skip duplicate chaining, exceptions (and rows
-  /// outside the index's domain) take the chained path. Results are exact
-  /// with or without it.
-  const RowIdFilter* build_unique_filter = nullptr;
-};
-
 /// In-memory equi hash join on INT64 keys. Open() drains the build child
-/// into a JoinHashTable (choosing the build side is the optimizer's job —
-/// the paper builds on the patches because their cardinality is typically
-/// the smallest, §3.3); Next() streams the probe child. Output layout:
-/// probe columns, then build columns, then (optionally) the build rowID
-/// column. Output rowIDs are the probe side's. Like the partitioned probe,
-/// Next() collects match pairs up to about kBatchSize and gathers them in
-/// chunks of at most kBatchSize rows.
+/// into a one-partition hash table (choosing the build side is the
+/// caller's job — the paper builds on the patches because their
+/// cardinality is typically the smallest, §3.3); the probe child then
+/// streams through a PartitionProbeOperator over it, the executor's probe.
+/// Output layout: probe columns, then build columns. Output rowIDs are the
+/// probe side's.
 class HashJoinOperator : public Operator {
  public:
   HashJoinOperator(OperatorPtr build, OperatorPtr probe,
-                   std::size_t build_key, std::size_t probe_key,
-                   HashJoinOptions options = {});
+                   std::size_t build_key, std::size_t probe_key);
+  // The probe holds the address of tables_.
+  HashJoinOperator(const HashJoinOperator&) = delete;
+  HashJoinOperator& operator=(const HashJoinOperator&) = delete;
 
-  std::vector<ColumnType> OutputTypes() const override;
+  std::vector<ColumnType> OutputTypes() const override {
+    return probe_->OutputTypes();
+  }
   void Open() override;
-  bool Next(Batch* out) override;
+  bool Next(Batch* out) override { return probe_->Next(out); }
   void Close() override;
-
-  std::uint64_t build_rows() const { return table_.num_rows(); }
-
-  /// Attributes the build table's bytes to a plan node's profile
-  /// accumulator (EXPLAIN ANALYZE `mem=`).
-  void SetMemoryStats(obs::NodeStats* stats) { mem_stats_ = stats; }
 
  private:
   OperatorPtr build_;
-  OperatorPtr probe_;
   std::size_t build_key_;
-  std::size_t probe_key_;
-  HashJoinOptions options_;
-  obs::NodeStats* mem_stats_ = nullptr;
-
-  JoinHashTable table_;
-
-  // Probe iteration state: the current input batch, the next row to look
-  // up, the match pairs collected so far, and how many are emitted.
-  Batch probe_batch_;
-  std::size_t probe_pos_ = 0;
-  bool probe_done_ = false;
-  std::vector<std::size_t> probe_sel_;
-  std::vector<std::size_t> build_sel_;
-  std::size_t pair_pos_ = 0;
+  PartitionedHashTables tables_;  // mask 0; the table is built by Open()
+  std::unique_ptr<PartitionProbeOperator> probe_;
 };
 
 }  // namespace patchindex

@@ -9,44 +9,26 @@ namespace patchindex {
 ScanOperator::ScanOperator(const Table& table,
                            std::vector<std::size_t> column_indices,
                            ScanOptions options)
-    : table_(table), cols_(std::move(column_indices)), options_(options) {
+    : table_(table),
+      cols_(std::move(column_indices)),
+      options_(std::move(options)) {
   for (std::size_t c : cols_) PIDX_CHECK(c < table.schema().num_fields());
 }
 
 std::vector<ColumnType> ScanOperator::OutputTypes() const {
   std::vector<ColumnType> types;
-  types.reserve(cols_.size() + 1);
+  types.reserve(cols_.size());
   for (std::size_t c : cols_) types.push_back(table_.schema().field(c).type);
-  if (options_.append_rowid_column) types.push_back(ColumnType::kInt64);
   return types;
 }
 
 void ScanOperator::Open() {
-  effective_ranges_.clear();
-  if (options_.dynamic_range && options_.minmax) {
-    // Dynamic range propagation: the range was published by a join build
-    // phase that ran before this Open(). An invalid range means the build
-    // side was empty: no base row can have a join partner, so scan no
-    // base blocks at all.
-    if (options_.dynamic_range->valid) {
-      effective_ranges_ = options_.minmax->PruneRanges(
-          options_.dynamic_range->lo, options_.dynamic_range->hi);
-    }
-  } else if (!options_.ranges.empty()) {
-    effective_ranges_ = options_.ranges;
-  } else {
+  effective_ranges_ = options_.ranges;
+  if (effective_ranges_.empty()) {
     effective_ranges_.push_back({0, table_.num_rows()});
   }
   range_idx_ = 0;
-  base_pos_ = effective_ranges_.empty() ? 0 : effective_ranges_[0].begin;
-}
-
-double ScanOperator::effective_base_fraction() const {
-  const std::uint64_t total = table_.num_rows();
-  if (total == 0) return 1.0;
-  std::uint64_t covered = 0;
-  for (const RowRange& r : effective_ranges_) covered += r.end - r.begin;
-  return static_cast<double>(covered) / static_cast<double>(total);
+  base_pos_ = effective_ranges_[0].begin;
 }
 
 void ScanOperator::CopyRange(RowId begin, RowId end, Batch* out) const {
@@ -55,12 +37,6 @@ void ScanOperator::CopyRange(RowId begin, RowId end, Batch* out) const {
     out->columns[i].AppendRange(table_.column(cols_[i]), begin, end);
   }
   const std::uint64_t off = options_.row_id_offset;
-  if (options_.append_rowid_column) {
-    auto& rid_col = out->columns[cols_.size()].i64;
-    for (RowId r = begin; r < end; ++r) {
-      rid_col.push_back(static_cast<std::int64_t>(r + off));
-    }
-  }
   for (RowId r = begin; r < end; ++r) out->row_ids.push_back(r + off);
 }
 

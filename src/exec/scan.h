@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "exec/operator.h"
-#include "exec/range_propagation.h"
 #include "exec/row_filter.h"
 #include "storage/minmax.h"
 #include "storage/table.h"
@@ -17,27 +16,14 @@ namespace patchindex {
 /// published versions, whose PDT is empty (ExecutePlan checks it), and
 /// the §5 update handlers read the PDT directly as their delta input.
 struct ScanOptions {
-  /// Static range propagation: restricts the scan to these base-row
-  /// ranges (empty = full table).
+  /// Range propagation: restricts the scan to these base-row ranges
+  /// (empty = full table).
   std::vector<RowRange> ranges;
 
-  /// Dynamic range propagation: when set together with `minmax`, the scan
-  /// resolves `ranges` at Open() time by pruning blocks against the
-  /// published key range (paper §5.1, Figure 5 "DRP"); `ranges` is then
-  /// ignored.
-  DynamicRangePtr dynamic_range;
-  const MinMaxIndex* minmax = nullptr;
-
-  /// Appends the rowID of each tuple as an extra INT64 output column, so
-  /// downstream operators can compute on it (the update-handling queries
-  /// project and compare rowIDs of join sides).
-  bool append_rowid_column = false;
-
-  /// Added to every emitted rowID (row_ids and the appended rowID
-  /// column). A scan of one partition of a PartitionedTable sets this to
-  /// the partition's global base so rowIDs are table-global; patch
-  /// filters still see partition-local positions (the filter is applied
-  /// before the offset). 0 for plain tables.
+  /// Added to every emitted rowID. A scan of one partition of a
+  /// PartitionedTable sets this to the partition's global base so rowIDs
+  /// are table-global; patch filters still see partition-local positions
+  /// (the filter is applied before the offset). 0 for plain tables.
   std::uint64_t row_id_offset = 0;
 
   /// PatchIndex scan (paper §3.3): merge the patch information on-the-fly
@@ -61,10 +47,6 @@ class ScanOperator : public Operator {
 
   void Open() override;
   bool Next(Batch* out) override;
-
-  /// Fraction of base rows covered by the effective ranges after Open()
-  /// (1.0 without pruning). Exposed for the DRP experiments.
-  double effective_base_fraction() const;
 
  private:
   /// Appends base rows [begin, end) as column slices.

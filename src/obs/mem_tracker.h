@@ -110,9 +110,9 @@ struct MemoryTrackerSample {
 MemoryTracker& ProcessMemoryRoot();
 
 /// The current thread's per-query tracker (null outside a statement).
-/// Charge points deep in the operator tree — aggregate hash tables, the
-/// HashJoinOperator build, Collect — read it instead of having a tracker
-/// plumbed through every constructor.
+/// Charge points deep in the operator tree — the executor's join builds,
+/// aggregates, sorts and drains, and Collect — read it instead of having
+/// a tracker plumbed through every constructor.
 MemoryTracker* CurrentQueryTracker();
 
 /// Installs `tracker` as the calling thread's query tracker for the

@@ -41,7 +41,7 @@ double CostModel::JoinPatched(double n_fact, double n_x, double e) const {
   const double patches = e * n_fact;
   // Both cloned subtrees re-derive the fact side; merge join over the
   // non-patches + X; hash join built on the patches (lowest cardinality)
-  // probing the buffered X; X is materialized once into the reuse buffer.
+  // probing the buffered X; X is materialized once for both branches.
   return 2 * n_fact * (w_.scan + w_.patch_select) +
          ((1.0 - e) * n_fact + n_x) * w_.merge_join +
          patches * w_.hash_join_build + n_x * w_.hash_join_probe +

@@ -1,14 +1,12 @@
 #include "patchindex/nuc_constraint.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "exec/expression.h"
 #include "exec/hash_join.h"
-#include "exec/project.h"
-#include "exec/reuse.h"
 #include "exec/scan.h"
 
 namespace patchindex::internal {
@@ -26,8 +24,8 @@ namespace {
 /// committed value is its new value in the delta. The query therefore
 /// has two parts:
 ///   - the join of the delta (build side) against the base column (probe
-///     side, DRP-pruned through the column's block summary, `stale` rows
-///     excluded by the fused patch filter);
+///     side, range-pruned through the column's block summary, `stale`
+///     rows excluded by the fused patch filter);
 ///   - a hash map over the delta (at most thousands of rows) finding the
 ///     values that occur more than once in it.
 Status RunDeltaJoin(const Table& table, std::size_t column, Batch delta,
@@ -44,54 +42,45 @@ Status RunDeltaJoin(const Table& table, std::size_t column, Batch delta,
     }
   }
 
-  // Probe side: the base column with dynamic range propagation from the
-  // join build phase over the column's block summary, held until the
-  // query is done. The summary bounds exactly the base values probed.
+  // Range propagation: the delta's key range is known before the query
+  // runs, so the probe scan is restricted up front to the blocks whose
+  // [min, max] meets it. The column's block summary bounds exactly the
+  // base values probed.
   ScanOptions popt;
-  popt.append_rowid_column = true;
   popt.patch_filter = stale;
-  DynamicRangePtr range;
-  std::shared_ptr<const MinMaxIndex> summary;
   if (use_drp) {
-    summary = table.column(column).BlockSummary();
-    range = MakeDynamicRange();
-    popt.dynamic_range = range;
-    popt.minmax = summary.get();
+    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    popt.ranges = table.column(column).BlockSummary()->PruneRanges(*lo, *hi);
+    std::uint64_t covered = 0;
+    for (const RowRange& r : popt.ranges) covered += r.end - r.begin;
+    if (scan_fraction != nullptr) {
+      *scan_fraction =
+          static_cast<double>(covered) /
+          static_cast<double>(std::max<std::uint64_t>(table.num_rows(), 1));
+    }
+    // No block can hold a join partner (and empty `ranges` would scan the
+    // whole table).
+    if (popt.ranges.empty()) return Status::OK();
+  } else if (scan_fraction != nullptr) {
+    *scan_fraction = 1.0;
   }
-  auto probe = std::make_unique<ScanOperator>(
-      table, std::vector<std::size_t>{column}, popt);
-  ScanOperator* probe_raw = probe.get();
 
-  HashJoinOptions jopt;
-  jopt.publish_build_range = range;
-  auto join = std::make_unique<HashJoinOperator>(
-      std::make_unique<InMemorySource>(std::move(delta)), std::move(probe),
-      /*build_key=*/0, /*probe_key=*/0, jopt);
-
-  // Output layout: [probe_value, probe_rowid, build_value, build_rowid].
-  // Intermediate result caching: materialize the join once, project the
-  // probe-side rowIDs from the cache and the build-side rowIDs from the
-  // ReuseLoad replay.
-  auto buffer = MakeReuseBuffer();
-  auto cache = std::make_unique<ReuseCacheOperator>(std::move(join), buffer);
-  ProjectOperator probe_rowids(std::move(cache), {Col(1)});
-  Batch probe_side = Collect(probe_rowids);
-
-  ProjectOperator build_rowids(
-      std::make_unique<ReuseLoadOperator>(
-          buffer, std::vector<ColumnType>(4, ColumnType::kInt64)),
-      {Col(3)});
-  Batch build_side = Collect(build_rowids);
-
-  for (std::int64_t rid : probe_side.columns[0].i64) {
-    patches->MarkPatch(static_cast<RowId>(rid));
+  // Output layout: [probe value, build value, build rowid]; the output
+  // rowIDs are the probe side's. One pass marks both join sides.
+  HashJoinOperator join(
+      std::make_unique<InMemorySource>(std::move(delta)),
+      std::make_unique<ScanOperator>(table, std::vector<std::size_t>{column},
+                                     std::move(popt)),
+      /*build_key=*/0, /*probe_key=*/0);
+  join.Open();
+  Batch out;
+  while (join.Next(&out)) {
+    for (RowId rid : out.row_ids) patches->MarkPatch(rid);
+    for (std::int64_t rid : out.columns[2].i64) {
+      patches->MarkPatch(static_cast<RowId>(rid));
+    }
   }
-  for (std::int64_t rid : build_side.columns[0].i64) {
-    patches->MarkPatch(static_cast<RowId>(rid));
-  }
-  if (scan_fraction != nullptr) {
-    *scan_fraction = probe_raw->effective_base_fraction();
-  }
+  join.Close();
   return Status::OK();
 }
 

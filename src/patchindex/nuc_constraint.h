@@ -16,11 +16,12 @@ namespace patchindex::internal {
 /// base column; rowIDs of both join sides are merged into the patches,
 /// and so is every delta tuple whose new value occurs more than once in
 /// the delta. The hash table is built on the delta (lowest cardinality);
-/// its key range is propagated dynamically into the probe-side scan to
-/// avoid the full table scan. Intermediate result caching (Reuse
-/// operators) avoids computing the join twice for the two rowID
-/// projections. The commit protocol guarantees a PDT holds one delta
-/// kind, so the base column is current everywhere except at modified rows.
+/// its key range prunes the probe-side scan to the blocks that can hold a
+/// partner, which avoids the full table scan. One pass over the join
+/// output marks both sides (the probe rowIDs are the output's, the build
+/// rowIDs a delta column). The commit protocol guarantees a PDT holds one
+/// delta kind, so the base column is current everywhere except at
+/// modified rows.
 ///
 /// For inserts, `patches` must already have been grown by OnAppendRows.
 /// With `use_drp` the probe scan is pruned through the column's

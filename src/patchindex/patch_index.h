@@ -30,10 +30,10 @@ struct PatchIndexOptions {
   /// NSC only: the materialized sort order.
   bool ascending = true;
 
-  /// NUC only: use dynamic range propagation over the column's block
-  /// summary (Column::BlockSummary) to avoid the full table scan in the
-  /// insert/modify handling query (§5.1). The Fig. 5 query still works
-  /// without it — it just scans everything.
+  /// NUC only: propagate the delta's key range into the probe scan of the
+  /// insert/modify handling query (§5.1), pruning it through the column's
+  /// block summary (Column::BlockSummary) to avoid the full table scan.
+  /// The Fig. 5 query still works without it — it just scans everything.
   bool use_dynamic_range_propagation = true;
 
   /// When the exception rate exceeds this threshold after an update, the

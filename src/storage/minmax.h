@@ -23,11 +23,10 @@ struct RowRange {
 /// per block of consecutive tuples, the minimum and maximum value. Scans
 /// evaluate selection predicates against the block bounds and skip blocks
 /// that cannot contain qualifying tuples. The paper's insert handling
-/// uses them for *dynamic range propagation* (§5.1): after the hash join
-/// build phase, the build side's value range prunes the probe side's
-/// full-table scan down to candidate blocks. Every INT64 column carries
-/// bounds for its own storage blocks (Column::BlockSummary), which serve
-/// both uses.
+/// uses them for *range propagation* (§5.1): the delta's value range
+/// prunes the join's probe-side full-table scan down to candidate
+/// blocks. Every INT64 column carries bounds for its own storage blocks
+/// (Column::BlockSummary), which serve both uses.
 class MinMaxIndex {
  public:
   /// Bounds over fixed-size blocks of `block_size` rows, computed from

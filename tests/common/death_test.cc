@@ -8,7 +8,6 @@
 #include "bitmap/sharded_bitmap.h"
 #include "common/thread_pool.h"
 #include "engine/executor.h"
-#include "exec/reuse.h"
 #include "optimizer/plan.h"
 #include "patchindex/patch_set.h"
 
@@ -51,12 +50,6 @@ TEST(DeathTest, ExecutePlanOverPendingDeltasAborts) {
         ExecutePlan(*plan, pool);
       },
       "checkpointed tables only");
-}
-
-TEST(DeathTest, ReuseLoadBeforeCacheDrainAborts) {
-  auto buffer = MakeReuseBuffer();
-  ReuseLoadOperator load(buffer, {ColumnType::kInt64});
-  EXPECT_DEATH(load.Open(), "ReuseLoad opened before");
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include "exec/hash_join.h"
 #include "exec/merge_probe.h"
-#include "exec/scan.h"
 #include "exec_test_util.h"
 
 namespace patchindex {
@@ -30,46 +29,6 @@ TEST(HashJoinTest, DuplicateBuildKeysProduceAllMatches) {
   std::vector<std::int64_t> build_vals = out.columns[2].i64;
   std::sort(build_vals.begin(), build_vals.end());
   EXPECT_EQ(build_vals, (std::vector<std::int64_t>{1, 2}));
-}
-
-TEST(HashJoinTest, AppendBuildRowIdColumn) {
-  HashJoinOptions opt;
-  opt.append_build_rowid_column = true;
-  HashJoinOperator join(Source(MakeI64Batch({7, 8})),
-                        Source(MakeI64Batch({8, 7})), 0, 0, opt);
-  Batch out = Collect(join);
-  ASSERT_EQ(out.num_rows(), 2u);
-  // Probe row 0 (key 8) matches build row 1; probe row 1 matches build 0.
-  EXPECT_EQ(out.columns[2].i64, (std::vector<std::int64_t>{1, 0}));
-  EXPECT_EQ(out.row_ids, (std::vector<RowId>{0, 1}));
-}
-
-TEST(HashJoinTest, PublishesBuildRangeBeforeProbeOpen) {
-  // End-to-end dynamic range propagation: the probe is a table scan with
-  // a minmax index; the join publishes the build range in Open() and the
-  // scan prunes to the candidate blocks.
-  std::vector<std::int64_t> vals(100);
-  for (int i = 0; i < 100; ++i) vals[i] = i;
-  Table t = MakeKvTable(vals);
-  MinMaxIndex minmax(t.column(1), 10);
-  auto range = MakeDynamicRange();
-
-  ScanOptions sopt;
-  sopt.dynamic_range = range;
-  sopt.minmax = &minmax;
-  auto probe = std::make_unique<ScanOperator>(t, std::vector<std::size_t>{1},
-                                              sopt);
-  ScanOperator* probe_raw = probe.get();
-
-  HashJoinOptions jopt;
-  jopt.publish_build_range = range;
-  HashJoinOperator join(Source(MakeI64Batch({42, 47})), std::move(probe), 0,
-                        0, jopt);
-  Batch out = Collect(join);
-  ASSERT_EQ(out.num_rows(), 2u);
-  EXPECT_EQ(out.columns[0].i64, (std::vector<std::int64_t>{42, 47}));
-  // Only block 4 (rows 40..49) was scanned.
-  EXPECT_DOUBLE_EQ(probe_raw->effective_base_fraction(), 0.1);
 }
 
 TEST(HashJoinTest, EmptyBuildSideYieldsEmptyResult) {

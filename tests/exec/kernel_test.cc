@@ -534,9 +534,7 @@ TEST(KernelTest, HashJoinOperatorMatchesNestedLoopReference) {
   probe_keys.insert(probe_keys.end(), 40, 5);
   const Batch build = FactBatch(build_keys, 9'000, rng);
   const Batch probe = FactBatch(probe_keys, 0, rng);
-  HashJoinOptions options;
-  options.append_build_rowid_column = true;
-  HashJoinOperator join(Source(build), Source(probe), 0, 0, options);
+  HashJoinOperator join(Source(build), Source(probe), 0, 0);
   const Batch got = DrainChecked(join);
   Batch want;
   want.Reset(join.OutputTypes());
@@ -547,8 +545,6 @@ TEST(KernelTest, HashJoinOperatorMatchesNestedLoopReference) {
         want.columns[c].AppendFrom(probe.columns[c], i);
         want.columns[3 + c].AppendFrom(build.columns[c], j);
       }
-      want.columns[6].i64.push_back(
-          static_cast<std::int64_t>(build.row_ids[j]));
       want.row_ids.push_back(probe.row_ids[i]);
     }
   }

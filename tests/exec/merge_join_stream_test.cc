@@ -1,7 +1,6 @@
 // Edge-case tests for PatchJoin's merge probe (MergeProbeOperator: a
 // materialized, sorted X against a stream of fact batches): equal-key
-// runs spanning batch boundaries, exhaustion order, and ReuseCache
-// drain-on-close interaction (the PatchIndex join plan relies on both).
+// runs spanning batch boundaries and exhaustion order.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include "common/rng.h"
 #include "exec/hash_join.h"
 #include "exec/merge_probe.h"
-#include "exec/reuse.h"
 #include "exec_test_util.h"
 
 namespace patchindex {
@@ -85,30 +83,6 @@ TEST(MergeJoinStreamTest, RandomizedAgainstHashJoin) {
               CountRows(hj))
         << "iter " << iter;
   }
-}
-
-TEST(ReuseDrainTest, CloseCompletesPartiallyConsumedBuffer) {
-  // A merge probe closed after its first output batch has pulled only the
-  // first batch of the cached fact side; Close() must still complete the
-  // buffer so a subsequent ReuseLoad can replay all of it.
-  auto buffer = MakeReuseBuffer();
-  std::vector<std::int64_t> left(kBatchSize * 2);
-  for (std::size_t i = 0; i < left.size(); ++i) {
-    left[i] = static_cast<std::int64_t>(i);
-  }
-  auto cache = std::make_unique<ReuseCacheOperator>(
-      Source(MakeI64Batch(left)), buffer);
-  const Batch x = MakeI64Batch({0});
-  auto join = Probe(x, std::move(cache));
-  join->Open();
-  Batch out;
-  ASSERT_TRUE(join->Next(&out));
-  EXPECT_EQ(out.num_rows(), 1u);
-  EXPECT_FALSE(buffer->complete);  // the probe consumed only a little
-  join->Close();
-  ASSERT_TRUE(buffer->complete);
-  ReuseLoadOperator load(buffer, {ColumnType::kInt64});
-  EXPECT_EQ(CountRows(load), left.size());
 }
 
 }  // namespace

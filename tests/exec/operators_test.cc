@@ -9,7 +9,6 @@
 #include "exec/aggregate.h"
 #include "exec/expression.h"
 #include "exec/project.h"
-#include "exec/reuse.h"
 #include "exec/scan.h"
 #include "exec/select.h"
 #include "exec/sort.h"
@@ -216,23 +215,6 @@ TEST(UnionTest, ConcatenatesChildren) {
   children.push_back(Source(MakeI64Batch({})));
   UnionOperator u(std::move(children));
   EXPECT_EQ(Collect(u).columns[0].i64, (std::vector<std::int64_t>{1, 2, 3}));
-}
-
-TEST(ReuseTest, CacheThenLoadReplaysResult) {
-  auto buffer = MakeReuseBuffer();
-  ReuseCacheOperator cache(Source(MakeI64Batch({4, 5, 6})), buffer);
-  Batch first = Collect(cache);
-  EXPECT_EQ(first.columns[0].i64, (std::vector<std::int64_t>{4, 5, 6}));
-  ASSERT_TRUE(buffer->complete);
-
-  ReuseLoadOperator load(buffer, {ColumnType::kInt64});
-  Batch second = Collect(load);
-  EXPECT_EQ(second.columns[0].i64, (std::vector<std::int64_t>{4, 5, 6}));
-  EXPECT_EQ(second.row_ids, first.row_ids);
-
-  // The buffer can be replayed multiple times.
-  ReuseLoadOperator again(buffer, {ColumnType::kInt64});
-  EXPECT_EQ(Collect(again).num_rows(), 3u);
 }
 
 }  // namespace

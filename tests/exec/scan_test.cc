@@ -97,39 +97,6 @@ TEST(ScanTest, BaseOnlyScanIgnoresPdt) {
   EXPECT_EQ(out.row_ids, (std::vector<RowId>{0, 1, 2}));
 }
 
-TEST(ScanTest, DynamicRangePropagationPrunesBlocks) {
-  // 100 sorted values, blocks of 10; published range [35, 44] must prune
-  // the scan to rows [30, 50).
-  std::vector<std::int64_t> vals(100);
-  for (int i = 0; i < 100; ++i) vals[i] = i;
-  Table t = MakeKvTable(vals);
-  MinMaxIndex minmax(t.column(1), 10);
-  auto range = MakeDynamicRange();
-  range->Observe(35);
-  range->Observe(44);
-  ScanOptions opt;
-  opt.dynamic_range = range;
-  opt.minmax = &minmax;
-  ScanOperator scan(t, {1}, opt);
-  Batch out = Collect(scan);
-  EXPECT_EQ(out.num_rows(), 20u);
-  EXPECT_EQ(out.columns[0].i64.front(), 30);
-  EXPECT_EQ(out.columns[0].i64.back(), 49);
-  EXPECT_DOUBLE_EQ(scan.effective_base_fraction(), 0.2);
-}
-
-TEST(ScanTest, InvalidDynamicRangeScansNoBaseRows) {
-  Table t = MakeKvTable({1, 2, 3});
-  MinMaxIndex minmax(t.column(1), 2);
-  auto range = MakeDynamicRange();  // never observed => invalid
-  ScanOptions opt;
-  opt.dynamic_range = range;
-  opt.minmax = &minmax;
-  ScanOperator scan(t, {1}, opt);
-  Batch out = Collect(scan);
-  EXPECT_EQ(out.num_rows(), 0u);
-}
-
 TEST(ScanTest, LargeTableBatchBoundaries) {
   std::vector<std::int64_t> vals(kBatchSize * 2 + 5);
   for (std::size_t i = 0; i < vals.size(); ++i) {

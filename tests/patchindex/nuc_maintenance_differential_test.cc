@@ -3,11 +3,15 @@
 // the previous one plus exactly the rows whose committed value is one of
 // the delta's new values and occurs at least twice in the partition.
 //
-// The stream draws from a small, position-clustered value domain, so new
-// values collide with base rows, with each other, and with the *old*
-// values of other rows the same statement modifies (which must not
-// count). It runs with range propagation on and off, with both patch-set
-// designs, on one and four partitions committed in parallel.
+// The stream draws from a small value domain, so new values collide with
+// base rows, with each other, and with the *old* values of other rows the
+// same statement modifies (which must not count). It runs with range
+// propagation on and off, with both patch-set designs, on one and four
+// partitions committed in parallel, and with two base layouts: values
+// clustered by position (blocks cover disjoint ranges, so range
+// propagation prunes) and scattered over every block (pruning keeps every
+// block, so the stale-row filter and the delta's hash map run on the
+// full-scan path).
 
 #include <gtest/gtest.h>
 
@@ -27,7 +31,10 @@
 namespace patchindex {
 namespace {
 
-using Param = std::tuple<bool /*drp*/, PatchSetDesign, std::size_t /*parts*/>;
+enum class Layout { kClustered, kScattered };
+
+using Param =
+    std::tuple<bool /*drp*/, PatchSetDesign, std::size_t /*parts*/, Layout>;
 
 class NucMaintenanceDifferentialTest : public ::testing::TestWithParam<Param> {
 };
@@ -36,7 +43,12 @@ constexpr std::uint64_t kRowsPerPartition = 3 * 1024;
 
 /// Row i of a partition holds about 3i: blocks cover disjoint value
 /// ranges (so range propagation prunes), and neighbours sometimes collide.
-std::int64_t ClusteredValue(std::uint64_t i, Rng& rng) {
+/// Scattered, it holds about 3 h(i) for a multiplicative hash h permuting
+/// the positions, so every block spans nearly the whole domain.
+std::int64_t BaseValue(std::uint64_t i, Layout layout, Rng& rng) {
+  if (layout == Layout::kScattered) {
+    i = (i * 0x9E3779B1ULL) % kRowsPerPartition;  // coprime: a permutation
+  }
   return static_cast<std::int64_t>(3 * i + rng.Uniform(0, 4));
 }
 
@@ -69,7 +81,7 @@ std::vector<RowId> ExpectedPatches(
 }
 
 TEST_P(NucMaintenanceDifferentialTest, PatchSetsMatchTheClosedForm) {
-  const auto [drp, design, parts] = GetParam();
+  const auto [drp, design, parts, layout] = GetParam();
   Rng rng(4242 + parts);
   PartitionedTable table(
       Schema({{"key", ColumnType::kInt64}, {"val", ColumnType::kInt64}}),
@@ -78,7 +90,7 @@ TEST_P(NucMaintenanceDifferentialTest, PatchSetsMatchTheClosedForm) {
     for (std::uint64_t i = 0; i < kRowsPerPartition; ++i) {
       table.partition(p).AppendRow(
           Row{{Value(static_cast<std::int64_t>(i)),
-               Value(ClusteredValue(i, rng))}});
+               Value(BaseValue(i, layout, rng))}});
     }
   }
   PatchIndexOptions options;
@@ -93,6 +105,7 @@ TEST_P(NucMaintenanceDifferentialTest, PatchSetsMatchTheClosedForm) {
 
   const auto domain = static_cast<std::int64_t>(3 * kRowsPerPartition);
   int pruned = 0;
+  int full_scans = 0;
   for (int step = 0; step < 48; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     if (step % 2 == 0) {
@@ -161,13 +174,19 @@ TEST_P(NucMaintenanceDifferentialTest, PatchSetsMatchTheClosedForm) {
       ASSERT_TRUE(indexes[p]->CheckInvariant());
       ASSERT_EQ(indexes[p]->patches().PatchRowIds(),
                 ExpectedPatches(table.partition(p), previous[p], delta[p]));
-      if (!delta[p].empty() && indexes[p]->last_handled_scan_fraction() < 1.0) {
+      if (delta[p].empty()) continue;
+      if (indexes[p]->last_handled_scan_fraction() < 1.0) {
         ++pruned;
+      } else {
+        ++full_scans;
       }
     }
   }
-  if (drp) {
+  if (drp && layout == Layout::kClustered) {
     EXPECT_GT(pruned, 0);
+  }
+  if (layout == Layout::kScattered) {
+    EXPECT_GT(full_scans, 0);
   }
 }
 
@@ -176,13 +195,17 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(PatchSetDesign::kBitmap,
                                          PatchSetDesign::kIdentifier),
-                       ::testing::Values(std::size_t{1}, std::size_t{4})),
+                       ::testing::Values(std::size_t{1}, std::size_t{4}),
+                       ::testing::Values(Layout::kClustered,
+                                         Layout::kScattered)),
     [](const ::testing::TestParamInfo<Param>& info) {
       return std::string(std::get<0>(info.param) ? "Drp" : "NoDrp") +
              (std::get<1>(info.param) == PatchSetDesign::kBitmap
                   ? "Bitmap"
                   : "Identifier") +
-             std::to_string(std::get<2>(info.param)) + "Parts";
+             std::to_string(std::get<2>(info.param)) + "Parts" +
+             (std::get<3>(info.param) == Layout::kScattered ? "Scattered"
+                                                            : "");
     });
 
 }  // namespace

@@ -186,6 +186,47 @@ TEST(NucDrpTest, DisablingDrpScansFullTable) {
   EXPECT_DOUBLE_EQ(idx->last_handled_scan_fraction(), 1.0);
 }
 
+TEST(NucDrpTest, DeltaMeetingTwoBlocksScansOnlyThose) {
+  // Ten blocks of sorted values; the delta's [min, max] meets blocks 3
+  // and 4 only. Two new values collide with base rows there, one between
+  // them collides with nothing.
+  Table t = MakeTable(SortedBlocks(10));
+  PatchIndexManager mgr;
+  PatchIndex* idx = mgr.CreateIndex(t, 1, ConstraintKind::kNearlyUnique,
+                                    SmallOptions());
+  const RowId n = t.num_rows();
+  const RowId a = 3 * Column::kSummaryBlockRows + 5;
+  const RowId b = 4 * Column::kSummaryBlockRows + 7;
+  const auto value = [&](RowId r) { return t.column(1).GetInt64(r); };
+  t.BufferInsert(InsertRow(0, value(a)));
+  t.BufferInsert(InsertRow(1, value(b)));
+  t.BufferInsert(InsertRow(2, value(a) + 1));  // between two base values
+  ASSERT_TRUE(mgr.CommitUpdateQuery(t).ok());
+  EXPECT_DOUBLE_EQ(idx->last_handled_scan_fraction(), 0.2);
+  EXPECT_EQ(idx->patches().PatchRowIds(),
+            (std::vector<RowId>{a, b, n, n + 1}));
+  EXPECT_TRUE(idx->CheckInvariant());
+}
+
+TEST(NucDrpTest, DeltaOutsideEveryBlockScansNothing) {
+  // Every new value lies above the largest base value, so no block can
+  // hold a partner and the probe scans no base row; the duplicates among
+  // the new values are still found by the delta's own hash map.
+  Table t = MakeTable(SortedBlocks(10));
+  PatchIndexManager mgr;
+  PatchIndex* idx = mgr.CreateIndex(t, 1, ConstraintKind::kNearlyUnique,
+                                    SmallOptions());
+  const RowId n = t.num_rows();
+  const std::int64_t above = t.column(1).GetInt64(n - 1) + 100;
+  t.BufferInsert(InsertRow(0, above));
+  t.BufferInsert(InsertRow(1, above));
+  t.BufferInsert(InsertRow(2, above + 1));
+  ASSERT_TRUE(mgr.CommitUpdateQuery(t).ok());
+  EXPECT_DOUBLE_EQ(idx->last_handled_scan_fraction(), 0.0);
+  EXPECT_EQ(idx->patches().PatchRowIds(), (std::vector<RowId>{n, n + 1}));
+  EXPECT_TRUE(idx->CheckInvariant());
+}
+
 class NucDrpDifferentialTest
     : public ::testing::TestWithParam<PatchSetDesign> {};
 
